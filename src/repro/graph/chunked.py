@@ -152,18 +152,20 @@ class ChunkedEdgeStream(ChunkedLineStream):
         if chunk_edges < 1:
             raise ValueError(f"chunk_edges must be >= 1, got {chunk_edges}")
         batch: List[Edge] = []
-        resume = start or Checkpoint()
+        start = start or Checkpoint()
+        # The resume point is built only when a batch is yielded.
+        offset, next_lineno = start.offset, start.lineno
         for lineno, offset, raw in self._raw_lines(start):
+            next_lineno = lineno + 1
             edge = self._parse(raw, lineno)
-            resume = Checkpoint(offset, lineno + 1)
             if edge is None:
                 continue
             batch.append(edge)
             if len(batch) >= chunk_edges:
-                yield batch, resume
+                yield batch, Checkpoint(offset, next_lineno)
                 batch = []
         if batch:
-            yield batch, resume
+            yield batch, Checkpoint(offset, next_lineno)
 
     def count_edges(self) -> int:
         """Number of parseable edge lines (one full streaming pass)."""

@@ -72,13 +72,26 @@ class StreamingClustering:
             self.volume[cluster] = degree
         else:
             # The arriving edge grew this member's degree by one.
-            self.volume[cluster] += 1
+            try:
+                self.volume[cluster] += 1
+            except KeyError:
+                # A count-min over-estimate of an earlier mover's degree
+                # drained the cluster while members remained; it lives on
+                # with this member's growth.
+                self.volume[cluster] = 1
         return cluster
 
     def add_edge(self, u: int, v: int) -> None:
         """Fold one edge into the sketch and the clustering."""
-        du = self.sketch.add(u)
-        dv = self.sketch.add(v)
+        self.observe(u, v, self.sketch.add(u), self.sketch.add(v))
+
+    def observe(self, u: int, v: int, du: int, dv: int) -> None:
+        """Fold one edge whose endpoints' new degrees are ``du``/``dv``.
+
+        The degree sketch must already count the edge.  :meth:`add_edge`
+        does both; the pipeline updates the sketch itself (hashing a
+        batch at a time once it is count-min) and then calls this.
+        """
         self.total_volume += 2
         cu = self._ensure(u, du)
         cv = self._ensure(v, dv)

@@ -10,17 +10,20 @@ budget that **does not grow with the edge count**:
 stage                        peak memory
 ===========================  =========================================
 pass 1 (cluster + sketch)    O(vertices) dicts, or fixed count-min
+                             + one hashing batch
 pass 2 (placement)           O(vertices) bitmask dicts + spill buffers
+                             + one hashing batch (count-min only)
 bundle (sort + CSR)          O(edges / partitions) per shard + O(vertices)
 ===========================  =========================================
 
 ``memory_budget`` (bytes) sizes the knobs: the exact-degree vertex cap
-(past it the sketch degrades to count-min), the spill append buffers,
-and the external-sort run length.  The budget is advisory for the
-O(vertices) terms — the paper-standard 2PS state — and binding for
-every per-edge term; the bench records measured ``rss_max_kib`` against
-it, and the acceptance tests hold the whole pipeline under 2x budget on
-a graph whose in-memory partitioning is several times larger.
+(past it the sketch degrades to count-min), the count-min hashing batch,
+the spill append buffers, and the external-sort run length.  The budget
+is advisory for the O(vertices) terms — the paper-standard 2PS state —
+and binding for every per-edge term; the bench records measured
+``rss_max_kib`` against it, and the acceptance tests hold the whole
+pipeline under 2x budget on a graph whose in-memory partitioning is
+several times larger.
 """
 
 from __future__ import annotations
@@ -29,9 +32,10 @@ import shutil
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from itertools import islice
+from typing import Dict, Iterator, List, Optional, Union
 
-from repro.graph.chunked import DEFAULT_CHUNK_BYTES, ChunkedEdgeStream
+from repro.graph.chunked import DEFAULT_CHUNK_BYTES, ChunkedEdgeStream, Edge
 from repro.graph.graph import normalize_edge
 from repro.partitioning.oocore import spill as spill_mod
 from repro.partitioning.oocore.bundle import write_streaming_bundle
@@ -58,6 +62,15 @@ _BYTES_PER_VERTEX = 400
 #: Rough peak bytes per edge while sorting a run (record + index + copy).
 _BYTES_PER_RUN_EDGE = 48
 
+#: Rough transient bytes per edge of a count-min hashing batch: the edge
+#: tuples, the id array and its hash temporaries, and pass 1's
+#: per-endpoint position lists (~640 B measured with ``tracemalloc``).
+_BYTES_PER_HASHED_EDGE = 640
+
+#: Cap on a hashing batch: beyond a few thousand edges the per-batch
+#: NumPy overhead is already amortised and only the transient grows.
+_MAX_HASH_BATCH_EDGES = 4096
+
 
 @dataclass
 class BudgetPlan:
@@ -68,6 +81,8 @@ class BudgetPlan:
     cm_width: int
     spill_buffer_bytes: int
     run_edges: int
+    #: Edges hashed per vectorised count-min batch (unused while exact).
+    hash_batch_edges: int
 
     @classmethod
     def from_budget(cls, memory_budget: Optional[int]) -> "BudgetPlan":
@@ -78,6 +93,7 @@ class BudgetPlan:
                 cm_width=1 << 20,
                 spill_buffer_bytes=spill_mod.DEFAULT_BUFFER_BYTES,
                 run_edges=spill_mod.DEFAULT_RUN_EDGES,
+                hash_batch_edges=_MAX_HASH_BATCH_EDGES,
             )
         if memory_budget < 1 << 20:
             raise ValueError(
@@ -93,6 +109,14 @@ class BudgetPlan:
             ),
             run_edges=int(
                 max(1 << 14, memory_budget // 4 // _BYTES_PER_RUN_EDGE)
+            ),
+            # A sixteenth of the budget per batch, but at least 256 edges
+            # so the per-batch NumPy calls stay amortised.
+            hash_batch_edges=int(
+                min(
+                    _MAX_HASH_BATCH_EDGES,
+                    max(1 << 8, memory_budget // 16 // _BYTES_PER_HASHED_EDGE),
+                )
             ),
         )
 
@@ -168,6 +192,81 @@ def load_refined_offsets(
     return balance_offsets([int(s) for s in sizes])
 
 
+def _batches(edges: Iterator[Edge], size: int) -> Iterator[List[Edge]]:
+    """Consecutive lists of up to ``size`` edges from ``edges``."""
+    return iter(lambda: list(islice(edges, size)), [])
+
+
+def _sketch_pass(
+    stream: ChunkedEdgeStream,
+    sketch: DegreeSketch,
+    clustering: Optional[StreamingClustering],
+    batch_edges: int,
+) -> int:
+    """Pass 1: count every edge into ``sketch`` (and ``clustering``).
+
+    Edges go one at a time through the scalar sketch while it is exact.
+    Once it degrades to count-min, the rest of the stream is hashed in
+    batches of ``batch_edges``: one vectorised :meth:`positions` call per
+    batch, then the conservative updates in stream order, so every
+    estimate equals the scalar path's.  Returns the self loops skipped.
+    """
+    skipped = 0
+    edges = stream.edges()
+    for u, v in edges:
+        if u == v:
+            skipped += 1
+            continue
+        du = sketch.add(u)
+        dv = sketch.add(v)
+        if clustering is not None:
+            clustering.observe(u, v, du, dv)
+        if not sketch.exact:
+            break
+    cm = sketch.count_min
+    if cm is None:
+        return skipped
+    for chunk in _batches(edges, batch_edges):
+        batch = [edge for edge in chunk if edge[0] != edge[1]]
+        skipped += len(chunk) - len(batch)
+        rows = cm.positions([x for edge in batch for x in edge]).tolist()
+        for (u, v), at_u, at_v in zip(batch, rows[0::2], rows[1::2]):
+            du = cm.add_at(at_u)
+            dv = cm.add_at(at_v)
+            if clustering is not None:
+                clustering.observe(u, v, du, dv)
+    return skipped
+
+
+def _placement_pass(
+    stream: ChunkedEdgeStream,
+    placer: StreamingPlacer,
+    writer: spill_mod.SpillWriter,
+    batch_edges: int,
+) -> None:
+    """Pass 2: place every edge into ``writer``'s spills.
+
+    Degrees are final after pass 1, so with a count-min sketch (and an
+    HDRF policy, the one that reads degrees) each batch of
+    ``batch_edges`` is looked up in one vectorised gather-and-min and
+    the degrees are handed to :meth:`StreamingPlacer.place`.  The exact
+    sketch keeps the plain per-edge dict lookups.
+    """
+    cm = placer.degrees.count_min if placer.policy == "hdrf" else None
+    if cm is None:
+        for u, v in stream.edges():
+            if u == v:
+                continue
+            a, b = normalize_edge(u, v)
+            writer.append(placer.place(a, b), a, b)
+        return
+    for chunk in _batches(stream.edges(), batch_edges):
+        batch = [normalize_edge(u, v) for u, v in chunk if u != v]
+        degrees = cm.get_many([x for edge in batch for x in edge]).tolist()
+        for (a, b), da, db in zip(batch, degrees[0::2], degrees[1::2]):
+            writer.append(placer.place(a, b, da, db), a, b)
+
+
 def partition_stream(
     source: PathLike,
     directory: PathLike,
@@ -211,28 +310,18 @@ def partition_stream(
     t0 = time.perf_counter()
     sketch = DegreeSketch(plan.max_exact_vertices, plan.cm_width)
     clustering: Optional[StreamingClustering] = None
-    skipped = 0
     if cluster:
         clustering = StreamingClustering(
             sketch,
             num_partitions,
             clusters_per_partition=clusters_per_partition,
         )
-        for u, v in stream.edges():
-            if u == v:
-                skipped += 1
-                continue
-            clustering.add_edge(u, v)
+    skipped = _sketch_pass(stream, sketch, clustering, plan.hash_batch_edges)
+    if clustering is not None:
         cluster_of = clustering.cluster_of
         cluster_partition = map_clusters(clustering.volume, num_partitions)
         num_clusters = clustering.num_clusters
     else:
-        for u, v in stream.edges():
-            if u == v:
-                skipped += 1
-                continue
-            sketch.add(u)
-            sketch.add(v)
         cluster_of = {}
         cluster_partition = {}
         num_clusters = 0
@@ -257,11 +346,7 @@ def partition_stream(
         scratch, num_partitions, buffer_bytes=plan.spill_buffer_bytes
     )
     try:
-        for u, v in stream.edges():
-            if u == v:
-                continue
-            a, b = normalize_edge(u, v)
-            writer.append(placer.place(a, b), a, b)
+        _placement_pass(stream, placer, writer, plan.hash_batch_edges)
         spills = writer.close()
         pass2_seconds = time.perf_counter() - t0
 

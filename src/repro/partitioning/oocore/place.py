@@ -106,8 +106,19 @@ class StreamingPlacer:
                     targets.add(k)
         return targets or None
 
-    def place(self, u: int, v: int) -> int:
-        """Choose (and commit) the partition for edge ``(u, v)``."""
+    def place(
+        self,
+        u: int,
+        v: int,
+        degree_u: Optional[int] = None,
+        degree_v: Optional[int] = None,
+    ) -> int:
+        """Choose (and commit) the partition for edge ``(u, v)``.
+
+        ``degree_u``/``degree_v`` are the endpoints' sketch degrees when
+        the caller already looked them up for a whole batch; by default
+        they are read from ``degrees``.
+        """
         mask_u = self._masks.get(u, 0)
         mask_v = self._masks.get(v, 0)
         if self.policy == "greedy":
@@ -116,9 +127,13 @@ class StreamingPlacer:
             )
         else:
             affinity = self._affinity(u, v)
+            if degree_u is None:
+                degree_u = self.degrees.get(u)
+            if degree_v is None:
+                degree_v = self.degrees.get(v)
             ties = hdrf_ties(
-                max(1, self.degrees.get(u)),
-                max(1, self.degrees.get(v)),
+                max(1, degree_u),
+                max(1, degree_v),
                 _Mask(mask_u),
                 _Mask(mask_v),
                 self.sizes,

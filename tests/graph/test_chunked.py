@@ -76,6 +76,21 @@ def test_edge_chunks_checkpoints_resume(tmp_path, name):
         assert list(stream.edges(start=ckpt)) == flat[seen:]
 
 
+def test_edge_chunk_checkpoints_are_exact(tmp_path):
+    """Each checkpoint sits right after the line that closed its batch;
+    the last one also covers trailing comment lines."""
+    text = "0 1\n# c\n1 2\n2 3\n% tail\n\n"
+    path = write(tmp_path, "g.txt", text)
+    stream = ChunkedEdgeStream(path, chunk_bytes=3)
+    assert list(stream.edge_chunks(chunk_edges=2)) == [
+        ([(0, 1), (1, 2)], Checkpoint(12, 4)),
+        ([(2, 3)], Checkpoint(len(text), 7)),
+    ]
+    resumed = list(stream.edge_chunks(chunk_edges=5, start=Checkpoint(4, 2)))
+    assert resumed == [([(1, 2), (2, 3)], Checkpoint(len(text), 7))]
+    assert list(stream.edge_chunks(start=Checkpoint(len(text), 7))) == []
+
+
 def test_checkpoint_preserves_line_numbers_in_errors(tmp_path):
     path = write(tmp_path, "g.txt", "0 1\n1 2\nbroken\n")
     stream = ChunkedEdgeStream(path)

@@ -185,6 +185,7 @@ class TestBudgetPlan:
         assert small.max_exact_vertices < large.max_exact_vertices
         assert small.spill_buffer_bytes <= large.spill_buffer_bytes
         assert small.run_edges <= large.run_edges
+        assert 256 <= small.hash_batch_edges <= large.hash_batch_edges <= 4096
         unbounded = BudgetPlan.from_budget(None)
         assert unbounded.max_exact_vertices == 1 << 62
 
