@@ -15,7 +15,10 @@ directory.  Checks, in order:
    host the worker topology; correctness checks always apply).  A
    schema v6 run (``--wire both``) must additionally show the binary
    codec at least matching JSON single-process throughput (small noise
-   tolerance) and a passing counter-parity verify.
+   tolerance) and a passing counter-parity verify.  The report must be
+   schema v7 and its ``store_open_seconds`` section must show the
+   memory-mapped sidecar open beating the legacy rebuild from text
+   (``speedup > 1``).
 2. Quick-config throughput has not regressed more than
    ``MAX_REGRESSION`` vs the committed quick baseline
    (``benchmarks/BENCH_serve.quick.json``).  Refresh that baseline in
@@ -88,6 +91,18 @@ def main() -> None:
         fail("no requests vectorised — batch path fell back to scalar")
     if not serve.get("quick"):
         fail("BENCH_serve.json is not a --quick run; gate compares quick-to-quick")
+    if int(serve.get("version", 0)) < 7:
+        fail(f"BENCH_serve.json schema {serve.get('version')!r} < 7")
+    store_open = serve.get("store_open_seconds")
+    if not isinstance(store_open, dict) or not {"sidecar", "text", "speedup"} <= set(
+        store_open
+    ):
+        fail(f"BENCH_serve.json store_open_seconds is not v7-shaped: {store_open!r}")
+    if not float(store_open["speedup"]) > 1.0:
+        fail(
+            f"sidecar open {store_open['sidecar']}s is no faster than the "
+            f"legacy text rebuild {store_open['text']}s"
+        )
 
     cluster = serve.get("cluster")
     if int(serve.get("version", 0)) >= 5 and cluster is not None:

@@ -225,11 +225,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--detail", action="store_true", help="print per-partition diagnostics"
     )
-    parser.add_argument(
-        "--no-sidecar",
-        action="store_true",
-        help="with --save-dir: skip the binary CSR sidecar (text-only bundle)",
-    )
     return parser
 
 
@@ -281,13 +276,6 @@ def _build_serve_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--no-verify", action="store_true", help="skip manifest checksum checks"
-    )
-    parser.add_argument(
-        "--store-backend",
-        choices=("auto", "csr", "dict"),
-        default="auto",
-        help="adjacency layout: memory-mapped CSR sidecar (csr), legacy "
-        "dict-of-sets (dict), or csr-when-available (auto, the default)",
     )
     parser.add_argument(
         "--no-hot-reload",
@@ -398,7 +386,6 @@ def _serve_cluster(args: "argparse.Namespace") -> int:  # noqa: F821
             replicas=args.replicas,
             host=args.host,
             port=args.port,
-            backend=args.store_backend,
             verify=not args.no_verify,
             max_queue=args.max_queue,
             batch_window=args.batch_window,
@@ -412,7 +399,7 @@ def _serve_cluster(args: "argparse.Namespace") -> int:  # noqa: F821
             return 2
         router = server.cluster.router
         print(
-            f"opened {args.directory} [{router.backend} backend]: "
+            f"opened {args.directory}: "
             f"p={router.num_partitions}, {router.num_edges} edges, "
             f"{router.num_vertices} vertices, "
             f"RF={router.replication_factor():.4f}"
@@ -465,16 +452,12 @@ def serve_main(argv: List[str]) -> int:
             return 2
         return _serve_cluster(args)
     try:
-        store = PartitionStore.open(
-            args.directory,
-            verify=not args.no_verify,
-            backend=args.store_backend,
-        )
+        store = PartitionStore.open(args.directory, verify=not args.no_verify)
     except (OSError, ValueError) as exc:
         print(f"error: cannot open {args.directory}: {exc}", file=sys.stderr)
         return 2
     print(
-        f"opened {args.directory} [{store.backend} backend]: "
+        f"opened {args.directory}: "
         f"p={store.num_partitions}, "
         f"{store.num_edges} edges, {store.num_vertices} vertices, "
         f"RF={store.replication_factor():.4f}"
@@ -484,8 +467,7 @@ def serve_main(argv: List[str]) -> int:
 
     manifest = Path(args.directory) / MANIFEST_NAME
 
-    # Hot reloads reopen bundles with the same backend choice.
-    manager = StoreManager(store, backend=args.store_backend)
+    manager = StoreManager(store)
     ingestor = None
     if args.wal:
         from repro.service.ingest import Ingestor
@@ -641,8 +623,7 @@ def reload_main(argv: List[str]) -> int:
         )
         return 2
     print(
-        f"epoch {info['previous_epoch']} -> {info['epoch']} "
-        f"[{info.get('backend', 'dict')} backend]: "
+        f"epoch {info['previous_epoch']} -> {info['epoch']}: "
         f"p={info['num_partitions']}, {info['num_edges']} edges, "
         f"RF={info['replication_factor']}, drained {info['drained']} in-flight "
         f"(build {info['build_seconds']}s)"
@@ -855,7 +836,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "input": str(args.input),
                 "replication_factor": report.replication_factor,
             },
-            sidecar=not args.no_sidecar,
         )
         print(f"wrote partition bundle with manifest {manifest}")
     return 0

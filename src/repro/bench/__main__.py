@@ -500,9 +500,9 @@ def _run_serve(args) -> None:
     )
     open_times = report["store_open_seconds"]
     print(
-        f"\nstore open [{report['store_backend']} serving]: "
-        f"dict {open_times['dict']:g}s vs csr {open_times['csr']:g}s "
-        f"({open_times['speedup']:g}x); peak RSS {report['rss_max_kib']} KiB"
+        f"\nstore open: sidecar {open_times['sidecar']:g}s vs text rebuild "
+        f"{open_times['text']:g}s ({open_times['speedup']:g}x); "
+        f"peak RSS {report['rss_max_kib']} KiB"
     )
     print(
         f"{report['num_requests']} requests in {report['elapsed_s']:g}s "

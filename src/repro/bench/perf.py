@@ -195,7 +195,8 @@ def _parallel_section(graph: Graph, p: int, seeds: Sequence[int]) -> Dict:
     )
 
     # -- compaction fold: overlay with synthetic mutations ---------------
-    overlay = DeltaOverlay(PartitionStore(sequential[0]))
+    overlay = DeltaOverlay(PartitionStore.from_partition(sequential[0]))
+    _ = overlay.base.partition  # materialise once, outside the timed folds
     victims = []
     for k in range(p):  # spread deletions over every partition
         victims.extend(sequential[0].edges_of(k)[: max(1, graph.num_edges // (20 * p))])

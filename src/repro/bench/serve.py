@@ -13,10 +13,11 @@ drives a mixed query workload through concurrent pipelined clients:
 * client-side latency is recorded per operation and reported as exact
   p50/p95/p99 over all samples, alongside the server's own histogram
   snapshot;
-* the bundle is opened through **both** store backends and timed —
-  ``store_open_seconds`` records the dict-of-sets rebuild next to the
-  memory-mapped CSR sidecar open (the hot-reload window under load), and
-  ``rss_max_kib`` records the process's peak resident set;
+* the bundle open is timed — ``store_open_seconds`` records the
+  memory-mapped CSR sidecar open next to the legacy rebuild of the same
+  arrays from the edge-list text (what a pre-sidecar bundle costs; the
+  gap is the hot-reload window under load), and ``rss_max_kib`` records
+  the process's peak resident set;
 * ``--mutate`` adds the WAL write path: a dedicated writer streams
   insert/delete ops (fresh vertex ids only, so read verification stays
   exact) through the :mod:`repro.service.ingest` subsystem while the
@@ -54,7 +55,10 @@ from repro.graph.graph import Graph
 #: single-process throughput, the ``cluster`` section gains ``wire`` and
 #: (with ``both``) per-codec ratios, and the verify pass asserts
 #: server-vs-client per-op counter parity; every v5 field unchanged.
-SCHEMA_VERSION = 6
+#: v7: ``store_open_seconds`` is ``{"sidecar", "text", "speedup"}`` (the
+#: sidecar open vs a legacy rebuild from text) and ``store_backend`` is
+#: gone — there is one store layout.
+SCHEMA_VERSION = 7
 
 DEFAULT_REPORT = "BENCH_serve.json"
 DEFAULT_DATASET = "G1"
@@ -142,13 +146,29 @@ def _rss_max_kib() -> Optional[int]:
     return int(usage // 1024) if usage > 1 << 30 else int(usage)
 
 
-def _time_store_open(directory: str, backend: str) -> Tuple[float, object]:
-    """Open the bundle with ``backend``; returns (seconds, store)."""
+def _time_store_open(directory: str) -> Tuple[Dict[str, float], object]:
+    """Time the sidecar open against a legacy rebuild from the edge text.
+
+    The rebuild is the branch :meth:`PartitionStore.open` takes for a
+    bundle whose manifest records no sidecar.  Returns
+    ``({"sidecar", "text", "speedup"}, store)``.
+    """
+    from repro.partitioning.csr_bundle import build_partition_csr
+    from repro.partitioning.serialization import load_partition
     from repro.service.store import PartitionStore
 
     start = time.perf_counter()
-    store = PartitionStore.open(directory, backend=backend)
-    return time.perf_counter() - start, store
+    PartitionStore(build_partition_csr(load_partition(directory)))
+    text = time.perf_counter() - start
+    start = time.perf_counter()
+    store = PartitionStore.open(directory)
+    sidecar = time.perf_counter() - start
+    timings = {
+        "sidecar": round(sidecar, 6),
+        "text": round(text, 6),
+        "speedup": round(text / sidecar, 2) if sidecar else 0.0,
+    }
+    return timings, store
 
 
 def _quantile(sorted_samples: List[float], q: float) -> float:
@@ -316,7 +336,7 @@ def run_serve(
     from repro.core.tlp import TLPPartitioner
     from repro.partitioning.serialization import save_partition
     from repro.service.server import PartitionServer
-    from repro.service.store import PartitionStore, StoreManager
+    from repro.service.store import StoreManager
 
     if wire not in ("json", "binary", "both"):
         raise ValueError(f"wire must be json, binary or both, got {wire!r}")
@@ -341,22 +361,11 @@ def run_serve(
             metadata={"algorithm": "TLP", "seed": seed, "dataset": dataset},
             compress=True,
         )
-        # Time both store backends over the same bundle: the dict path
-        # rebuilds Python sets per edge, the CSR path memory-maps the
-        # sidecar — this difference is the hot-reload window under load.
-        note("opening the store with the dict and csr backends")
-        dict_open_seconds, _ = _time_store_open(tmp, "dict")
-        csr_open_seconds, store = _time_store_open(tmp, "csr")
-        store_open = {
-            "dict": round(dict_open_seconds, 6),
-            "csr": round(csr_open_seconds, 6),
-            "speedup": round(dict_open_seconds / csr_open_seconds, 2)
-            if csr_open_seconds
-            else 0.0,
-        }
+        note("opening the store (sidecar vs legacy rebuild from text)")
+        store_open, store = _time_store_open(tmp)
         note(
-            f"store open: dict {store_open['dict']}s, csr {store_open['csr']}s "
-            f"({store_open['speedup']}x)"
+            f"store open: sidecar {store_open['sidecar']}s, text "
+            f"{store_open['text']}s ({store_open['speedup']}x)"
         )
 
         workload = _build_workload(graph, partition, num_requests, seed)
@@ -606,7 +615,6 @@ def run_serve(
         "seed": seed,
         "vertices": graph.num_vertices,
         "edges": graph.num_edges,
-        "store_backend": stats.get("backend", "dict"),
         "store_open_seconds": store_open,
         "rss_max_kib": _rss_max_kib(),
         "replication_factor": stats["replication_factor"],

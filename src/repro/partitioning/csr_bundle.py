@@ -1,12 +1,12 @@
 """Array-backed (CSR) form of an edge partition, and its binary sidecar.
 
 The serving layer answers three families of queries — vertex routing
-(master/replicas), adjacency fan-out, and edge ownership.  The dict-of-sets
-layout :class:`~repro.service.store.PartitionStore` originally used rebuilds
-a Python object per edge on every open and every hot reload.  This module
-freezes the same information into flat numpy arrays once, at
-``save_partition`` time, so the store can memory-map them back in O(1)
-Python objects:
+(master/replicas), adjacency fan-out, and edge ownership.  Rebuilding them
+as Python objects costs one object per edge on every open and every hot
+reload.  This module freezes the same information into flat numpy arrays
+once, at ``save_partition`` time, so
+:class:`~repro.service.store.PartitionStore` can memory-map them back in
+O(1) Python objects:
 
 * ``vertex_ids``          — sorted global ids of every covered vertex;
 * ``master`` / ``rep_*``  — per-vertex master partition and replica lists
@@ -102,8 +102,8 @@ def build_partition_csr(
     """Freeze ``partition`` into the flat-array form.
 
     The master/replica tables are derived here with the exact
-    :class:`~repro.runtime.replication.ReplicationTable` rule so the CSR
-    and dict serving backends answer bit-identically.
+    :class:`~repro.runtime.replication.ReplicationTable` rule, so the
+    serving store answers exactly as a table built from the edge lists.
 
     ``workers`` fans the per-partition adjacency construction (the
     ``unique``/``lexsort``/``bincount`` passes, which release the GIL

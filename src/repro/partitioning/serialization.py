@@ -20,10 +20,13 @@ Two durability properties matter because the serving layer
 Bundles also carry a binary **CSR sidecar** (``adjacency.csr``, see
 :mod:`repro.partitioning.csr_bundle`): the per-partition adjacency and
 replication tables pre-frozen into flat arrays, which the serving layer
-memory-maps instead of re-deriving dict-of-sets from the edge lists.  The
+memory-maps instead of re-deriving them from the edge lists.  The
 edge-list files stay the canonical, human-readable source of truth — the
 sidecar is a derived acceleration structure, recorded (with its own
-checksum) in the manifest and ignored by older readers.
+checksum) in the manifest and ignored by older readers.  A manifest
+without a ``csr_sidecar`` entry is a bundle from before sidecars; one
+whose entry names a missing file is torn, and :func:`load_sidecar`
+refuses it.
 """
 
 from __future__ import annotations
@@ -100,7 +103,6 @@ def save_partition(
     directory: PathLike,
     metadata: Optional[Dict[str, object]] = None,
     compress: bool = False,
-    sidecar: bool = True,
     workers: Optional[int] = None,
 ) -> Path:
     """Write ``partition`` under ``directory``; returns the manifest path.
@@ -110,10 +112,8 @@ def save_partition(
     the manifest last — a reader (or :class:`repro.service.store.
     PartitionStore`) that finds a manifest finds complete edge files.
 
-    ``sidecar=True`` (default) additionally freezes the partition into
-    the binary CSR sidecar the serving layer memory-maps
-    (:mod:`repro.partitioning.csr_bundle`); pass ``sidecar=False`` to
-    write a minimal, text-only bundle.
+    The partition is also frozen into the binary CSR sidecar the serving
+    layer memory-maps (:mod:`repro.partitioning.csr_bundle`).
 
     ``workers`` fans the per-partition work (sort, edge file, checksum,
     CSR block) over a thread pool — one partition per worker, ``None``
@@ -158,19 +158,14 @@ def save_partition(
         save_one, range(partition.num_partitions), workers
     )
     sidecar_path = directory / csr_bundle.SIDECAR_NAME
-    if sidecar:
-        csr = csr_bundle.build_partition_csr(partition, workers=workers)
-        _write_atomic(sidecar_path, lambda tmp: csr_bundle.write_sidecar(csr, tmp))
-        manifest["csr_sidecar"] = {
-            "file": csr_bundle.SIDECAR_NAME,
-            "version": csr_bundle.SIDECAR_VERSION,
-            "bytes": sidecar_path.stat().st_size,
-            "checksum": csr_bundle.sidecar_checksum(sidecar_path),
-        }
-    elif sidecar_path.exists():
-        # A stale sidecar from a previous save would not match the new
-        # edge files; drop it so the bundle stays unambiguous.
-        sidecar_path.unlink()
+    csr = csr_bundle.build_partition_csr(partition, workers=workers)
+    _write_atomic(sidecar_path, lambda tmp: csr_bundle.write_sidecar(csr, tmp))
+    manifest["csr_sidecar"] = {
+        "file": csr_bundle.SIDECAR_NAME,
+        "version": csr_bundle.SIDECAR_VERSION,
+        "bytes": sidecar_path.stat().st_size,
+        "checksum": csr_bundle.sidecar_checksum(sidecar_path),
+    }
     manifest_path = directory / MANIFEST_NAME
     payload = json.dumps(manifest, indent=2)
     _write_atomic(manifest_path, lambda tmp: tmp.write_text(payload, encoding="utf-8"))
@@ -213,17 +208,17 @@ def load_partition(directory: PathLike, verify: bool = True) -> EdgePartition:
 
 
 def has_sidecar(directory: PathLike) -> bool:
-    """Whether the bundle at ``directory`` carries a readable CSR sidecar."""
-    directory = Path(directory)
-    manifest_path = directory / MANIFEST_NAME
+    """Whether the manifest at ``directory`` records a CSR sidecar.
+
+    False means a pre-sidecar bundle (or no bundle at all).  True says
+    nothing about the file itself: an entry whose file is missing is a
+    torn bundle, which :func:`load_sidecar` rejects.
+    """
+    manifest_path = Path(directory) / MANIFEST_NAME
     if not manifest_path.exists():
         return False
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    entry = manifest.get("csr_sidecar")
-    return (
-        isinstance(entry, dict)
-        and (directory / str(entry.get("file", ""))).exists()
-    )
+    return isinstance(manifest.get("csr_sidecar"), dict)
 
 
 def load_sidecar(
@@ -234,8 +229,8 @@ def load_sidecar(
     ``verify=True`` checks the manifest's recorded byte size and SHA-256
     against the file before mapping it — a whole-file hash, but of one
     binary file, which is still far cheaper than parsing the edge-list
-    text.  Raises ``FileNotFoundError`` if the bundle has no sidecar and
-    ``ValueError`` on any mismatch.
+    text.  Raises ``FileNotFoundError`` if the manifest records no
+    sidecar or names a missing file, and ``ValueError`` on any mismatch.
     """
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME

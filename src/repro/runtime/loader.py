@@ -26,8 +26,9 @@ Because ``save_partition`` writes edges in canonical sorted order and CSR
 row-major decoding yields exactly that order, the per-machine edge lists
 — and therefore every gather merge — are identical between the two paths,
 so results are bit-identical, floats included (the parity test in
-``tests/runtime/test_loader.py`` pins this).  Bundles without a sidecar
-fall back to the text path transparently.
+``tests/runtime/test_loader.py`` pins this).  Bundles whose manifest
+records no sidecar (written before sidecars existed) fall back to the text
+path transparently; a recorded sidecar whose file is missing raises.
 """
 
 from __future__ import annotations
@@ -249,8 +250,10 @@ def load_engine(
     When the bundle carries a CSR sidecar it is memory-mapped and the
     engine's replication table, machine adjacency, and edge lists are
     served from the flat arrays (``mmap=False`` loads them eagerly
-    instead).  Bundles without a sidecar fall back to the text edge-list
-    path — results are identical either way.
+    instead).  Bundles whose manifest records no sidecar fall back to the
+    text edge-list path — results are identical either way.  A recorded
+    sidecar whose file is missing is a torn bundle and raises
+    ``FileNotFoundError``.
 
     ``verify=True`` checks the sidecar checksum (or text checksums) and
     validates the partition against ``graph``.

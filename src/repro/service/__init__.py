@@ -6,9 +6,9 @@ master/mirror placement, and the communication bill is ``(RF - 1)·|V|``.
 :mod:`repro.runtime` simulates that offline; this package serves it online:
 
 * :class:`~repro.service.store.PartitionStore` — opens a
-  :func:`~repro.partitioning.serialization.save_partition` directory and
-  precomputes the routing table (vertex → master + mirrors, edge → owner,
-  per-partition adjacency);
+  :func:`~repro.partitioning.serialization.save_partition` directory by
+  memory-mapping its CSR routing tables (vertex → master + mirrors,
+  edge → owner, per-partition adjacency);
 * :class:`~repro.service.server.PartitionServer` — an asyncio TCP server
   speaking length-prefixed JSON, with request batching, per-request
   timeouts, bounded-queue backpressure, and graceful drain on shutdown;

@@ -191,13 +191,11 @@ class ShardWorkerHandler(ServiceHandler):
         group: Tuple[int, int],
         shard: int,
         replica: int,
-        backend: str = "auto",
     ) -> None:
         super().__init__(store, metrics)
         self.group = group
         self.shard = shard
         self.replica = replica
-        self.backend = backend
         self._staged: Optional[PartitionStore] = None
         #: Previous-epoch stores still queryable: epoch -> store.  Kept
         #: until the front-end's old-epoch leases drain (release_epoch).
@@ -290,9 +288,7 @@ class ShardWorkerHandler(ServiceHandler):
         if op == "prepare":
             directory = _str_arg(args, "directory")
             candidate = PartitionStore.open(
-                directory,
-                verify=bool(args.get("verify", True)),
-                backend=self.backend,
+                directory, verify=bool(args.get("verify", True))
             )
             self.manager.validate(candidate)
             self._staged = candidate
@@ -411,11 +407,8 @@ def worker_main(spec: Dict[str, Any]) -> None:
 
 
 async def _worker_async_main(spec: Dict[str, Any]) -> None:
-    backend = str(spec.get("backend", "auto"))
     store = PartitionStore.open(
-        spec["directory"],
-        verify=bool(spec.get("verify", True)),
-        backend=backend,
+        spec["directory"], verify=bool(spec.get("verify", True))
     )
     store.epoch = int(spec["epoch"])
     handler = ShardWorkerHandler(
@@ -423,7 +416,6 @@ async def _worker_async_main(spec: Dict[str, Any]) -> None:
         group=(int(spec["group_lo"]), int(spec["group_hi"])),
         shard=int(spec["shard"]),
         replica=int(spec["replica"]),
-        backend=backend,
     )
     path = str(spec["socket_path"])
     if os.path.exists(path):
@@ -652,7 +644,6 @@ class PartitionCluster:
         *,
         workers: int,
         replicas: int = 1,
-        backend: str = "auto",
         verify: bool = True,
         metrics: Optional[ServiceMetrics] = None,
         socket_dir: Optional[str] = None,
@@ -672,9 +663,8 @@ class PartitionCluster:
         self.wire = wire
         self.metrics = metrics if metrics is not None else ServiceMetrics()
         self.directory = str(directory)
-        self.backend = backend
         self.verify = verify
-        router = PartitionStore.open(self.directory, verify=verify, backend=backend)
+        router = PartitionStore.open(self.directory, verify=verify)
         #: Shards never outnumber partitions — an empty group would serve
         #: nothing and waste a process.
         self.workers = min(workers, router.num_partitions)
@@ -705,7 +695,6 @@ class PartitionCluster:
                     "group_lo": lo,
                     "group_hi": hi,
                     "epoch": self.manager.epoch,
-                    "backend": backend,
                     "verify": verify,
                     "request_timeout": worker_request_timeout,
                 }
@@ -949,9 +938,7 @@ class PartitionCluster:
             try:
                 candidate = await loop.run_in_executor(
                     None,
-                    lambda: PartitionStore.open(
-                        directory, verify=verify, backend=self.backend
-                    ),
+                    lambda: PartitionStore.open(directory, verify=verify),
                 )
             except Exception as exc:  # noqa: BLE001 — any corrupt bundle
                 self.metrics.inc("reloads_failed")
@@ -1592,7 +1579,6 @@ class ClusterServer:
         replicas: int = 1,
         host: str = "127.0.0.1",
         port: int = 0,
-        backend: str = "auto",
         verify: bool = True,
         metrics: Optional[ServiceMetrics] = None,
         socket_dir: Optional[str] = None,
@@ -1609,7 +1595,6 @@ class ClusterServer:
             directory,
             workers=workers,
             replicas=replicas,
-            backend=backend,
             verify=verify,
             metrics=self.metrics,
             socket_dir=socket_dir,

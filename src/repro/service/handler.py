@@ -24,10 +24,6 @@ op                      args                  result
 ``compact``             —                     fold overlay → bundle, swap epoch
 ======================  ====================  =================================
 
-``stats`` and ``reload`` results carry the serving store's ``backend``
-(``"csr"`` for memory-mapped sidecar bundles, ``"dict"`` for the legacy
-layout) so operators can see which adjacency path answers queries.
-
 ``execute_batch`` coalesces duplicate ``(op, args)`` pairs inside one
 batch — under skewed access patterns (the norm for power-law graphs) hot
 vertices are looked up many times per batching window and computed once.
@@ -62,9 +58,9 @@ from repro.service.ingest import (
 )
 from repro.service.metrics import ServiceMetrics
 from repro.service.store import (
-    PartitionStore,
     ReloadError,
     ReloadInProgress,
+    ServingStore,
     StoreManager,
 )
 
@@ -106,7 +102,7 @@ MUTATING_OPS = frozenset(
 VECTOR_OPS = frozenset({"master", "neighbors", "edge"})
 
 #: A ``(store, epoch)`` pair pinned by :meth:`StoreManager.acquire`.
-Lease = Tuple[PartitionStore, int]
+Lease = Tuple[ServingStore, int]
 
 #: Error-code → metrics-counter mapping used when counting dedup-shared
 #: responses; mirrors the counters bumped on the fresh-computation path.
@@ -149,7 +145,7 @@ class ServiceHandler:
 
     def __init__(
         self,
-        store: Union[PartitionStore, StoreManager],
+        store: Union[ServingStore, StoreManager],
         metrics: Optional[ServiceMetrics] = None,
     ) -> None:
         self.metrics = metrics if metrics is not None else ServiceMetrics()
@@ -178,7 +174,7 @@ class ServiceHandler:
         ingestor.publish_gauges()
 
     @property
-    def store(self) -> PartitionStore:
+    def store(self) -> ServingStore:
         """The store serving the live epoch."""
         return self.manager.store
 
@@ -480,7 +476,7 @@ class ServiceHandler:
     # -- operations --------------------------------------------------------
 
     def _dispatch(
-        self, op: str, args: Dict[str, Any], store: PartitionStore
+        self, op: str, args: Dict[str, Any], store: ServingStore
     ) -> Dict[str, Any]:
         if op == "ping":
             return {"pong": True}
@@ -610,7 +606,7 @@ class _VectorGroup:
 
     __slots__ = ("store", "epoch", "items")
 
-    def __init__(self, store: PartitionStore, epoch: int) -> None:
+    def __init__(self, store: ServingStore, epoch: int) -> None:
         self.store = store
         self.epoch = epoch
         self.items: List[_VectorItem] = []

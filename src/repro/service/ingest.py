@@ -4,10 +4,10 @@ The serving bundles (:mod:`repro.service.store`) are immutable by
 design — that is what makes them shareable, mmap-able, and hot-swappable.
 This module layers mutability on top without giving any of that up:
 
-* :class:`DeltaOverlay` wraps a base :class:`PartitionStore` (dict or
-  CSR backend alike) and records edge inserts/deletes plus the implied
-  vertex-replica and master changes.  Every read query merges base +
-  delta, and the summary stats — ``replication_factor()``,
+* :class:`DeltaOverlay` wraps a base :class:`PartitionStore` and
+  records edge inserts/deletes plus the implied vertex-replica and
+  master changes.  Every read query merges base + delta, and the
+  summary stats — ``replication_factor()``,
   ``partition_sizes()``, ``partition_stats()`` — stay **exact**, not
   approximations: the overlay maintains the same integer numerator and
   denominator a from-scratch rebuild would produce, so the RF float is
@@ -62,6 +62,7 @@ from repro.service.store import (
     PartitionStore,
     Route,
     StoreManager,
+    store_summary,
 )
 from repro.service.wal import WriteAheadLog
 
@@ -93,7 +94,7 @@ class IngestFrozen(IngestError):
 # -- the overlay -------------------------------------------------------------
 
 
-class DeltaOverlay(PartitionStore):
+class DeltaOverlay:
     """Base store + mutation delta, answering every store query exactly.
 
     The overlay keeps the base untouched and tracks, per partition, the
@@ -115,8 +116,6 @@ class DeltaOverlay(PartitionStore):
     """
 
     def __init__(self, base: PartitionStore) -> None:
-        # Deliberately does not chain to PartitionStore.__init__: the
-        # overlay adopts the base store instead of building tables.
         self._base = base
         self.metadata = base.metadata
         self.epoch = base.epoch
@@ -151,11 +150,6 @@ class DeltaOverlay(PartitionStore):
     def base(self) -> PartitionStore:
         """The wrapped immutable store."""
         return self._base
-
-    @property
-    def backend(self) -> str:  # type: ignore[override]
-        """The base store's backend; the overlay is layout-agnostic."""
-        return self._base.backend
 
     @property
     def partition(self) -> EdgePartition:
@@ -197,6 +191,10 @@ class DeltaOverlay(PartitionStore):
         if deg is not None:
             return tuple(sorted(deg))
         return self._base.replicas_of(v)
+
+    def mirrors_of(self, v: int) -> Tuple[int, ...]:
+        master = self.master_of(v)
+        return tuple(k for k in self.replicas_of(v) if k != master)
 
     def owner_of_edge(self, u: int, v: int) -> int:
         edge = normalize_edge(u, v)
@@ -341,7 +339,7 @@ class DeltaOverlay(PartitionStore):
         return self.replication_factor() - self._base.replication_factor()
 
     def stats(self) -> Dict[str, object]:
-        out = super().stats()
+        out = store_summary(self)
         out["pending_mutations"] = self.pending_mutations
         out["delta_version"] = self.delta_version
         return out

@@ -58,9 +58,9 @@ from repro.service.handler import ServiceHandler
 from repro.service.ingest import IngestFrozen, Ingestor
 from repro.service.metrics import ServiceMetrics
 from repro.service.store import (
-    PartitionStore,
     ReloadError,
     ReloadInProgress,
+    ServingStore,
     StoreManager,
 )
 
@@ -91,7 +91,7 @@ class _Pending:
         request: Dict[str, Any],
         future: "asyncio.Future",
         arrived: float,
-        lease: Optional[Tuple[PartitionStore, int]] = None,
+        lease: Optional[Tuple[ServingStore, int]] = None,
         wire: str = protocol.WIRE_JSON,
     ) -> None:
         self.request = request
@@ -106,7 +106,7 @@ class PartitionServer:
 
     def __init__(
         self,
-        store: Optional[Union[PartitionStore, StoreManager]] = None,
+        store: Optional[Union[ServingStore, StoreManager]] = None,
         host: str = _DEFAULT_HOST,
         port: int = 0,
         *,

@@ -1,34 +1,26 @@
 """Read-optimised view of a persisted partition: the serving-side store.
 
-A :class:`PartitionStore` is built once (from an
-:class:`~repro.partitioning.assignment.EdgePartition` in memory, or by
-opening a :func:`~repro.partitioning.serialization.save_partition`
-directory) and then answers routing queries in O(degree) or O(1):
+A :class:`PartitionStore` answers routing queries over the flat arrays of
+a :class:`~repro.partitioning.csr_bundle.PartitionCSR`:
 
 * ``master_of`` / ``replicas_of`` / ``mirrors_of`` — the PowerGraph
-  placement from :class:`~repro.runtime.replication.ReplicationTable`;
+  placement (the :class:`~repro.runtime.replication.ReplicationTable`
+  rule, frozen into arrays);
 * ``neighbors`` — fan-out to every partition spanning the vertex and
-  merge the per-partition adjacency lists;
+  merge the per-partition adjacency rows;
 * ``owner_of_edge`` — which partition holds an edge;
 * ``partition_stats`` / ``stats`` — per-partition and global summaries.
 
+:meth:`PartitionStore.open` memory-maps the binary CSR sidecar that
+``save_partition`` writes next to the edge lists
+(:mod:`repro.partitioning.csr_bundle`), so opening touches O(partitions)
+Python objects instead of O(edges).  A bundle whose manifest records no
+sidecar predates sidecars: its arrays are rebuilt in memory from the
+edge-list text.  A manifest that records a sidecar whose file is gone is
+a torn bundle and refuses to open.
+
 The store is immutable after construction and safe to share across the
 asyncio server's tasks (all reads, no locks needed).
-
-Two interchangeable backends answer the same queries bit-identically:
-
-* ``dict`` — :class:`PartitionStore` itself: per-partition dict-of-sets
-  adjacency plus a :class:`~repro.runtime.replication.ReplicationTable`,
-  rebuilt in Python from the edge lists on every open;
-* ``csr``  — :class:`CSRPartitionStore`: the flat-array form written by
-  ``save_partition`` as a binary sidecar
-  (:mod:`repro.partitioning.csr_bundle`), memory-mapped at open time, so
-  opening is O(1) Python objects instead of O(edges) — the difference is
-  what ``python -m repro.bench serve`` tracks as ``store_open_seconds``.
-
-:meth:`PartitionStore.open` picks the backend: ``"auto"`` (default) uses
-the sidecar when the bundle has one, ``"csr"`` requires it, ``"dict"``
-forces the legacy path.
 
 Hot re-partitioning is layered on top by :class:`StoreManager`: it owns
 the *live* store, stamps every store with a monotonically increasing
@@ -57,27 +49,24 @@ from typing import (
 
 import numpy as np
 
-from repro.graph.graph import Edge, normalize_edge
+from repro.graph.graph import normalize_edge
 from repro.partitioning.assignment import EdgePartition
-from repro.runtime.replication import ReplicationTable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from repro.partitioning.csr_bundle import PartitionCSR
+    from repro.service.ingest import DeltaOverlay
     from repro.service.metrics import ServiceMetrics
 
 PathLike = Union[str, Path]
-
-#: Accepted values for the ``backend=`` option of :meth:`PartitionStore.open`.
-BACKENDS = ("auto", "csr", "dict")
 
 #: Batch-answer types: ``(master, replicas)`` and ``(neighbours, replicas)``
 #: per vertex, ``None`` where the vertex (or edge) is not in the store.
 Route = Optional[Tuple[int, Tuple[int, ...]]]
 NeighborRow = Optional[Tuple[List[int], Tuple[int, ...]]]
 
-#: Bound on the memoised ``vertex id -> row`` maps of the CSR backend; the
-#: maps are cleared (not LRU-evicted) at the cap, which is cheap and good
-#: enough for the power-law workloads the server sees.
+#: Bound on the memoised ``vertex id -> row`` maps; the maps are cleared
+#: (not LRU-evicted) at the cap, which is cheap and good enough for the
+#: power-law workloads the server sees.
 _ROW_CACHE_MAX = 1 << 16
 
 
@@ -102,286 +91,14 @@ def _ragged_take(
 
 
 class PartitionStore:
-    """Precomputed routing tables over one edge partition."""
+    """Routing tables backed by (memory-mapped) CSR arrays.
 
-    #: Which adjacency layout answers queries ("dict" or "csr").
-    backend = "dict"
-
-    def __init__(
-        self,
-        partition: EdgePartition,
-        metadata: Optional[Dict[str, object]] = None,
-        epoch: int = 0,
-    ) -> None:
-        self._partition = partition
-        self.metadata: Dict[str, object] = dict(metadata or {})
-        #: Deployment generation; 0 until a :class:`StoreManager` adopts
-        #: the store and stamps it with its serving epoch.
-        self.epoch = epoch
-        self._table = ReplicationTable(partition)
-        # Per-partition adjacency: _adj[k][v] = neighbours of v inside P_k.
-        self._adj: List[Dict[int, Set[int]]] = []
-        for k in range(partition.num_partitions):
-            adj: Dict[int, Set[int]] = {}
-            for u, v in partition.edges_of(k):
-                adj.setdefault(u, set()).add(v)
-                adj.setdefault(v, set()).add(u)
-            self._adj.append(adj)
-        self._edge_owner: Dict[Edge, int] = partition.edge_to_partition()
-
-    # -- construction ------------------------------------------------------
-
-    @classmethod
-    def open(
-        cls,
-        directory: PathLike,
-        verify: bool = True,
-        backend: str = "auto",
-    ) -> "PartitionStore":
-        """Open a ``save_partition`` directory (manifest-verified by default).
-
-        ``backend`` selects the adjacency layout: ``"auto"`` memory-maps
-        the bundle's CSR sidecar when present (falling back to the dict
-        path for old bundles), ``"csr"`` requires the sidecar (raising
-        ``FileNotFoundError`` without one), and ``"dict"`` always rebuilds
-        the legacy dict-of-sets layout from the edge-list text files.  A
-        corrupt sidecar raises ``ValueError`` under ``verify=True`` rather
-        than silently falling back.
-        """
-        if backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
-        from repro.partitioning.serialization import (
-            load_partition,
-            load_sidecar,
-            partition_metadata,
-        )
-
-        if backend in ("auto", "csr"):
-            try:
-                csr = load_sidecar(directory, verify=verify)
-            except FileNotFoundError:
-                if backend == "csr":
-                    raise
-            else:
-                return CSRPartitionStore(
-                    csr, metadata=partition_metadata(directory)
-                )
-        partition = load_partition(directory, verify=verify)
-        return PartitionStore(partition, metadata=partition_metadata(directory))
-
-    # -- basic shape -------------------------------------------------------
-
-    @property
-    def partition(self) -> EdgePartition:
-        """The underlying partition (treat as read-only)."""
-        return self._partition
-
-    @property
-    def num_partitions(self) -> int:
-        return self._partition.num_partitions
-
-    @property
-    def num_edges(self) -> int:
-        return self._partition.num_edges
-
-    @property
-    def num_vertices(self) -> int:
-        """Vertices covered by at least one edge."""
-        return len(self._table.replicas)
-
-    def has_vertex(self, v: int) -> bool:
-        """Whether any partition hosts a replica of ``v``."""
-        return v in self._table.replicas
-
-    # -- routing -----------------------------------------------------------
-
-    def master_of(self, v: int) -> int:
-        """Master partition of ``v``; raises ``KeyError`` if uncovered."""
-        return self._table.master[v]
-
-    def replicas_of(self, v: int) -> Tuple[int, ...]:
-        """All partitions hosting a replica of ``v`` (sorted)."""
-        return self._table.replicas_of(v)
-
-    def mirrors_of(self, v: int) -> Tuple[int, ...]:
-        """Non-master replicas of ``v`` (sorted)."""
-        master = self.master_of(v)
-        return tuple(k for k in self.replicas_of(v) if k != master)
-
-    def owner_of_edge(self, u: int, v: int) -> int:
-        """Partition holding edge ``{u, v}``; raises ``KeyError`` if absent."""
-        return self._edge_owner[normalize_edge(u, v)]
-
-    def neighbors(self, v: int) -> Set[int]:
-        """Merged neighbour set of ``v`` across all spanning partitions.
-
-        This is the routed equivalent of ``Graph.neighbors``: the caller
-        fans out to every replica and unions the partial adjacency lists.
-        Raises ``KeyError`` for an uncovered vertex.
-        """
-        replicas = self._table.replicas.get(v)
-        if replicas is None:
-            raise KeyError(v)
-        merged: Set[int] = set()
-        for k in replicas:
-            merged |= self._adj[k].get(v, set())
-        return merged
-
-    def local_neighbors(self, v: int, k: int) -> Set[int]:
-        """Neighbours of ``v`` within partition ``k`` only."""
-        return set(self._adj[k].get(v, set()))
-
-    def local_degree(self, v: int, k: int) -> int:
-        """Number of partition-``k`` edges incident to ``v`` (0 if absent).
-
-        The graph is simple, so this equals ``len(local_neighbors(v, k))``
-        but without materialising the set — the ingest overlay calls it
-        once per mutation endpoint.
-        """
-        return len(self._adj[k].get(v, ()))
-
-    # -- batch routing -----------------------------------------------------
-    #
-    # One call answers a whole coalesced request batch.  The dict backend
-    # keeps these as plain scalar loops: they are the executable
-    # specification the vectorised CSR/overlay overrides are pinned
-    # against by the parity tests.  A miss yields ``None`` instead of
-    # raising so one uncovered vertex cannot poison the rest of a batch.
-
-    def route_many(self, vertices: Sequence[int]) -> List[Route]:
-        """``(master, replicas)`` per vertex; ``None`` where uncovered."""
-        out: List[Route] = []
-        for v in vertices:
-            try:
-                master = self.master_of(v)
-            except KeyError:
-                out.append(None)
-                continue
-            out.append((master, self.replicas_of(v)))
-        return out
-
-    def neighbors_many(self, vertices: Sequence[int]) -> List[NeighborRow]:
-        """``(sorted neighbours, replicas)`` per vertex; ``None`` on a miss."""
-        out: List[NeighborRow] = []
-        for v in vertices:
-            try:
-                merged = sorted(self.neighbors(v))
-            except KeyError:
-                out.append(None)
-                continue
-            out.append((merged, self.replicas_of(v)))
-        return out
-
-    def owners_many(
-        self, pairs: Sequence[Tuple[int, int]]
-    ) -> List[Optional[int]]:
-        """Owning partition per ``(u, v)`` pair; ``None`` where absent."""
-        out: List[Optional[int]] = []
-        for u, v in pairs:
-            try:
-                out.append(self.owner_of_edge(u, v))
-            except KeyError:
-                out.append(None)
-        return out
-
-    # -- group-restricted batch routing ------------------------------------
-    #
-    # The shard-worker read path: a cluster worker owns the contiguous
-    # partition group ``[lo, hi)`` and answers only from those adjacency
-    # lists; the front-end concatenates the disjoint partial lists it
-    # gathers from the shards spanning a vertex.  ``None`` per item means
-    # "this group holds nothing for that vertex/edge" — distinct from an
-    # empty list, which cannot occur (a replica implies incident edges).
-
-    def group_neighbors_many(
-        self, vertices: Sequence[int], lo: int, hi: int
-    ) -> List[Optional[List[int]]]:
-        """Per vertex: sorted neighbours via partitions in ``[lo, hi)`` only."""
-        out: List[Optional[List[int]]] = []
-        for v in vertices:
-            group = [k for k in self.replicas_of(v) if lo <= k < hi]
-            if not group:
-                out.append(None)
-                continue
-            merged: Set[int] = set()
-            for k in group:
-                merged |= self.local_neighbors(v, k)
-            out.append(sorted(merged))
-        return out
-
-    def group_owners_many(
-        self, pairs: Sequence[Tuple[int, int]], lo: int, hi: int
-    ) -> List[Optional[int]]:
-        """Owning partition per pair when it lies in ``[lo, hi)``, else None."""
-        return [
-            owner if owner is not None and lo <= owner < hi else None
-            for owner in self.owners_many(pairs)
-        ]
-
-    # -- summaries ---------------------------------------------------------
-
-    def partition_stats(self, k: int) -> Dict[str, int]:
-        """Edge/vertex/master counts for partition ``k``."""
-        if not 0 <= k < self.num_partitions:
-            raise KeyError(k)
-        vertices = self._adj[k]
-        masters = sum(1 for v in vertices if self._table.master[v] == k)
-        return {
-            "partition": k,
-            "edges": len(self._partition.edges_of(k)),
-            "vertices": len(vertices),
-            "masters": masters,
-            "mirrors": len(vertices) - masters,
-        }
-
-    def total_replicas(self) -> int:
-        """Total replica count over all covered vertices (the RF numerator)."""
-        return sum(len(r) for r in self._table.replicas.values())
-
-    def replication_factor(self) -> float:
-        """Mean replicas per covered vertex (1.0 for the empty store)."""
-        covered = len(self._table.replicas)
-        if covered == 0:
-            return 1.0
-        return self.total_replicas() / covered
-
-    def partition_sizes(self) -> List[int]:
-        """``|E(P_k)|`` for each partition."""
-        return self._partition.partition_sizes()
-
-    def stats(self) -> Dict[str, object]:
-        """Global summary used by the ``stats`` query."""
-        return {
-            "epoch": self.epoch,
-            "backend": self.backend,
-            "num_partitions": self.num_partitions,
-            "num_edges": self.num_edges,
-            "num_vertices": self.num_vertices,
-            "replication_factor": round(self.replication_factor(), 6),
-            "partition_sizes": self.partition_sizes(),
-            "metadata": self.metadata,
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"{type(self).__name__}(epoch={self.epoch}, p={self.num_partitions}, "
-            f"edges={self.num_edges}, vertices={self.num_vertices})"
-        )
-
-
-class CSRPartitionStore(PartitionStore):
-    """Routing tables backed by memory-mapped CSR arrays (zero-copy open).
-
-    Answers every :class:`PartitionStore` query from the flat arrays of a
-    :class:`~repro.partitioning.csr_bundle.PartitionCSR` — vertex lookups
-    are binary searches over the sorted id arrays, adjacency rows are
-    array slices, and edge ownership is a binary search inside the owning
-    row.  Construction does no per-edge Python work at all, which is the
-    point: opening a bundle (or hot-reloading one under load) touches
-    O(partitions) Python objects instead of O(edges).
+    Vertex lookups are binary searches over the sorted id arrays,
+    adjacency rows are array slices, and edge ownership is a binary
+    search inside the owning row.  Construction does no per-edge Python
+    work, which is the point: opening a bundle (or hot-reloading one
+    under load) touches O(partitions) Python objects instead of O(edges).
     """
-
-    backend = "csr"
 
     def __init__(
         self,
@@ -389,10 +106,10 @@ class CSRPartitionStore(PartitionStore):
         metadata: Optional[Dict[str, object]] = None,
         epoch: int = 0,
     ) -> None:
-        # Deliberately does not chain to PartitionStore.__init__: there is
-        # no EdgePartition to iterate, only arrays to adopt.
         self._csr = csr
-        self.metadata = dict(metadata or {})
+        self.metadata: Dict[str, object] = dict(metadata or {})
+        #: Deployment generation; 0 until a :class:`StoreManager` adopts
+        #: the store and stamps it with its serving epoch.
         self.epoch = epoch
         self._materialized: Optional[EdgePartition] = None
         # Memoised binary-search results.  The store is immutable, so a
@@ -402,17 +119,46 @@ class CSRPartitionStore(PartitionStore):
         self._row_cache: Dict[int, Optional[int]] = {}
         self._local_row_cache: Dict[Tuple[int, int], Optional[int]] = {}
 
+    # -- construction ------------------------------------------------------
+
     @classmethod
     def from_partition(
         cls,
         partition: EdgePartition,
         metadata: Optional[Dict[str, object]] = None,
         epoch: int = 0,
-    ) -> "CSRPartitionStore":
+    ) -> "PartitionStore":
         """Freeze an in-memory :class:`EdgePartition` into the CSR form."""
         from repro.partitioning.csr_bundle import build_partition_csr
 
         return cls(build_partition_csr(partition), metadata=metadata, epoch=epoch)
+
+    @classmethod
+    def open(cls, directory: PathLike, verify: bool = True) -> "PartitionStore":
+        """Open a ``save_partition`` directory (manifest-verified by default).
+
+        Memory-maps the bundle's CSR sidecar.  A bundle whose manifest
+        has no ``csr_sidecar`` entry is a pre-sidecar bundle: its arrays
+        are built in memory from the edge-list text instead.  A manifest
+        entry whose file is missing raises ``FileNotFoundError`` (a torn
+        bundle, never a silent fallback to text), and a corrupt sidecar
+        raises ``ValueError`` under ``verify=True``.
+        """
+        from repro.partitioning import csr_bundle
+        from repro.partitioning.serialization import (
+            has_sidecar,
+            load_partition,
+            load_sidecar,
+            partition_metadata,
+        )
+
+        if has_sidecar(directory):
+            csr = load_sidecar(directory, verify=verify)
+        else:
+            csr = csr_bundle.build_partition_csr(
+                load_partition(directory, verify=verify)
+            )
+        return cls(csr, metadata=partition_metadata(directory))
 
     # -- internal lookups --------------------------------------------------
 
@@ -467,7 +213,7 @@ class CSRPartitionStore(PartitionStore):
 
     @property
     def partition(self) -> EdgePartition:
-        """The partition, materialised lazily (expensive; compat only)."""
+        """The partition, materialised lazily (expensive; compaction only)."""
         if self._materialized is None:
             from repro.partitioning.csr_bundle import csr_to_partition
 
@@ -535,7 +281,12 @@ class CSRPartitionStore(PartitionStore):
         raise KeyError(edge)
 
     def neighbors(self, v: int) -> Set[int]:
-        """Merged neighbour set of ``v`` across all spanning partitions."""
+        """Merged neighbour set of ``v`` across all spanning partitions.
+
+        This is the routed equivalent of ``Graph.neighbors``: the caller
+        fans out to every replica and unions the partial adjacency lists.
+        Raises ``KeyError`` for an uncovered vertex.
+        """
         row = self._row(v)
         if row is None:
             raise KeyError(v)
@@ -554,7 +305,12 @@ class CSRPartitionStore(PartitionStore):
         return {int(x) for x in ids[indices[lo:hi]]}
 
     def local_degree(self, v: int, k: int) -> int:
-        """Number of partition-``k`` edges incident to ``v`` (0 if absent)."""
+        """Number of partition-``k`` edges incident to ``v`` (0 if absent).
+
+        The graph is simple, so this equals ``len(local_neighbors(v, k))``
+        but without materialising the set — the ingest overlay calls it
+        once per mutation endpoint.
+        """
         _, indptr, _ = self._csr.parts[k]
         row = self._local_row(v, k)
         if row is None:
@@ -563,10 +319,12 @@ class CSRPartitionStore(PartitionStore):
 
     # -- batch routing -----------------------------------------------------
     #
-    # The vectorised counterparts of the scalar spec above: each method
-    # resolves the whole batch with one ``np.searchsorted`` over the
-    # global vertex table plus one ragged gather per touched partition,
-    # instead of per-request binary searches and ``int()`` conversions.
+    # One call answers a whole coalesced request batch: one
+    # ``np.searchsorted`` over the global vertex table plus one ragged
+    # gather per touched partition, instead of per-request binary
+    # searches and ``int()`` conversions.  A miss yields ``None`` instead
+    # of raising so one uncovered vertex cannot poison the rest of a
+    # batch.
 
     def route_many(self, vertices: Sequence[int]) -> List[Route]:
         """``(master, replicas)`` per vertex; ``None`` where uncovered."""
@@ -589,18 +347,23 @@ class CSRPartitionStore(PartitionStore):
             pos += c
         return out
 
-    def neighbors_many(self, vertices: Sequence[int]) -> List[NeighborRow]:
-        """``(sorted neighbours, replicas)`` per vertex; ``None`` on a miss."""
-        vs = [int(v) for v in vertices]
-        route = self.route_many(vs)
-        out: List[NeighborRow] = [None] * len(vs)
+    def _gather_neighbours(
+        self, vs: List[int], route: List[Route], lo: int, hi: int
+    ) -> List[List[int]]:
+        """Sorted neighbours per vertex via partitions in ``[lo, hi)``.
+
+        One ``searchsorted`` + ragged gather per *touched* partition for
+        the whole batch.  A row is empty exactly where the vertex has no
+        replica in the range (a replica implies incident edges there).
+        """
         partial: List[List[int]] = [[] for _ in vs]
         by_part: Dict[int, List[int]] = {}
         for i, r in enumerate(route):
             if r is None:
                 continue
             for k in r[1]:
-                by_part.setdefault(k, []).append(i)
+                if lo <= k < hi:
+                    by_part.setdefault(k, []).append(i)
         for k, positions in by_part.items():
             ids_k, indptr_k, indices_k = self._csr.parts[k]
             local_vs = np.asarray([vs[i] for i in positions], dtype=np.int64)
@@ -616,16 +379,21 @@ class CSRPartitionStore(PartitionStore):
             for i, c in zip(positions, counts.tolist()):
                 partial[i].extend(flat_ids[pos : pos + c])
                 pos += c
-        for i, r in enumerate(route):
-            if r is None:
-                continue
-            merged = partial[i]
+        for row in partial:
             # Each edge lives in exactly one partition and the graph is
             # simple, so the per-partition lists are disjoint: sorting
             # the concatenation *is* the merged neighbour list.
-            merged.sort()
-            out[i] = (merged, r[1])
-        return out
+            row.sort()
+        return partial
+
+    def neighbors_many(self, vertices: Sequence[int]) -> List[NeighborRow]:
+        """``(sorted neighbours, replicas)`` per vertex; ``None`` on a miss."""
+        vs = [int(v) for v in vertices]
+        route = self.route_many(vs)
+        merged = self._gather_neighbours(vs, route, 0, self.num_partitions)
+        return [
+            None if r is None else (row, r[1]) for r, row in zip(route, merged)
+        ]
 
     def owners_many(
         self, pairs: Sequence[Tuple[int, int]]
@@ -662,50 +430,30 @@ class CSRPartitionStore(PartitionStore):
                     out[i] = k
         return out
 
+    # -- group-restricted batch routing ------------------------------------
+    #
+    # The shard-worker read path: a cluster worker owns the contiguous
+    # partition group ``[lo, hi)`` and answers only from those adjacency
+    # lists; the front-end concatenates the disjoint partial lists it
+    # gathers from the shards spanning a vertex.  ``None`` per item means
+    # "this group holds nothing for that vertex/edge".
+
     def group_neighbors_many(
         self, vertices: Sequence[int], lo: int, hi: int
     ) -> List[Optional[List[int]]]:
-        """Per vertex: sorted neighbours via partitions in ``[lo, hi)`` only.
-
-        Same ragged-gather shape as :meth:`neighbors_many`, with the
-        fan-out clipped to the worker's partition group — still one
-        ``searchsorted`` + gather per *touched* partition for the whole
-        batch.
-        """
+        """Per vertex: sorted neighbours via partitions in ``[lo, hi)`` only."""
         vs = [int(v) for v in vertices]
-        route = self.route_many(vs)
-        out: List[Optional[List[int]]] = [None] * len(vs)
-        partial: List[List[int]] = [[] for _ in vs]
-        hit = [False] * len(vs)
-        by_part: Dict[int, List[int]] = {}
-        for i, r in enumerate(route):
-            if r is None:
-                continue
-            for k in r[1]:
-                if lo <= k < hi:
-                    hit[i] = True
-                    by_part.setdefault(k, []).append(i)
-        for k, positions in by_part.items():
-            ids_k, indptr_k, indices_k = self._csr.parts[k]
-            local_vs = np.asarray([vs[i] for i in positions], dtype=np.int64)
-            lrows = np.searchsorted(ids_k, local_vs)
-            starts = np.asarray(indptr_k)[lrows]
-            counts = np.asarray(indptr_k)[lrows + 1] - starts
-            flat_rows = _ragged_take(indices_k, starts, counts)
-            flat_ids = (
-                np.asarray(ids_k)[flat_rows].tolist() if flat_rows.size else []
-            )
-            pos = 0
-            for i, c in zip(positions, counts.tolist()):
-                partial[i].extend(flat_ids[pos : pos + c])
-                pos += c
-        for i, got in enumerate(hit):
-            if got:
-                # Disjoint per-partition lists: sort of the concatenation
-                # is the merged group-local neighbour list.
-                partial[i].sort()
-                out[i] = partial[i]
-        return out
+        merged = self._gather_neighbours(vs, self.route_many(vs), lo, hi)
+        return [row if row else None for row in merged]
+
+    def group_owners_many(
+        self, pairs: Sequence[Tuple[int, int]], lo: int, hi: int
+    ) -> List[Optional[int]]:
+        """Owning partition per pair when it lies in ``[lo, hi)``, else None."""
+        return [
+            owner if owner is not None and lo <= owner < hi else None
+            for owner in self.owners_many(pairs)
+        ]
 
     # -- summaries ---------------------------------------------------------
 
@@ -744,6 +492,33 @@ class CSRPartitionStore(PartitionStore):
             return 1.0
         return self.total_replicas() / covered
 
+    def stats(self) -> Dict[str, object]:
+        """Global summary used by the ``stats`` query."""
+        return store_summary(self)
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return (
+            f"{type(self).__name__}(epoch={self.epoch}, p={self.num_partitions}, "
+            f"edges={self.num_edges}, vertices={self.num_vertices})"
+        )
+
+
+#: What serves queries: a bare store, or one wrapped in the ingest overlay
+#: (which answers the same query surface over base + delta).
+ServingStore = Union[PartitionStore, "DeltaOverlay"]
+
+
+def store_summary(store: ServingStore) -> Dict[str, object]:
+    """The ``stats`` summary of any serving store."""
+    return {
+        "epoch": store.epoch,
+        "num_partitions": store.num_partitions,
+        "num_edges": store.num_edges,
+        "num_vertices": store.num_vertices,
+        "replication_factor": round(store.replication_factor(), 6),
+        "partition_sizes": store.partition_sizes(),
+        "metadata": store.metadata,
+    }
 
 # -- hot re-partitioning ----------------------------------------------------
 
@@ -782,32 +557,27 @@ class StoreManager:
 
     def __init__(
         self,
-        store: PartitionStore,
+        store: ServingStore,
         *,
         metrics: Optional["ServiceMetrics"] = None,
         allow_partition_count_change: bool = False,
         drain_timeout: float = 30.0,
-        backend: str = "auto",
     ) -> None:
-        if backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
         self.metrics = metrics
         self.allow_partition_count_change = allow_partition_count_change
         self.drain_timeout = drain_timeout
-        #: Backend every reload opens replacement bundles with.
-        self.backend = backend
         #: Optional decorator applied to every store the manager builds
         #: (the live one via :meth:`wrap_live`, replacements in
         #: :meth:`_build`).  The ingest layer uses it to re-wrap each new
         #: epoch in a fresh :class:`~repro.service.ingest.DeltaOverlay`.
-        self.wrap: Optional[Callable[[PartitionStore], PartitionStore]] = None
+        self.wrap: Optional[Callable[[PartitionStore], ServingStore]] = None
         if store.epoch == 0:
             store.epoch = 1
         self._store = store
         self._leases: Dict[int, int] = {}
         #: Retired epochs still holding leases: epoch -> (store, event|None).
         self._retired: Dict[
-            int, Tuple[PartitionStore, Optional[asyncio.Event]]
+            int, Tuple[ServingStore, Optional[asyncio.Event]]
         ] = {}
         self._reloading = False
         self._set_gauge("epoch", store.epoch)
@@ -815,7 +585,7 @@ class StoreManager:
     # -- live view ---------------------------------------------------------
 
     @property
-    def store(self) -> PartitionStore:
+    def store(self) -> ServingStore:
         """The store serving the live epoch."""
         return self._store
 
@@ -831,7 +601,7 @@ class StoreManager:
 
     # -- leases ------------------------------------------------------------
 
-    def acquire(self) -> Tuple[PartitionStore, int]:
+    def acquire(self) -> Tuple[ServingStore, int]:
         """Pin the live store: returns ``(store, epoch)``, refcount +1."""
         store = self._store
         epoch = store.epoch
@@ -867,7 +637,7 @@ class StoreManager:
 
     # -- validation --------------------------------------------------------
 
-    def validate(self, candidate: PartitionStore) -> None:
+    def validate(self, candidate: ServingStore) -> None:
         """Sanity-check a candidate store against the live epoch.
 
         Raises :class:`BundleValidationError` on an empty store, a
@@ -895,7 +665,7 @@ class StoreManager:
 
     # -- swapping ----------------------------------------------------------
 
-    def install(self, candidate: PartitionStore) -> Dict[str, object]:
+    def install(self, candidate: ServingStore) -> Dict[str, object]:
         """Validate and atomically flip ``candidate`` in as the new epoch.
 
         Synchronous and atomic from the event loop's point of view: the
@@ -922,21 +692,18 @@ class StoreManager:
             "epoch": candidate.epoch,
             "previous_epoch": old.epoch,
             "pinned_to_previous": pinned,
-            "backend": candidate.backend,
             "num_partitions": candidate.num_partitions,
             "num_edges": candidate.num_edges,
             "replication_factor": round(candidate.replication_factor(), 6),
         }
 
-    def _build(self, directory: PathLike, verify: bool) -> PartitionStore:
-        store = PartitionStore.open(directory, verify=verify, backend=self.backend)
-        if self.wrap is not None:
-            store = self.wrap(store)
-        return store
+    def _build(self, directory: PathLike, verify: bool) -> ServingStore:
+        store = PartitionStore.open(directory, verify=verify)
+        return store if self.wrap is None else self.wrap(store)
 
     def wrap_live(
-        self, wrapper: Callable[[PartitionStore], PartitionStore]
-    ) -> PartitionStore:
+        self, wrapper: Callable[[PartitionStore], ServingStore]
+    ) -> ServingStore:
         """Decorate the live store in place and every future build.
 
         Must run before the manager starts handing out leases (server

@@ -109,7 +109,7 @@ class TestParallelSave:
 
 class TestParallelFold:
     def _overlay(self, partition):
-        overlay = DeltaOverlay(PartitionStore(partition))
+        overlay = DeltaOverlay(PartitionStore.from_partition(partition))
         edges = sorted(partition.edges_of(0))[:10]
         for i, (u, v) in enumerate(edges):
             was = overlay.apply_delete(u, v)

@@ -3,8 +3,8 @@
 Hypothesis drives arbitrary insert/delete sequences (with interleaved
 re-inserts and base-edge deletes) against a ``DeltaOverlay`` and asserts
 that every observable — replication factor (bitwise float equality),
-partition sizes, per-partition stats, routing, adjacency — matches a
-``PartitionStore`` rebuilt from scratch out of the materialised
+partition sizes, per-partition stats, routing, adjacency — matches the
+dict-of-sets oracle rebuilt from scratch out of the materialised
 ``EdgePartition``.  A second property replays the same mutation sequence
 through the WAL record format and requires the revived overlay to land
 in the identical state, which is exactly the crash-recovery contract.
@@ -21,6 +21,7 @@ from repro.core.tlp import TLPPartitioner
 from repro.partitioning.serialization import save_partition
 from repro.service.ingest import DeltaOverlay, place_greedy, place_hdrf
 from repro.service.store import PartitionStore
+from tests.service.oracle import DictStore
 
 
 @pytest.fixture(scope="module")
@@ -98,7 +99,7 @@ def test_overlay_matches_rebuilt_partition(overlay_world, steps):
     applied = _interpret(overlay, graph, steps)
     assert overlay.pending_mutations == len(applied)
 
-    rebuilt = PartitionStore(overlay.to_partition())
+    rebuilt = DictStore(overlay.to_partition())
     assert overlay.num_edges == rebuilt.num_edges
     assert overlay.num_vertices == rebuilt.num_vertices
     assert overlay.partition_sizes() == rebuilt.partition_sizes()
@@ -133,7 +134,7 @@ def test_replaying_the_op_trace_reproduces_the_state(overlay_world, steps):
     overlay = DeltaOverlay(PartitionStore.open(directory))
     applied = _interpret(overlay, graph, steps)
 
-    revived = DeltaOverlay(PartitionStore.open(directory, backend="csr"))
+    revived = DeltaOverlay(PartitionStore.open(directory))
     for op, u, v, k in applied:
         if op == "insert":
             revived.apply_insert(u, v, k)

@@ -7,9 +7,10 @@ unbalanced) partition assignments and random engine options, and pins:
 * (b) no edge is ever lost or duplicated (conservation);
 * (c) the replica total — hence RF — is monotonically non-increasing;
 * (d) the engine is deterministic: same input, same options, same output;
-* (e) a refined bundle round-trips through ``PartitionStore.open`` on
-  both the dict and csr backends bit-identically to a store rebuilt
-  from the materialised partition.
+* (e) a refined bundle round-trips through ``PartitionStore.open`` —
+  from its sidecar and, for a legacy copy without one, from its text —
+  bit-identically to the dict-of-sets oracle rebuilt from the
+  materialised partition.
 
 A ``RuleBasedStateMachine`` then drives random mutation streams through
 a live ``Ingestor`` with refine-on-compact enabled: every refined
@@ -39,6 +40,7 @@ from repro.partitioning.refine import (
 from repro.partitioning.serialization import load_partition, save_partition
 from repro.service.ingest import Ingestor
 from repro.service.store import PartitionStore, StoreManager
+from tests.service.oracle import DictStore, strip_sidecar
 
 
 @st.composite
@@ -150,18 +152,18 @@ def _assert_store_bit_identical(opened, rebuilt, vertices):
 @given(partition=partitioned_graphs(), options=REFINE_OPTIONS)
 @settings(max_examples=15, deadline=None)
 def test_refined_bundle_round_trips_on_both_backends(partition, options):
-    """(e): save -> refine_bundle -> open(dict|csr) == rebuilt store."""
+    """(e): save -> refine_bundle -> open(sidecar|legacy) == oracle."""
     root = Path(tempfile.mkdtemp(prefix="refine-rt-"))
     try:
         bundle = root / "bundle"
         save_partition(partition, bundle)
         refine_bundle(bundle, **options)
         refined = load_partition(bundle)
-        rebuilt = PartitionStore(refined)
+        rebuilt = DictStore(refined)
         vertices = sorted(set().union(*refined.vertex_sets()))
-        for backend in ("dict", "csr"):
-            opened = PartitionStore.open(bundle, backend=backend)
-            assert opened.backend == backend
+        legacy = strip_sidecar(shutil.copytree(bundle, root / "legacy"))
+        for directory in (bundle, legacy):
+            opened = PartitionStore.open(directory)
             _assert_store_bit_identical(opened, rebuilt, vertices)
     finally:
         shutil.rmtree(root, ignore_errors=True)

@@ -11,6 +11,7 @@ bit-identical, floats included.
 import pytest
 
 from repro.core.tlp import TLPPartitioner
+from repro.partitioning.csr_bundle import SIDECAR_NAME
 from repro.partitioning.serialization import load_partition, save_partition
 from repro.runtime.engine import GASEngine
 from repro.runtime.loader import (
@@ -21,6 +22,7 @@ from repro.runtime.loader import (
 )
 from repro.runtime.programs import ConnectedComponents, PageRank
 from repro.runtime.replication import ReplicationTable
+from tests.service.oracle import strip_sidecar
 
 
 @pytest.fixture(scope="module")
@@ -69,12 +71,21 @@ class TestRunParity:
     def test_no_sidecar_fallback(self, bundle, tmp_path):
         graph, partition, _ = bundle
         directory = tmp_path / "plain"
-        save_partition(partition, directory, sidecar=False)
+        save_partition(partition, directory)
+        strip_sidecar(directory)
         engine = load_engine(directory, graph, ConnectedComponents())
         # Fell back to the dict path: a real EdgePartition, not the view.
         assert not isinstance(engine.partition, BundlePartitionView)
         reference = GASEngine(graph, partition, ConnectedComponents())
         assert engine.run().values == reference.run().values
+
+    def test_torn_sidecar_raises_not_fallback(self, bundle, tmp_path):
+        graph, partition, _ = bundle
+        directory = tmp_path / "torn"
+        save_partition(partition, directory)
+        (directory / SIDECAR_NAME).unlink()  # manifest still records it
+        with pytest.raises(FileNotFoundError):
+            load_engine(directory, graph, ConnectedComponents())
 
     def test_eager_load_matches_mmap(self, bundle):
         graph, _, directory = bundle

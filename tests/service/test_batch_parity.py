@@ -1,11 +1,12 @@
 """Batch answering parity: vectorised ``*_many`` == scalar, everywhere.
 
 The acceptance property of the batch path is that it is invisible: for
-every op, every backend (dict spec / CSR arrays), every overlay state
-(clean store / live ``DeltaOverlay`` mid-mutation), and every bundle
-provenance (as-partitioned / post-refinement), the vectorised batch
-methods and the handler's ``execute_batch`` answer bit-identically to
-the scalar path, down to Python int types in the payloads.
+every op, every base store (the dict-of-sets oracle / the CSR store),
+every overlay state (clean store / live ``DeltaOverlay`` mid-mutation),
+and every bundle provenance (as-partitioned / post-refinement), the
+vectorised batch methods and the handler's ``execute_batch`` answer
+bit-identically to the scalar path, down to Python int types in the
+payloads — and the CSR store's batches equal the oracle's.
 
 The refined variants pin that local-search refinement is invisible to
 the serving layer too: a refined partition routes differently (that is
@@ -18,11 +19,11 @@ import pytest
 
 from repro.core.tlp import TLPPartitioner
 from repro.graph.graph import normalize_edge
-from repro.partitioning.csr_bundle import build_partition_csr
 from repro.partitioning.refine import refine_partition
 from repro.service.handler import ServiceHandler
 from repro.service.ingest import DeltaOverlay
-from repro.service.store import CSRPartitionStore, PartitionStore
+from repro.service.store import PartitionStore
+from tests.service.oracle import DictStore
 
 P = 4
 
@@ -62,23 +63,17 @@ def _mutate(overlay, graph, partition):
 
 
 def _variants(graph, partition, refined_partition):
-    dict_store = PartitionStore(partition)
-    csr_store = CSRPartitionStore(build_partition_csr(partition))
     return {
-        "dict-clean": dict_store,
-        "csr-clean": csr_store,
-        "dict-overlay": _mutate(
-            DeltaOverlay(PartitionStore(partition)), graph, partition
-        ),
+        "dict-clean": DictStore(partition),
+        "csr-clean": PartitionStore.from_partition(partition),
+        "dict-overlay": _mutate(DeltaOverlay(DictStore(partition)), graph, partition),
         "csr-overlay": _mutate(
-            DeltaOverlay(CSRPartitionStore(build_partition_csr(partition))),
+            DeltaOverlay(PartitionStore.from_partition(partition)),
             graph,
             partition,
         ),
-        "dict-refined": PartitionStore(refined_partition),
-        "csr-refined": CSRPartitionStore(
-            build_partition_csr(refined_partition)
-        ),
+        "dict-refined": DictStore(refined_partition),
+        "csr-refined": PartitionStore.from_partition(refined_partition),
     }
 
 
@@ -159,6 +154,19 @@ class TestStoreBatchParity:
             assert owner == expected and type(owner) is int
 
 
+@pytest.mark.parametrize("state", ["clean", "overlay", "refined"])
+def test_csr_batches_match_oracle(state, graph, partition, refined_partition):
+    """Every ``*_many`` answer of the CSR store equals the oracle's."""
+    variants = _variants(graph, partition, refined_partition)
+    csr, oracle = variants[f"csr-{state}"], variants[f"dict-{state}"]
+    probes = _probe_vertices(graph, csr)
+    pairs = _probe_edges(graph, csr, partition)
+    assert csr.route_many(probes) == oracle.route_many(probes)
+    assert csr.neighbors_many(probes) == oracle.neighbors_many(probes)
+    assert csr.owners_many(pairs) == oracle.owners_many(pairs)
+    assert csr.stats() == oracle.stats()
+
+
 class TestHandlerBatchParity:
     def _requests(self, graph, partition):
         vs = sorted(graph.vertices())
@@ -211,7 +219,7 @@ class TestHandlerBatchParity:
             assert set(response["result"]["neighbors"]) == graph.neighbors(v)
 
     def test_vectorised_counter_advances(self, graph, partition):
-        store = CSRPartitionStore(build_partition_csr(partition))
+        store = PartitionStore.from_partition(partition)
         handler = ServiceHandler(store)
         vs = sorted(graph.vertices())[:10]
         handler.execute_batch(
@@ -223,7 +231,7 @@ class TestHandlerBatchParity:
 
     def test_mutation_mid_batch_flushes_reads(self, graph, partition):
         """Reads admitted before a mutation answer from the old snapshot."""
-        overlay = DeltaOverlay(PartitionStore(partition))
+        overlay = DeltaOverlay(PartitionStore.from_partition(partition))
         handler = ServiceHandler(overlay)
         u, v = sorted(partition.edges_of(0))[0]
         requests = [

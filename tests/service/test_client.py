@@ -69,7 +69,9 @@ class TestBackoffPolicy:
 
 class TestAsyncClient:
     def test_semantic_errors_are_not_retried(self, small_social):
-        store = PartitionStore(TLPPartitioner(seed=0).partition(small_social, 3))
+        store = PartitionStore.from_partition(
+            TLPPartitioner(seed=0).partition(small_social, 3)
+        )
 
         async def go():
             async with PartitionServer(store) as server:
@@ -98,7 +100,9 @@ class TestAsyncClient:
         asyncio.run(go())
 
     def test_many_concurrent_calls_on_one_connection(self, small_social):
-        store = PartitionStore(TLPPartitioner(seed=0).partition(small_social, 3))
+        store = PartitionStore.from_partition(
+            TLPPartitioner(seed=0).partition(small_social, 3)
+        )
         vertices = list(small_social.vertices())[:150]
 
         async def go():
@@ -118,7 +122,9 @@ class TestAsyncClient:
 @pytest.fixture
 def threaded_server(small_social):
     """A live server on a background thread, for the blocking client."""
-    store = PartitionStore(TLPPartitioner(seed=0).partition(small_social, 3))
+    store = PartitionStore.from_partition(
+        TLPPartitioner(seed=0).partition(small_social, 3)
+    )
     loop = asyncio.new_event_loop()
     server = PartitionServer(store)
     started = threading.Event()
@@ -171,7 +177,9 @@ class TestReconnectOnReset:
     """
 
     def test_async_client_survives_server_restart(self, small_social):
-        store = PartitionStore(TLPPartitioner(seed=0).partition(small_social, 3))
+        store = PartitionStore.from_partition(
+            TLPPartitioner(seed=0).partition(small_social, 3)
+        )
 
         async def go():
             first = PartitionServer(store)
@@ -204,7 +212,9 @@ class TestReconnectOnReset:
 
     def test_async_client_retries_while_server_is_down(self, small_social):
         """A request issued while the server is down succeeds once it is back."""
-        store = PartitionStore(TLPPartitioner(seed=0).partition(small_social, 3))
+        store = PartitionStore.from_partition(
+            TLPPartitioner(seed=0).partition(small_social, 3)
+        )
 
         async def go():
             first = PartitionServer(store)
@@ -234,7 +244,9 @@ class TestReconnectOnReset:
         asyncio.run(go())
 
     def test_sync_client_survives_server_restart(self, small_social):
-        store = PartitionStore(TLPPartitioner(seed=0).partition(small_social, 3))
+        store = PartitionStore.from_partition(
+            TLPPartitioner(seed=0).partition(small_social, 3)
+        )
 
         def run_server_thread(server, loop):
             started = threading.Event()

@@ -32,6 +32,7 @@ from repro.service.client import ServiceClient, ServiceError
 from repro.service.cluster import ClusterServer, shard_bounds
 from repro.service.server import PartitionServer
 from repro.service.store import PartitionStore
+from tests.service.oracle import DictStore
 
 
 @pytest.fixture(scope="module")
@@ -92,9 +93,9 @@ class TestGroupSweepParity:
     def test_group_methods_agree_between_dict_and_csr_backends(
         self, graph, bundles
     ):
-        """The shard-worker read path is backend-independent."""
-        dict_store = PartitionStore.open(bundles[0], backend="dict")
-        csr_store = PartitionStore.open(bundles[0], backend="csr")
+        """The shard-worker read path answers exactly as the dict oracle."""
+        dict_store = DictStore.open(bundles[0])
+        csr_store = PartitionStore.open(bundles[0])
         vertices = sorted(graph.vertices())[:60] + [10**9]
         pairs = sorted(graph.edges())[:60] + [(0, 10**9)]
         p = dict_store.num_partitions

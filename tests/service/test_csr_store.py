@@ -1,12 +1,15 @@
-"""CSR-backed store: bit-identical answers to the dict backend.
+"""The CSR store: bit-identical answers to the dict-of-sets oracle.
 
 The acceptance property for the zero-copy store is *parity*: every routing
 query — ``neighbors``, ``master_of``, ``replicas_of``, ``mirrors_of``,
-``owner_of_edge``, ``partition_stats``, ``stats`` — answers identically
-whether the bundle is served from the memory-mapped CSR sidecar or from
-the legacy dict-of-sets rebuild, including across a ``StoreManager`` hot
-reload.
+``owner_of_edge``, ``partition_stats``, ``stats`` — answers exactly as the
+reference :class:`~tests.service.oracle.DictStore` rebuilt from the edge
+lists, whether the store memory-maps a bundle's sidecar or rebuilds the
+arrays from a legacy (pre-sidecar) bundle's text, including across a
+``StoreManager`` hot reload.
 """
+
+import asyncio
 
 import numpy as np
 import pytest
@@ -26,7 +29,9 @@ from repro.partitioning.serialization import (
     load_sidecar,
     save_partition,
 )
-from repro.service.store import CSRPartitionStore, PartitionStore, StoreManager
+from repro.service.metrics import ServiceMetrics
+from repro.service.store import PartitionStore, ReloadError, StoreManager
+from tests.service.oracle import DictStore, strip_sidecar
 
 
 @pytest.fixture
@@ -38,6 +43,12 @@ def tlp_partition(small_social):
 def bundle(tlp_partition, tmp_path):
     save_partition(tlp_partition, tmp_path / "bundle", metadata={"p": 4})
     return tmp_path / "bundle"
+
+
+@pytest.fixture
+def legacy_bundle(tlp_partition, tmp_path):
+    save_partition(tlp_partition, tmp_path / "legacy", metadata={"p": 4})
+    return strip_sidecar(tmp_path / "legacy")
 
 
 def assert_stores_agree(csr, dct, graph):
@@ -61,38 +72,36 @@ def assert_stores_agree(csr, dct, graph):
     for k in range(csr.num_partitions):
         assert csr.partition_stats(k) == dct.partition_stats(k)
     csr_stats, dct_stats = csr.stats(), dct.stats()
-    assert csr_stats.pop("backend") == "csr"
-    assert dct_stats.pop("backend") == "dict"
     csr_stats.pop("epoch"), dct_stats.pop("epoch")  # serving generation only
     assert csr_stats == dct_stats
 
 
 class TestBackendSelection:
-    def test_auto_prefers_sidecar(self, bundle):
+    """How ``open`` finds the arrays: sidecar, legacy rebuild, or refusal."""
+
+    def test_auto_prefers_sidecar(self, bundle, monkeypatch):
         assert has_sidecar(bundle)
+
+        def no_text(*args, **kwargs):
+            raise AssertionError("a sidecar bundle must not parse edge text")
+
+        monkeypatch.setattr(
+            "repro.partitioning.serialization.load_partition", no_text
+        )
         store = PartitionStore.open(bundle)
-        assert isinstance(store, CSRPartitionStore)
-        assert store.backend == "csr"
+        assert isinstance(store._csr.vertex_ids, np.memmap)
 
-    def test_dict_backend_forced(self, bundle):
-        store = PartitionStore.open(bundle, backend="dict")
-        assert not isinstance(store, CSRPartitionStore)
-        assert store.backend == "dict"
+    def test_auto_falls_back_without_sidecar(self, legacy_bundle, small_social):
+        assert not has_sidecar(legacy_bundle)
+        store = PartitionStore.open(legacy_bundle)
+        assert not isinstance(store._csr.vertex_ids, np.memmap)
+        assert_stores_agree(store, DictStore.open(legacy_bundle), small_social)
 
-    def test_auto_falls_back_without_sidecar(self, tlp_partition, tmp_path):
-        save_partition(tlp_partition, tmp_path / "plain", sidecar=False)
-        assert not has_sidecar(tmp_path / "plain")
-        store = PartitionStore.open(tmp_path / "plain")
-        assert store.backend == "dict"
-
-    def test_csr_backend_requires_sidecar(self, tlp_partition, tmp_path):
-        save_partition(tlp_partition, tmp_path / "plain", sidecar=False)
-        with pytest.raises(FileNotFoundError):
-            PartitionStore.open(tmp_path / "plain", backend="csr")
-
-    def test_unknown_backend_rejected(self, bundle):
-        with pytest.raises(ValueError):
-            PartitionStore.open(bundle, backend="nosql")
+    def test_torn_bundle_raises_not_fallback(self, bundle):
+        (bundle / SIDECAR_NAME).unlink()  # the manifest still records it
+        assert has_sidecar(bundle)
+        with pytest.raises(FileNotFoundError, match="missing sidecar"):
+            PartitionStore.open(bundle)
 
     def test_corrupt_sidecar_rejected_not_fallback(self, bundle):
         path = bundle / SIDECAR_NAME
@@ -100,47 +109,40 @@ class TestBackendSelection:
         blob[-8:] = b"\xff" * 8  # flip tail bytes inside the last array
         path.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match="checksum"):
-            PartitionStore.open(bundle, backend="csr")
-
-    def test_resave_without_sidecar_drops_stale_file(self, tlp_partition, tmp_path):
-        save_partition(tlp_partition, tmp_path / "b")
-        assert (tmp_path / "b" / SIDECAR_NAME).exists()
-        save_partition(tlp_partition, tmp_path / "b", sidecar=False)
-        assert not (tmp_path / "b" / SIDECAR_NAME).exists()
-        assert not has_sidecar(tmp_path / "b")
+            PartitionStore.open(bundle)
 
 
 class TestParity:
     def test_tlp_bundle_parity(self, bundle, small_social):
-        csr = PartitionStore.open(bundle, backend="csr")
-        dct = PartitionStore.open(bundle, backend="dict")
+        csr = PartitionStore.open(bundle)
+        dct = DictStore.open(bundle)
         assert_stores_agree(csr, dct, small_social)
 
     @pytest.mark.parametrize("algorithm", ["LDG", "DBH", "Random"])
     def test_baseline_partitioner_parity(self, small_social, tmp_path, algorithm):
         partition = make_partitioner(algorithm, seed=3).partition(small_social, 5)
         save_partition(partition, tmp_path / "b", compress=True)
-        csr = PartitionStore.open(tmp_path / "b", backend="csr")
-        dct = PartitionStore.open(tmp_path / "b", backend="dict")
+        csr = PartitionStore.open(tmp_path / "b")
+        dct = DictStore.open(tmp_path / "b")
         assert_stores_agree(csr, dct, small_social)
 
     def test_from_partition_matches_disk_open(self, tlp_partition, bundle):
-        in_memory = CSRPartitionStore.from_partition(tlp_partition)
-        on_disk = PartitionStore.open(bundle, backend="csr")
+        in_memory = PartitionStore.from_partition(tlp_partition)
+        on_disk = PartitionStore.open(bundle)
         assert in_memory.partition_sizes() == on_disk.partition_sizes()
         assert in_memory.replication_factor() == on_disk.replication_factor()
 
     def test_empty_partitions_parity(self):
         partition = EdgePartition([[(0, 1)], [], [(1, 2)]])
-        csr = CSRPartitionStore.from_partition(partition)
-        dct = PartitionStore(partition)
+        csr = PartitionStore.from_partition(partition)
+        dct = DictStore(partition)
         for k in range(3):
             assert csr.partition_stats(k) == dct.partition_stats(k)
         assert csr.neighbors(1) == {0, 2}
         assert csr.local_neighbors(1, 1) == set()
 
     def test_unknown_vertex_and_edge_raise(self, bundle):
-        csr = PartitionStore.open(bundle, backend="csr")
+        csr = PartitionStore.open(bundle)
         with pytest.raises(KeyError):
             csr.neighbors(10**9)
         with pytest.raises(KeyError):
@@ -150,7 +152,7 @@ class TestParity:
         assert csr.replicas_of(10**9) == ()
 
     def test_materialized_partition_round_trips(self, tlp_partition, bundle):
-        csr = PartitionStore.open(bundle, backend="csr")
+        csr = PartitionStore.open(bundle)
         materialized = csr.partition
         for k in range(tlp_partition.num_partitions):
             assert sorted(materialized.edges_of(k)) == sorted(
@@ -168,22 +170,45 @@ class TestHotReloadParity:
             TLPPartitioner(seed=9).partition(small_social, 4), tmp_path / "v2"
         )
         manager = StoreManager(PartitionStore.open(tmp_path / "v1"))
-        assert manager.store.backend == "csr"
-        info = manager.reload_sync(tmp_path / "v2")
-        assert info["backend"] == "csr"
+        manager.reload_sync(tmp_path / "v2")
         assert manager.epoch == 2
-        reference = PartitionStore.open(tmp_path / "v2", backend="dict")
+        reference = DictStore.open(tmp_path / "v2")
         assert_stores_agree(manager.store, reference, small_social)
 
-    def test_reload_respects_forced_dict_backend(self, tlp_partition, tmp_path):
+    def test_reload_from_legacy_onto_sidecar_bundle(
+        self, legacy_bundle, small_social, tmp_path
+    ):
+        """Serve a pre-sidecar bundle, then hot-swap a sidecar bundle in."""
+        manager = StoreManager(PartitionStore.open(legacy_bundle))
+        assert_stores_agree(
+            manager.store, DictStore.open(legacy_bundle), small_social
+        )
+        save_partition(
+            TLPPartitioner(seed=9).partition(small_social, 4), tmp_path / "v2"
+        )
+        manager.reload_sync(tmp_path / "v2")
+        assert manager.epoch == 2
+        assert isinstance(manager.store._csr.vertex_ids, np.memmap)
+        assert_stores_agree(
+            manager.store, DictStore.open(tmp_path / "v2"), small_social
+        )
+
+    def test_reload_onto_torn_bundle_fails_and_keeps_epoch(
+        self, tlp_partition, tmp_path
+    ):
         save_partition(tlp_partition, tmp_path / "v1")
         save_partition(tlp_partition, tmp_path / "v2")
-        manager = StoreManager(
-            PartitionStore.open(tmp_path / "v1", backend="dict"), backend="dict"
-        )
-        info = manager.reload_sync(tmp_path / "v2")
-        assert info["backend"] == "dict"
-        assert manager.store.backend == "dict"
+        (tmp_path / "v2" / SIDECAR_NAME).unlink()
+        metrics = ServiceMetrics()
+        manager = StoreManager(PartitionStore.open(tmp_path / "v1"), metrics=metrics)
+        live = manager.store
+        with pytest.raises(ReloadError, match="missing sidecar"):
+            manager.reload_sync(tmp_path / "v2")
+        with pytest.raises(ReloadError, match="missing sidecar"):
+            asyncio.run(manager.reload(tmp_path / "v2"))
+        assert manager.epoch == 1
+        assert manager.store is live
+        assert metrics.counters["reloads_failed"] == 2
 
 
 class TestSidecarFormat:

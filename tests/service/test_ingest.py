@@ -2,10 +2,11 @@
 
 Covers the PR's acceptance criteria directly:
 
-* ≥1k random inserts/deletes against **both** store backends leave the
-  overlay's ``replication_factor()`` / ``partition_sizes()`` (and every
-  other summary) bit-identical to a ``PartitionStore`` rebuilt from the
-  materialised ``EdgePartition``;
+* ≥1k random inserts/deletes over **both** base stores (the CSR store
+  and the dict-of-sets oracle) leave the overlay's
+  ``replication_factor()`` / ``partition_sizes()`` (and every other
+  summary) bit-identical to the oracle rebuilt from the materialised
+  ``EdgePartition``;
 * a simulated crash (the process dies with the WAL on disk) replays to
   exactly the acknowledged state, including the idempotency cache and the
   post-compaction folded-sequence watermark;
@@ -35,6 +36,10 @@ from repro.service.ingest import (
 )
 from repro.service.server import PartitionServer
 from repro.service.store import PartitionStore, StoreManager
+from tests.service.oracle import DictStore
+
+#: Base stores an overlay can wrap: the oracle and the CSR store.
+BASES = {"dict": DictStore.open, "csr": PartitionStore.open}
 
 
 @pytest.fixture(scope="module")
@@ -119,11 +124,10 @@ class TestOverlayExactness:
     def test_1k_random_mutations_stay_bit_identical(
         self, graph, bundle, backend
     ):
-        overlay = DeltaOverlay(PartitionStore.open(bundle, backend=backend))
-        assert overlay.backend == backend
+        overlay = DeltaOverlay(BASES[backend](bundle))
         _random_mutations(overlay, graph, 1000, seed=42)
         assert overlay.pending_mutations == 1000
-        rebuilt = PartitionStore(overlay.to_partition())
+        rebuilt = DictStore(overlay.to_partition())
         _assert_bit_identical(overlay, rebuilt)
         # Routing and adjacency agree everywhere the rebuild covers.
         for v in list(graph.vertices())[:120]:
@@ -135,10 +139,7 @@ class TestOverlayExactness:
                 assert not overlay.has_vertex(v)
 
     def test_backends_agree_with_each_other(self, graph, bundle):
-        overlays = [
-            DeltaOverlay(PartitionStore.open(bundle, backend=b))
-            for b in ("dict", "csr")
-        ]
+        overlays = [DeltaOverlay(BASES[b](bundle)) for b in ("dict", "csr")]
         for overlay in overlays:
             _random_mutations(overlay, graph, 300, seed=9)
         a, b = overlays
@@ -174,7 +175,7 @@ class TestOverlayExactness:
         assert not overlay.edge_exists(u, v)
         overlay.apply_insert(u, v, k)
         assert overlay.owner_of_edge(u, v) == k
-        _assert_bit_identical(overlay, PartitionStore(overlay.to_partition()))
+        _assert_bit_identical(overlay, DictStore(overlay.to_partition()))
 
     def test_conflicting_mutations_rejected(self, graph, bundle):
         overlay = DeltaOverlay(PartitionStore.open(bundle))

@@ -151,7 +151,9 @@ def live_server(small_social):
     from repro.service.server import PartitionServer
     from repro.service.store import PartitionStore
 
-    store = PartitionStore(TLPPartitioner(seed=0).partition(small_social, 3))
+    store = PartitionStore.from_partition(
+        TLPPartitioner(seed=0).partition(small_social, 3)
+    )
     return PartitionServer(store, request_timeout=5.0)
 
 
@@ -571,7 +573,9 @@ class TestMixedCodecSessions:
         from repro.service.server import PartitionServer
         from repro.service.store import PartitionStore
 
-        store = PartitionStore(TLPPartitioner(seed=0).partition(small_social, 3))
+        store = PartitionStore.from_partition(
+            TLPPartitioner(seed=0).partition(small_social, 3)
+        )
         server = PartitionServer(store, accept_binary=False)
 
         async def go():
@@ -598,7 +602,9 @@ class TestMixedCodecSessions:
         from repro.service.server import PartitionServer
         from repro.service.store import PartitionStore
 
-        store = PartitionStore(TLPPartitioner(seed=0).partition(small_social, 3))
+        store = PartitionStore.from_partition(
+            TLPPartitioner(seed=0).partition(small_social, 3)
+        )
         v = next(iter(small_social.vertices()))
 
         for accept, expected_wire in ((True, "binary"), (False, "json")):

@@ -19,7 +19,9 @@ from repro.service.store import PartitionStore
 
 @pytest.fixture
 def store(small_social):
-    return PartitionStore(TLPPartitioner(seed=0).partition(small_social, 4))
+    return PartitionStore.from_partition(
+        TLPPartitioner(seed=0).partition(small_social, 4)
+    )
 
 
 def gated_handler(gate: "asyncio.Event"):
@@ -46,7 +48,7 @@ class TestRoutedQueries:
 
     def test_neighbors_set_equal_over_tcp_baseline(self, small_social):
         partition = make_partitioner("DBH", seed=1).partition(small_social, 5)
-        baseline_store = PartitionStore(partition)
+        baseline_store = PartitionStore.from_partition(partition)
 
         async def go():
             async with PartitionServer(baseline_store) as server:

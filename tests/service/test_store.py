@@ -17,7 +17,7 @@ def tlp_partition(small_social):
 
 @pytest.fixture
 def store(tlp_partition):
-    return PartitionStore(tlp_partition, metadata={"algorithm": "TLP"})
+    return PartitionStore.from_partition(tlp_partition, metadata={"algorithm": "TLP"})
 
 
 class TestRoutedAdjacency:
@@ -29,7 +29,7 @@ class TestRoutedAdjacency:
     def test_neighbors_set_equal_to_graph_baseline(self, small_social):
         # Same property for a non-local baseline partitioner (LDG).
         partition = make_partitioner("LDG", seed=3).partition(small_social, 5)
-        store = PartitionStore(partition)
+        store = PartitionStore.from_partition(partition)
         for v in small_social.vertices():
             assert store.neighbors(v) == small_social.neighbors(v)
 
@@ -126,7 +126,9 @@ class TestSmallExamples:
     def test_square_partition_routing(self):
         # P0 = {(0,1), (1,2)}, P1 = {(2,3), (0,3)} — the replication-table
         # example; neighbour queries must merge across both partitions.
-        store = PartitionStore(EdgePartition([[(0, 1), (1, 2)], [(2, 3), (0, 3)]]))
+        store = PartitionStore.from_partition(
+            EdgePartition([[(0, 1), (1, 2)], [(2, 3), (0, 3)]])
+        )
         assert store.neighbors(0) == {1, 3}
         assert store.neighbors(2) == {1, 3}
         assert store.replicas_of(0) == (0, 1)
@@ -134,7 +136,7 @@ class TestSmallExamples:
         assert store.owner_of_edge(0, 3) == 1
 
     def test_empty_partitions_are_served(self):
-        store = PartitionStore(EdgePartition([[(0, 1)], [], [(1, 2)]]))
+        store = PartitionStore.from_partition(EdgePartition([[(0, 1)], [], [(1, 2)]]))
         assert store.partition_stats(1) == {
             "partition": 1,
             "edges": 0,

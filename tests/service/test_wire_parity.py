@@ -2,8 +2,8 @@
 
 The contract: a binary-wire client receives **the same answer** as a
 JSON-wire client for every operation — success results and errors,
-code *and* message — across every store backend (dict, CSR, ingest
-overlay) and through the multi-process cluster front-end, where the
+code *and* message — across every store (the CSR store, the dict-of-sets
+oracle, the ingest overlay) and through the multi-process cluster front-end, where the
 scatter path splices pre-encoded worker payloads instead of
 decode/re-encoding them.
 
@@ -28,6 +28,7 @@ from repro.service.cluster import ClusterServer
 from repro.service.ingest import Ingestor
 from repro.service.server import PartitionServer
 from repro.service.store import PartitionStore, StoreManager
+from tests.service.oracle import DictStore
 
 
 @pytest.fixture(scope="module")
@@ -104,20 +105,22 @@ def _run_parity(server_cm, graph):
 
     json_bodies, binary_bodies = asyncio.run(go())
     _assert_byte_identical(json_bodies, binary_bodies, probes)
+    return json_bodies
 
 
 class TestSingleProcessParity:
     def test_dict_backend(self, graph, bundle):
-        store = PartitionStore.open(bundle, backend="dict")
-        _run_parity(PartitionServer(store), graph)
+        _run_parity(PartitionServer(DictStore.open(bundle)), graph)
 
     def test_csr_backend(self, graph, bundle):
-        store = PartitionStore.open(bundle, backend="csr")
-        _run_parity(PartitionServer(store), graph)
+        """The CSR store serves byte-identical answers to the dict oracle."""
+        served = _run_parity(PartitionServer(PartitionStore.open(bundle)), graph)
+        oracle = _run_parity(PartitionServer(DictStore.open(bundle)), graph)
+        _assert_byte_identical(served, oracle, _probe_requests(graph))
 
     def test_ingest_overlay(self, graph, bundle, tmp_path):
         """Mutate first so reads are answered by the delta overlay."""
-        manager = StoreManager(PartitionStore.open(bundle, backend="dict"))
+        manager = StoreManager(PartitionStore.open(bundle))
         ingestor = Ingestor.enable(
             manager, tmp_path / "overlay-bundle", wal_path=tmp_path / "wal"
         )
