@@ -56,7 +56,9 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
+
+import numpy as np
 
 from repro.graph.graph import Edge
 from repro.partitioning.assignment import EdgePartition
@@ -68,6 +70,10 @@ PathLike = Union[str, Path]
 #: duplicated here so the partitioning layer does not import the service
 #: layer.
 INGEST_WAL_NAME = "ingest.wal"
+
+#: Gain-matrix cells scored per :meth:`_State.best_moves` call when
+#: seeding the heap, bounding its temporaries to about 10 MiB.
+_SCORE_CELLS = 1 << 18
 
 
 class RefineError(RuntimeError):
@@ -167,13 +173,15 @@ class LocalSearchRefiner:
         Stop when a full pass improves RF by less than this (``0.0`` =
         run to the exact fixpoint).
     ``max_passes`` / ``max_moves``
-        Hard bounds on work; ``max_moves=0`` means unbounded.
+        Hard bounds on work; ``max_moves=0`` means unbounded (negative
+        values are rejected).
     ``swaps``
         Enable the capacity-neutral pair-swap phase.
     ``swap_limit``
         Max swap *attempts* per pass (``0`` = try every blocked
-        candidate); each attempt scans one partition's edge set, so the
-        cap bounds the quadratic corner.
+        candidate; negative values are rejected).  Each attempt scores
+        the target partition's whole edge set in one vectorised pass, so
+        a pass costs ``O(attempts * m)`` array work; the cap bounds it.
     """
 
     def __init__(
@@ -194,6 +202,10 @@ class LocalSearchRefiner:
             raise ValueError(f"max_passes must be >= 1, got {max_passes}")
         if capacity < 0:
             raise ValueError(f"capacity must be >= 0, got {capacity}")
+        if max_moves < 0:
+            raise ValueError(f"max_moves must be >= 0, got {max_moves}")
+        if swap_limit < 0:
+            raise ValueError(f"swap_limit must be >= 0, got {swap_limit}")
         self.capacity = capacity
         self.slack = slack
         self.epsilon = epsilon
@@ -273,7 +285,19 @@ def refine_partition(
 
 
 class _State:
-    """Edge ownership, per-vertex incidence counts, and the gain heap."""
+    """Edge ownership, per-vertex incidence counts, and the gain heap.
+
+    Edges are held in sorted ``(u, v)`` order and named by their index in
+    that order, so every tie broken on "the smaller edge" is a tie broken
+    on the smaller index.  The arrays:
+
+    * ``eu`` / ``ev`` — endpoint vertex indices (ranks of the vertex ids);
+    * ``epart`` — each edge's partition;
+    * ``counts`` — dense ``V x p`` incidence counts: ``counts[w, k]`` is
+      the number of ``w``'s edges in partition ``k`` (4 bytes per cell);
+    * ``sizes`` — edges per partition;
+    * ``indptr`` / ``incident`` — vertex -> incident edge indices (CSR).
+    """
 
     def __init__(
         self, partition: EdgePartition, capacity: int, slack: float
@@ -285,97 +309,129 @@ class _State:
             capacity = max(1, math.ceil(slack * m / p)) if p else 1
             capacity = max(capacity, max(partition.partition_sizes() or [0]))
         self.capacity = capacity
-        self.edge_part: Dict[Edge, int] = dict(partition.edge_to_partition())
-        #: vertex -> {partition: incident edge count}; exact at all times.
-        self.incident: Dict[int, Dict[int, int]] = {}
-        #: vertex -> every edge touching it (static across moves).
-        self.vertex_edges: Dict[int, List[Edge]] = {}
-        self.sizes: List[int] = [0] * p
-        self.part_edges: List[Set[Edge]] = [set() for _ in range(p)]
-        for edge, k in self.edge_part.items():
-            self.sizes[k] += 1
-            self.part_edges[k].add(edge)
-            for w in edge:
-                row = self.incident.setdefault(w, {})
-                row[k] = row.get(k, 0) + 1
-                self.vertex_edges.setdefault(w, []).append(edge)
-        self.replicas = sum(len(row) for row in self.incident.values())
+        edges: List[Edge] = [
+            edge for k in range(p) for edge in partition.edges_of(k)
+        ]
+        parts = np.repeat(
+            np.arange(p, dtype=np.int32), partition.partition_sizes()
+        )
+        try:
+            ids = np.array(edges, dtype=np.int64).reshape(m, 2)
+        except OverflowError:  # ids beyond int64 sort as Python ints
+            ids = np.array(edges, dtype=object).reshape(m, 2)
+        vertex_ids, ranks = np.unique(ids, return_inverse=True)
+        ranks = ranks.reshape(m, 2)
+        num_vertices = len(vertex_ids)
+        order = np.argsort(ranks[:, 0] * num_vertices + ranks[:, 1], kind="stable")
+        self.eu = ranks[order, 0]
+        self.ev = ranks[order, 1]
+        if np.any((self.eu[1:] == self.eu[:-1]) & (self.ev[1:] == self.ev[:-1])):
+            partition.edge_to_partition()  # raises, naming the duplicate
+        self.edges: List[Edge] = [edges[i] for i in order.tolist()]
+        self.epart = parts[order]
+        self.counts = (
+            np.bincount(self.eu * p + self.epart, minlength=num_vertices * p)
+            + np.bincount(self.ev * p + self.epart, minlength=num_vertices * p)
+        ).astype(np.int32).reshape(num_vertices, p)
+        self.sizes = np.bincount(self.epart, minlength=p).astype(np.int64)
+        endpoints = np.concatenate([self.eu, self.ev])
+        self.incident = np.argsort(endpoints, kind="stable") % max(m, 1)
+        self.indptr = np.zeros(num_vertices + 1, dtype=np.int64)
+        np.cumsum(np.bincount(endpoints, minlength=num_vertices), out=self.indptr[1:])
+        self.replicas = int(np.count_nonzero(self.counts))
         self.replicas_before = self.replicas
-        self.covered = len(self.incident)
+        self.covered = num_vertices
         self.moves = 0
         self.swaps = 0
         #: Positive-gain moves blocked by capacity, found during drains;
-        #: the swap phase works through them.  edge -> recorded gain.
-        self.blocked: Dict[Edge, int] = {}
+        #: the swap phase works through them.  edge index -> recorded gain.
+        self.blocked: Dict[int, int] = {}
 
     # -- gain arithmetic ---------------------------------------------------
 
-    def move_gain(self, edge: Edge, target: int) -> int:
-        """Replicas freed minus replicas added by ``edge`` -> ``target``."""
-        u, v = edge
-        source = self.edge_part[edge]
-        row_u, row_v = self.incident[u], self.incident[v]
-        remove = (row_u[source] == 1) + (row_v[source] == 1)
-        add = (target not in row_u) + (target not in row_v)
-        return remove - add
+    def best_move(self, edge: int, respect_capacity: bool) -> Tuple[int, int]:
+        """``(gain, target)`` of the best relocation of edge ``edge``.
 
-    def best_move(
-        self, edge: Edge, respect_capacity: bool
-    ) -> Tuple[int, int]:
-        """``(gain, target)`` of the best relocation of ``edge``.
-
-        Only partitions already hosting an endpoint can yield a positive
-        gain (an alien target costs two adds against at most two
-        removes), so the candidate set is the endpoints' replica sets.
+        The scalar scorer, for the one-edge re-scores of heap pops and
+        swap candidates (:meth:`best_moves` scores batches).  Only
+        partitions already hosting an endpoint can yield a positive gain
+        (an alien target costs two adds against at most two removes).
         Ties break to the smaller, then lower-id target — fully
         deterministic.  Returns ``(0, -1)`` when nothing improves.
         """
-        u, v = edge
-        source = self.edge_part[edge]
-        row_u, row_v = self.incident[u], self.incident[v]
+        source = int(self.epart[edge])
+        row_u = self.counts[self.eu[edge]].tolist()
+        row_v = self.counts[self.ev[edge]].tolist()
         remove = (row_u[source] == 1) + (row_v[source] == 1)
         if remove == 0:
             return 0, -1
+        sizes = self.sizes.tolist()
         best_gain, best_target = 0, -1
-        for target in sorted(set(row_u) | set(row_v)):
+        for target in range(self.p):
             if target == source:
                 continue
-            if respect_capacity and self.sizes[target] >= self.capacity:
+            if respect_capacity and sizes[target] >= self.capacity:
                 continue
-            gain = remove - (target not in row_u) - (target not in row_v)
+            gain = remove - (row_u[target] == 0) - (row_v[target] == 0)
             if gain <= 0:
                 continue
             if (
                 best_target < 0
                 or gain > best_gain
-                or (
-                    gain == best_gain
-                    and self.sizes[target] < self.sizes[best_target]
-                )
+                or (gain == best_gain and sizes[target] < sizes[best_target])
             ):
                 best_gain, best_target = gain, target
         return best_gain, best_target
 
+    def best_moves(
+        self, edges: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`best_move` of every edge in ``edges``, both ways at once.
+
+        Scores one ``len(edges) x p`` gain matrix and returns ``(gain,
+        target)`` under the capacity bound, then ``(gain, target)``
+        ignoring it.  The tie-break is the scalar one: gain, then smaller
+        target size, then lower target id (``argmax`` takes the first
+        maximum).
+        """
+        source = self.epart[edges]
+        rows = np.arange(len(edges))
+        row_u = self.counts[self.eu[edges]]
+        row_v = self.counts[self.ev[edges]]
+        remove = (row_u[rows, source] == 1).astype(np.int64) + (
+            row_v[rows, source] == 1
+        )
+        gain = remove[:, None] - (row_u == 0) - (row_v == 0)
+        gain[rows, source] = 0
+        # Larger gain first, then smaller target: sizes stay below m + 2.
+        key = np.where(gain > 0, gain * (len(self.epart) + 2) - self.sizes, -1)
+        free_target = key.argmax(axis=1)
+        free_ok = key[rows, free_target] >= 0
+        key[:, self.sizes >= self.capacity] = -1
+        target = key.argmax(axis=1)
+        ok = key[rows, target] >= 0
+        return (
+            np.where(ok, gain[rows, target], 0),
+            np.where(ok, target, -1),
+            np.where(free_ok, gain[rows, free_target], 0),
+            np.where(free_ok, free_target, -1),
+        )
+
     # -- mutation ----------------------------------------------------------
 
-    def apply_move(self, edge: Edge, target: int) -> None:
+    def apply_move(self, edge: int, target: int) -> None:
         """Relocate ``edge`` to ``target``, keeping every aggregate exact."""
-        source = self.edge_part[edge]
-        self.edge_part[edge] = target
+        source = self.epart[edge]
+        self.epart[edge] = target
         self.sizes[source] -= 1
         self.sizes[target] += 1
-        self.part_edges[source].discard(edge)
-        self.part_edges[target].add(edge)
-        for w in edge:
-            row = self.incident[w]
-            row[source] -= 1
-            if row[source] == 0:
-                del row[source]
+        counts = self.counts
+        for w in (self.eu[edge], self.ev[edge]):
+            counts[w, source] -= 1
+            if counts[w, source] == 0:
                 self.replicas -= 1
-            if target in row:
-                row[target] += 1
-            else:
-                row[target] = 1
+            counts[w, target] += 1
+            if counts[w, target] == 1:
                 self.replicas += 1
 
     # -- the move drain ----------------------------------------------------
@@ -383,19 +439,19 @@ class _State:
     def drain_moves(self, budget: int) -> None:
         """Apply positive-gain moves until none remain (or budget ends).
 
-        Lazy heap: every pop is re-scored against the live state; a
-        stale entry re-enqueues its fresh score instead of acting on an
-        outdated one.  Each applied move re-seeds the entries of the
-        edges incident to the moved edge's endpoints — the only gains a
-        move can disturb (plus capacity effects, which the lazy
-        re-score already covers).
+        Lazy heap of ``(-gain, edge, target)``: every pop is re-scored
+        against the live state; a stale entry re-enqueues its fresh score
+        instead of acting on an outdated one.  The heap is seeded from
+        one gain-matrix pass over every edge, and each applied move
+        re-seeds, in one :meth:`best_moves` call, the edges incident to
+        the moved edge's endpoints — the only gains a move can disturb
+        (plus capacity effects, which the lazy re-score already covers).
         """
-        heap: List[Tuple[int, Edge, int]] = []
-        for edge in self.edge_part:
-            gain, target = self.best_move(edge, respect_capacity=True)
-            if target >= 0:
-                heap.append((-gain, edge, target))
-            self._note_blocked(edge)
+        heap: List[Tuple[int, int, int]] = []
+        m = len(self.epart)
+        step = max(1, _SCORE_CELLS // max(self.p, 1))
+        for start in range(0, m, step):
+            heap.extend(self._heap_entries(np.arange(start, min(m, start + step))))
         heapq.heapify(heap)
         while heap:
             if budget == 0:
@@ -413,20 +469,34 @@ class _State:
             if budget > 0:
                 budget -= 1
             self.blocked.pop(edge, None)
-            for w in edge:
-                for other in self.vertex_edges[w]:
-                    if other == edge:
-                        continue
-                    other_gain, other_target = self.best_move(
-                        other, respect_capacity=True
-                    )
-                    if other_target >= 0:
-                        heapq.heappush(
-                            heap, (-other_gain, other, other_target)
-                        )
-                    self._note_blocked(other)
+            u, v = self.eu[edge], self.ev[edge]
+            others = np.concatenate(
+                (
+                    self.incident[self.indptr[u] : self.indptr[u + 1]],
+                    self.incident[self.indptr[v] : self.indptr[v + 1]],
+                )
+            )
+            for entry in self._heap_entries(others[others != edge]):
+                heapq.heappush(heap, entry)
 
-    def _note_blocked(self, edge: Edge) -> None:
+    def _heap_entries(self, edges: np.ndarray) -> List[Tuple[int, int, int]]:
+        """Heap entries for ``edges``; notes their capacity-blocked moves."""
+        gain, target, free_gain, free_target = self.best_moves(edges)
+        blocked = free_target >= 0
+        blocked[blocked] = self.sizes[free_target[blocked]] >= self.capacity
+        self.blocked.update(
+            zip(edges[blocked].tolist(), free_gain[blocked].tolist())
+        )
+        movable = target >= 0
+        return list(
+            zip(
+                (-gain[movable]).tolist(),
+                edges[movable].tolist(),
+                target[movable].tolist(),
+            )
+        )
+
+    def _note_blocked(self, edge: int) -> None:
         """Record a positive-gain move currently shut out by capacity."""
         gain, target = self.best_move(edge, respect_capacity=False)
         if target >= 0 and self.sizes[target] >= self.capacity:
@@ -438,13 +508,13 @@ class _State:
         """Pair capacity-blocked moves with counter-moves (sizes neutral).
 
         For a blocked candidate ``e: A -> B`` the phase tentatively
-        applies the move (``B`` runs one over capacity), then looks for
-        the best counter-move of some ``f in B`` back to ``A`` — scored
-        *after* ``e`` landed, so the combined delta is exact — and keeps
-        the pair only when it strictly lowers the replica total;
-        otherwise ``e`` is rolled back.  Partition sizes end exactly
-        where they started, so the capacity bound holds throughout the
-        refined output.
+        applies the move (``B`` runs one over capacity), then finds the
+        best counter-move of some ``f in B`` back to ``A`` in one
+        vectorised pass over ``B``'s edges — scored *after* ``e`` landed,
+        so the combined delta is exact — and keeps the pair only when it
+        strictly lowers the replica total; otherwise ``e`` is rolled
+        back.  Partition sizes end exactly where they started, so the
+        capacity bound holds throughout the refined output.
         """
         candidates = sorted(
             self.blocked.items(), key=lambda item: (-item[1], item[0])
@@ -460,52 +530,57 @@ class _State:
             if target < 0 or self.sizes[target] < self.capacity:
                 continue  # no longer blocked; the next move drain takes it
             attempts += 1
-            source = self.edge_part[edge]
+            source = int(self.epart[edge])
             before = self.replicas
             self.apply_move(edge, target)
             counter = self._best_counter_move(target, source, exclude=edge)
-            if counter is None:
+            if counter < 0:
                 self.apply_move(edge, source)  # roll back
                 continue
-            counter_edge, _counter_gain = counter
-            self.apply_move(counter_edge, source)
+            self.apply_move(counter, source)
             if self.replicas < before:
                 self.swaps += 1
                 if budget > 0:
                     budget -= 1
             else:  # combined delta not an improvement: roll both back
-                self.apply_move(counter_edge, target)
+                self.apply_move(counter, target)
                 self.apply_move(edge, source)
 
-    def _best_counter_move(
-        self, source: int, target: int, exclude: Edge
-    ) -> Optional[Tuple[Edge, int]]:
-        """Best ``f: source -> target`` scored on the live state.
+    def _best_counter_move(self, source: int, target: int, exclude: int) -> int:
+        """Best edge ``f: source -> target`` scored on the live state.
 
-        Scans ``source``'s current edge set; the max is selected by
-        ``(gain, edge)`` so the result is independent of set iteration
-        order.  Returns ``None`` when the partition has nothing to give
-        back (only ``exclude`` itself).
+        One vectorised pass over ``source``'s edges scores ``(c[u,
+        source] == 1) + (c[v, source] == 1) - (c[u, target] == 0) - (c[v,
+        target] == 0)`` and takes the first maximum — the smallest edge
+        among the best, as the indices ascend.  Returns ``-1`` when the
+        partition has nothing to give back (only ``exclude`` itself).
         """
-        best: Optional[Tuple[int, Edge]] = None
-        for edge in self.part_edges[source]:
-            if edge == exclude:
-                continue
-            gain = self.move_gain(edge, target)
-            if best is None or (-gain, edge) < (-best[0], best[1]):
-                best = (gain, edge)
-        if best is None:
-            return None
-        return best[1], best[0]
+        edges = np.flatnonzero(self.epart == source)
+        edges = edges[edges != exclude]
+        if len(edges) == 0:
+            return -1
+        at_source = self.counts[:, source]
+        at_target = self.counts[:, target]
+        u, v = self.eu[edges], self.ev[edges]
+        gain = (
+            (at_source[u] == 1).astype(np.int8)
+            + (at_source[v] == 1)
+            - (at_target[u] == 0)
+            - (at_target[v] == 0)
+        )
+        return int(edges[gain.argmax()])
 
     # -- output ------------------------------------------------------------
 
     def to_partition(self) -> EdgePartition:
-        """Materialise the refined assignment (deterministic edge order)."""
-        parts: List[List[Edge]] = [[] for _ in range(self.p)]
-        for edge in sorted(self.edge_part):
-            parts[self.edge_part[edge]].append(edge)
-        return EdgePartition(parts)
+        """Materialise the refined assignment (sorted edge order)."""
+        edges = self.edges
+        return EdgePartition(
+            [
+                [edges[i] for i in np.flatnonzero(self.epart == k).tolist()]
+                for k in range(self.p)
+            ]
+        )
 
 
 # -- bundle-level refinement --------------------------------------------------

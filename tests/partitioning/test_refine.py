@@ -197,6 +197,8 @@ class TestStopping:
             {"epsilon": -0.1},
             {"max_passes": 0},
             {"capacity": -1},
+            {"max_moves": -3},  # used to stop at once as "move_budget"
+            {"swap_limit": -1},  # used to turn swaps off silently
         ):
             with pytest.raises(ValueError):
                 LocalSearchRefiner(**kwargs)
