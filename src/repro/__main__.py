@@ -332,21 +332,6 @@ def _build_serve_parser() -> argparse.ArgumentParser:
         "ceil(S*m/p) for the refinement pass (default 1.0)",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help="cluster mode: shard the store across N worker processes "
-        "(0 = single-process, the default)",
-    )
-    parser.add_argument(
-        "--replicas",
-        type=int,
-        default=1,
-        metavar="R",
-        help="cluster mode: R replica processes per shard (failover targets)",
-    )
-    parser.add_argument(
         "--metrics-port",
         type=int,
         default=None,
@@ -372,68 +357,6 @@ def _install_stop_signals(stop: "asyncio.Event") -> None:  # noqa: F821
             pass
 
 
-def _serve_cluster(args: "argparse.Namespace") -> int:  # noqa: F821
-    """Cluster mode: supervisor + N shard workers behind one front door."""
-    import asyncio
-
-    from repro.service.cluster import ClusterError, ClusterServer
-    from repro.service.promhttp import MetricsServer
-
-    async def run() -> int:
-        server = ClusterServer(
-            args.directory,
-            workers=args.workers,
-            replicas=args.replicas,
-            host=args.host,
-            port=args.port,
-            verify=not args.no_verify,
-            max_queue=args.max_queue,
-            batch_window=args.batch_window,
-            request_timeout=args.request_timeout,
-            allow_reload=not args.no_hot_reload,
-        )
-        try:
-            host, port = await server.start()
-        except ClusterError as exc:
-            print(f"error: cluster failed to start: {exc}", file=sys.stderr)
-            return 2
-        router = server.cluster.router
-        print(
-            f"opened {args.directory}: "
-            f"p={router.num_partitions}, {router.num_edges} edges, "
-            f"{router.num_vertices} vertices, "
-            f"RF={router.replication_factor():.4f}"
-        )
-        print(
-            f"serving on {host}:{port} — {server.cluster.workers} shards "
-            f"x {server.cluster.replicas} replicas "
-            "(SIGTERM or Ctrl-C drains and stops)"
-        )
-        metrics_server = None
-        if args.metrics_port is not None:
-            metrics_server = MetricsServer(
-                server.metrics, host=args.host, port=args.metrics_port
-            )
-            mhost, mport = await metrics_server.start()
-            print(f"metrics on http://{mhost}:{mport}/metrics")
-        stop = asyncio.Event()
-        _install_stop_signals(stop)
-        try:
-            await stop.wait()
-        finally:
-            print("draining in-flight requests and stopping workers ...")
-            if metrics_server is not None:
-                await metrics_server.stop()
-            await server.stop()
-        return 0
-
-    try:
-        return asyncio.run(run())
-    except KeyboardInterrupt:
-        print("stopped")
-        return 0
-
-
 def serve_main(argv: List[str]) -> int:
     """The ``serve`` subcommand: run a server until interrupted."""
     import asyncio
@@ -442,15 +365,20 @@ def serve_main(argv: List[str]) -> int:
     from repro.service.store import PartitionStore, ReloadError, StoreManager
 
     args = _build_serve_parser().parse_args(argv)
-    if args.workers:
-        if args.wal:
-            print(
-                "error: --wal is a single-process feature; cluster mode "
-                "(--workers) serves read-only",
-                file=sys.stderr,
-            )
-            return 2
-        return _serve_cluster(args)
+    ingest_only = [
+        flag
+        for flag, given in (
+            ("--capacity", args.capacity is not None),
+            ("--refine-on-compact", args.refine_on_compact),
+        )
+        if given
+    ]
+    if ingest_only and not args.wal:
+        print(
+            f"error: {', '.join(ingest_only)} only applies with --wal",
+            file=sys.stderr,
+        )
+        return 2
     try:
         store = PartitionStore.open(args.directory, verify=not args.no_verify)
     except (OSError, ValueError) as exc:
@@ -498,7 +426,7 @@ def serve_main(argv: List[str]) -> int:
             f"({ingestor.wal.size} bytes)"
         )
 
-    async def run() -> None:
+    try:
         server = PartitionServer(
             manager,
             host=args.host,
@@ -509,6 +437,13 @@ def serve_main(argv: List[str]) -> int:
             allow_reload=not args.no_hot_reload,
             ingestor=ingestor,
         )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        if ingestor is not None:
+            ingestor.close()
+        return 2
+
+    async def run() -> None:
         async def hot_reload(origin: str) -> None:
             try:
                 info = await manager.reload(

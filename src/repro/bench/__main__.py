@@ -136,21 +136,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "top-20 cumulative hotspots next to BENCH_serve.json",
     )
     parser.add_argument(
-        "--cluster-workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help="serve only: also replay the workload against a sharded "
-        "cluster of N worker processes (0 = skip the cluster phase)",
-    )
-    parser.add_argument(
-        "--cluster-replicas",
-        type=int,
-        default=1,
-        metavar="R",
-        help="serve only: replica processes per shard in the cluster phase",
-    )
-    parser.add_argument(
         "--wire",
         choices=["json", "binary", "both"],
         default="binary",
@@ -484,8 +469,6 @@ def _run_serve(args) -> None:
         fsync=args.fsync,
         profile_path=profile_path,
         progress=lambda message: print(f"  {message}", file=sys.stderr),
-        cluster_workers=args.cluster_workers,
-        cluster_replicas=args.cluster_replicas,
         wire=args.wire,
     )
     print(
@@ -526,25 +509,6 @@ def _run_serve(args) -> None:
     )
     if profile_path:
         print(f"profile: top-20 cumulative hotspots in {profile_path}")
-    cluster = report.get("cluster")
-    if cluster:
-        print(
-            f"cluster [{cluster['workers']} shards x {cluster['replicas']} "
-            f"replicas, wire={cluster['wire']}]: {cluster['num_requests']} "
-            f"requests in {cluster['elapsed_s']:g}s = "
-            f"{cluster['requests_per_s']} req/s "
-            f"({cluster['speedup_vs_single']:g}x vs single-process); "
-            f"verified {cluster['verified_neighbors']} fan-outs and "
-            f"{cluster['verified_edges']} edge routes"
-        )
-        c_modes = cluster.get("wire_modes") or {}
-        if len(c_modes) > 1:
-            per_codec = ", ".join(
-                f"{mode} {summary['requests_per_s']} req/s "
-                f"({summary['speedup_vs_single']:g}x)"
-                for mode, summary in sorted(c_modes.items())
-            )
-            print(f"cluster wire modes: {per_codec}")
     ingest = report.get("ingest")
     if ingest:
         fsync_ms = ingest.get("wal_fsync_ms") or {}

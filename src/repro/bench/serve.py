@@ -58,7 +58,9 @@ from repro.graph.graph import Graph
 #: v7: ``store_open_seconds`` is ``{"sidecar", "text", "speedup"}`` (the
 #: sidecar open vs a legacy rebuild from text) and ``store_backend`` is
 #: gone — there is one store layout.
-SCHEMA_VERSION = 7
+#: v8: the ``cluster`` section is removed, with the multi-process
+#: server it measured; every other v7 field is unchanged.
+SCHEMA_VERSION = 8
 
 DEFAULT_REPORT = "BENCH_serve.json"
 DEFAULT_DATASET = "G1"
@@ -293,8 +295,6 @@ def run_serve(
     fsync: str = "always",
     profile_path: Optional[str] = None,
     progress: Optional[Callable[[str], None]] = None,
-    cluster_workers: int = 0,
-    cluster_replicas: int = 1,
     wire: str = "binary",
 ) -> Dict:
     """Partition, persist, serve, and load-test ``graph``; returns the report.
@@ -313,13 +313,6 @@ def run_serve(
     perf work starts from data instead of guesses.  Profiling slows the
     run; the throughput figures of a profiled run are not comparable.
 
-    ``cluster_workers > 0`` adds a second phase: the same bundle is
-    served by a :class:`~repro.service.cluster.ClusterServer` (that many
-    shard worker processes, ``cluster_replicas`` replicas each) and the
-    *same* workload is replayed with the same verification — so the
-    report's ``cluster`` section tracks sharded vs single-process
-    throughput over bit-identical answers.
-
     ``wire`` selects the client codec: ``"json"``, ``"binary"`` (the
     default — clients negotiate on connect), or ``"both"``, which drives
     the workload once per codec against the same server (JSON first,
@@ -327,7 +320,7 @@ def run_serve(
     ``wire_modes``.  The verify pass also asserts per-op counter parity:
     the server's ``op_*`` counters must equal the client-side op counts
     (dedup-answered requests included), unless a retryable disturbance
-    (timeout/overload/failover) made double-counting legitimate.
+    (timeout/overload) made double-counting legitimate.
 
     Raises ``AssertionError`` if any routed response disagrees with the
     graph or the partition — correctness is part of what this benchmark
@@ -461,63 +454,6 @@ def run_serve(
         )
         note(f"counter parity: {parity}")
 
-        cluster_report: Optional[Dict] = None
-        if cluster_workers > 0:
-            from repro.service.cluster import ClusterServer
-
-            note(
-                f"cluster phase: {cluster_workers} shard workers "
-                f"x {cluster_replicas} replicas, same workload"
-            )
-
-            async def cluster_bench() -> Tuple[
-                Dict[str, List[float]], int, int, float,
-                Dict[str, Dict[str, float]], Dict,
-            ]:
-                server = ClusterServer(
-                    tmp,
-                    workers=cluster_workers,
-                    replicas=cluster_replicas,
-                    batch_window=batch_window,
-                )
-                async with server:
-                    chost, cport = server.address
-                    per_wire: Dict[str, Dict[str, float]] = {}
-                    for mode in wire_list:
-                        start = time.perf_counter()
-                        lat, n_ok, e_ok, _ = await _drive(
-                            chost, cport, workload, concurrency, graph,
-                            edge_owner, wire=mode,
-                        )
-                        mode_elapsed = time.perf_counter() - start
-                        mode_total = sum(len(s) for s in lat.values())
-                        per_wire[mode] = {
-                            "num_requests": mode_total,
-                            "elapsed_s": round(mode_elapsed, 4),
-                            "requests_per_s": round(mode_total / mode_elapsed)
-                            if mode_elapsed
-                            else 0,
-                        }
-                        note(
-                            f"cluster wire={mode}: "
-                            f"{per_wire[mode]['requests_per_s']} req/s"
-                        )
-                    from repro.service.client import ServiceClient
-
-                    async with ServiceClient(chost, cport) as client:
-                        cstats = await client.stats()
-                    return lat, n_ok, e_ok, mode_elapsed, per_wire, cstats
-
-            (
-                c_lat, c_n_ok, c_e_ok, c_elapsed, c_wire_modes, c_stats,
-            ) = asyncio.run(cluster_bench())
-            c_total = sum(len(s) for s in c_lat.values())
-            c_rps = round(c_total / c_elapsed) if c_elapsed else 0
-            c_parity = _assert_counter_parity(
-                c_stats["metrics"]["counters"], workload, len(wire_list), None
-            )
-            note(f"cluster counter parity: {c_parity}")
-
     if verified_neighbors == 0:
         raise AssertionError("workload exercised no neighbours queries")
 
@@ -578,34 +514,6 @@ def run_serve(
 
     total = sum(len(s) for s in latencies.values())
     single_rps = round(total / elapsed) if elapsed else 0
-    if cluster_workers > 0:
-        # Per-codec sharded-vs-single ratio: each codec's cluster replay
-        # against the same codec's single-process drive.
-        for mode, summary in c_wire_modes.items():
-            single_mode_rps = wire_modes.get(mode, {}).get("requests_per_s", 0)
-            summary["speedup_vs_single"] = (
-                round(summary["requests_per_s"] / single_mode_rps, 3)
-                if single_mode_rps
-                else 0.0
-            )
-        cluster_report = {
-            "workers": cluster_workers,
-            "replicas": cluster_replicas,
-            # The sharded number only means anything relative to the
-            # single-process one when the workers had cores to run on.
-            "cpu_count": os.cpu_count(),
-            "wire": headline_wire,
-            "num_requests": c_total,
-            "elapsed_s": round(c_elapsed, 4),
-            "requests_per_s": c_rps,
-            "speedup_vs_single": round(c_rps / single_rps, 3)
-            if single_rps
-            else 0.0,
-            "verified_neighbors": c_n_ok,
-            "verified_edges": c_e_ok,
-            "wire_modes": c_wire_modes,
-            "counter_parity": c_parity,
-        }
     return {
         "version": SCHEMA_VERSION,
         "quick": quick,
@@ -628,7 +536,6 @@ def run_serve(
         "verified_neighbors": verified_neighbors,
         "verified_edges": verified_edges,
         "batch": batch_report,
-        "cluster": cluster_report,
         "ingest": ingest_report,
         "ops": ops_report,
         "server_metrics": stats["metrics"],
@@ -637,19 +544,14 @@ def run_serve(
 
 #: Counters that, when nonzero, mean a request may legitimately have
 #: been answered (and counted) more times than the client sent it —
-#: retries after timeouts/overload, failover re-sends — so strict
-#: per-op parity cannot be asserted for that run.
+#: retries after timeouts or overload — so strict per-op parity cannot
+#: be asserted for that run.
 _DISTURBANCE_COUNTERS = (
     "requests_timeout",
     "requests_overload",
-    "requests_unavailable",
     "requests_rejected_shutdown",
-    "requests_stale_epoch",
     "responses_dropped",
     "responses_unencodable",
-    "failovers",
-    "workers_marked_down",
-    "shard_unavailable_errors",
 )
 
 

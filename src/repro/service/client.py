@@ -3,11 +3,11 @@
 :class:`ServiceClient` (asyncio) keeps one connection, pipelines any
 number of concurrent ``call()``s over it (matching responses by request
 ``id``), and transparently retries *retryable* failures — connection
-drops, ``overload``, ``timeout``, ``unavailable`` — with exponentially
+drops, ``overload``, ``timeout``, ``ingest_frozen`` — with exponentially
 capped **full-jitter** backoff (each sleep is drawn uniformly from
 ``[cap/8, cap]`` where ``cap = base * factor**attempt``; the floor keeps
-a fleet of clients from landing near-zero sleeps that hammer a freshly
-promoted replica on the very first retry, while the jitter spreads them
+a fleet of clients from landing near-zero sleeps that hammer a
+recovering server on the very first retry, while the jitter spreads them
 out instead of thundering in lock-step; pass ``jitter=False`` for the
 old deterministic delays when a test needs exact timing).  Semantic
 errors (``bad_request``, ``not_found``) raise :class:`ServiceError`
@@ -19,10 +19,6 @@ else; if the server answers OK the session stays binary, and on an
 error response (or a dropped/garbled connection — older servers) the
 client downgrades to JSON for the life of the client.  The default is
 JSON, the executable spec.
-
-Both clients speak the same framing over TCP (``host``/``port``) or a
-UNIX domain socket (``path=...``) — the cluster front-end uses the
-latter for its per-worker connections.
 
 :class:`SyncServiceClient` is a minimal blocking counterpart over a plain
 socket (one request in flight), for shells and examples where an event
@@ -104,10 +100,9 @@ class ServiceClient:
 
     def __init__(
         self,
-        host: Optional[str] = None,
-        port: Optional[int] = None,
+        host: str,
+        port: int,
         *,
-        path: Optional[str] = None,
         max_retries: int = 3,
         backoff_base: float = 0.05,
         backoff_factor: float = 2.0,
@@ -118,14 +113,10 @@ class ServiceClient:
         client_tag: Optional[str] = None,
         wire: str = protocol.WIRE_JSON,
     ) -> None:
-        if path is None and (host is None or port is None):
-            raise ValueError("need host+port (TCP) or path= (UNIX socket)")
         if wire not in protocol.WIRES:
             raise ValueError(f"wire must be one of {sorted(protocol.WIRES)}")
         self.host = host
         self.port = port
-        #: UNIX domain socket path; when set, host/port are ignored.
-        self.path = path
         #: Requested codec; ``wire_active`` is what negotiation settled on.
         self.wire = wire
         #: Codec in force after connect-time negotiation (None until the
@@ -175,15 +166,9 @@ class ServiceClient:
         return self
 
     async def _open_transport(self) -> None:
-        if self.path is not None:
-            self._reader, self._writer = await asyncio.open_unix_connection(
-                self.path
-            )
-        else:
-            assert self.host is not None and self.port is not None
-            self._reader, self._writer = await asyncio.open_connection(
-                self.host, self.port
-            )
+        self._reader, self._writer = await asyncio.open_connection(
+            self.host, self.port
+        )
 
     async def _negotiate_binary(self) -> None:
         """Probe with a binary ``ping``; downgrade to JSON on rejection.
@@ -442,10 +427,9 @@ class SyncServiceClient:
 
     def __init__(
         self,
-        host: Optional[str] = None,
-        port: Optional[int] = None,
+        host: str,
+        port: int,
         *,
-        path: Optional[str] = None,
         max_retries: int = 3,
         backoff_base: float = 0.05,
         backoff_factor: float = 2.0,
@@ -455,13 +439,10 @@ class SyncServiceClient:
         client_tag: Optional[str] = None,
         wire: str = protocol.WIRE_JSON,
     ) -> None:
-        if path is None and (host is None or port is None):
-            raise ValueError("need host+port (TCP) or path= (UNIX socket)")
         if wire not in protocol.WIRES:
             raise ValueError(f"wire must be one of {sorted(protocol.WIRES)}")
         self.host = host
         self.port = port
-        self.path = path
         self.wire = wire
         self.wire_active: Optional[str] = (
             protocol.WIRE_JSON if wire == protocol.WIRE_JSON else None
@@ -487,19 +468,9 @@ class SyncServiceClient:
         return self
 
     def _open_socket(self) -> None:
-        if self.path is not None:
-            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            sock.settimeout(self.timeout)
-            try:
-                sock.connect(self.path)
-            except BaseException:
-                sock.close()
-                raise
-            self._sock = sock
-        else:
-            self._sock = socket.create_connection(
-                (self.host, self.port), timeout=self.timeout
-            )
+        self._sock = socket.create_connection(
+            (self.host, self.port), timeout=self.timeout
+        )
 
     def _negotiate_binary(self) -> None:
         """Blocking counterpart of the async codec negotiation."""

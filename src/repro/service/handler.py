@@ -79,23 +79,8 @@ OPERATIONS = (
     "compact",
 )
 
-#: Ops that change server state: never coalesced inside a batch.  The
-#: last four are cluster-internal (:mod:`repro.service.cluster` shard
-#: workers); they are not public :data:`OPERATIONS`, but listing them
-#: here gives them the same flush-before-mutation barrier and bans
-#: coalescing two identical swap commands into one computation.
-MUTATING_OPS = frozenset(
-    {
-        "insert_edge",
-        "delete_edge",
-        "compact",
-        "reload",
-        "prepare",
-        "commit",
-        "abort",
-        "release_epoch",
-    }
-)
+#: Ops that change server state: never coalesced inside a batch.
+MUTATING_OPS = frozenset({"insert_edge", "delete_edge", "compact", "reload"})
 
 #: Read ops answered in bulk through the stores' vectorised ``*_many``
 #: batch methods — ``execute_batch`` groups them per snapshot.
@@ -113,31 +98,7 @@ _ERROR_COUNTERS = {
     protocol.CAPACITY: "requests_capacity",
     protocol.INGEST_FROZEN: "requests_frozen",
     protocol.INTERNAL: "requests_internal_error",
-    protocol.UNAVAILABLE: "requests_unavailable",
-    protocol.STALE_EPOCH: "requests_stale_epoch",
 }
-
-
-def count_shared_response(
-    metrics: ServiceMetrics, op: Any, response: Dict[str, Any]
-) -> None:
-    """Count a dedup-answered request like a freshly computed one.
-
-    Coalescing shares the *computation*, not the accounting: every request
-    answered from a shared result still increments ``requests_ok``/``op_*``
-    (or the matching error counter), so server counters equal the number of
-    requests actually answered — the bench asserts this parity against its
-    client-side counts.
-    """
-    if response.get("ok"):
-        metrics.inc("requests_ok")
-        if isinstance(op, str):
-            metrics.inc(f"op_{op}")
-    else:
-        error = response.get("error") or {}
-        counter = _ERROR_COUNTERS.get(error.get("code"))
-        if counter is not None:
-            metrics.inc(counter)
 
 
 class ServiceHandler:
@@ -471,7 +432,23 @@ class ServiceHandler:
         computed[item.key] = response
 
     def _count_shared(self, op: Any, response: Dict[str, Any]) -> None:
-        count_shared_response(self.metrics, op, response)
+        """Count a dedup-answered request like a freshly computed one.
+
+        Coalescing shares the *computation*, not the accounting: every
+        request answered from a shared result still increments
+        ``requests_ok``/``op_*`` (or the matching error counter), so server
+        counters equal the number of requests actually answered — the
+        bench asserts this parity against its client-side counts.
+        """
+        if response.get("ok"):
+            self.metrics.inc("requests_ok")
+            if isinstance(op, str):
+                self.metrics.inc(f"op_{op}")
+        else:
+            error = response.get("error") or {}
+            counter = _ERROR_COUNTERS.get(error.get("code"))
+            if counter is not None:
+                self.metrics.inc(counter)
 
     # -- operations --------------------------------------------------------
 
@@ -672,7 +649,7 @@ def _coalesce_key(request: Dict[str, Any]) -> Optional[Tuple]:
         return None
     try:
         key = (op, tuple(sorted(args.items())))
-        hash(key)  # list-valued args (e.g. shard_query) are unkeyable
+        hash(key)  # list-valued args are unkeyable
     except TypeError:
         return None
     return key

@@ -53,7 +53,7 @@ from typing import (
 from repro.core.parallel import parallel_map
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.partitioning.refine import RefineStats
+    from repro.partitioning.refine import LocalSearchRefiner, RefineStats
 from repro.graph.graph import Edge, normalize_edge
 from repro.partitioning.assignment import EdgePartition
 from repro.partitioning.scoring import balance_offsets, greedy_choice, hdrf_ties
@@ -629,12 +629,20 @@ class Ingestor:
         #: (``None`` = one per core, ``1`` = sequential); the folded
         #: bundle is byte-identical for any value.
         self.fold_workers = fold_workers
-        #: Run local-search RF refinement on every compaction fold,
-        #: clawing back mutation-induced RF drift before the epoch swap.
-        self.refine_on_compact = refine_on_compact
-        self.refine_slack = refine_slack
-        self.refine_epsilon = refine_epsilon
-        self.refine_max_passes = refine_max_passes
+        #: Local-search RF refinement run on every compaction fold
+        #: (``refine_on_compact``), clawing back mutation-induced RF drift
+        #: before the epoch swap.  Built here, not per fold, so a bad
+        #: refine setting fails at enable time instead of on every
+        #: compaction.
+        self.refiner: Optional[LocalSearchRefiner] = None
+        if refine_on_compact:
+            from repro.partitioning.refine import LocalSearchRefiner
+
+            self.refiner = LocalSearchRefiner(
+                slack=refine_slack,
+                epsilon=refine_epsilon,
+                max_passes=refine_max_passes,
+            )
         #: Consume a ``metadata["refined"]["partition_sizes"]`` profile
         #: (when the bundle carries one) as HDRF balance priors.
         self.refined_hints = refined_hints
@@ -698,8 +706,7 @@ class Ingestor:
             batch_interval=batch_interval,
             metrics=metrics,
         )
-        records = wal.open()
-        manager.wrap_live(DeltaOverlay)
+        # Validate every setting before touching the WAL or the manager.
         ingestor = cls(
             manager,
             wal,
@@ -717,6 +724,8 @@ class Ingestor:
             refine_max_passes=refine_max_passes,
             refined_hints=refined_hints,
         )
+        records = wal.open()
+        manager.wrap_live(DeltaOverlay)
         ingestor._load_refined_hints()
         ingestor._replay(records)
         ingestor.publish_gauges()
@@ -1042,19 +1051,12 @@ class Ingestor:
             int(metadata.get("compacted_mutations", 0) or 0)
             + overlay.pending_mutations
         )
-        if self.refine_on_compact:
+        if self.refiner is not None:
             # Local-search post-pass over the folded partition: claws
             # back mutation-induced RF drift before the epoch swap, so
             # every refined compaction publishes a strictly-no-worse
             # bundle (still zero dropped queries — same reload path).
-            from repro.partitioning.refine import LocalSearchRefiner
-
-            refiner = LocalSearchRefiner(
-                slack=self.refine_slack,
-                epsilon=self.refine_epsilon,
-                max_passes=self.refine_max_passes,
-            )
-            partition, stats = refiner.refine(partition)
+            partition, stats = self.refiner.refine(partition)
             self.last_refine_stats = stats
             entry = stats.manifest_entry()
             sizes = partition.partition_sizes()
@@ -1083,7 +1085,7 @@ class Ingestor:
         info["fold_seconds"] = round(self.last_fold_seconds, 6)
         info["fold_workers"] = self.fold_workers
         info["wal_bytes"] = self.wal.size
-        if self.refine_on_compact and self.last_refine_stats is not None:
+        if self.refiner is not None and self.last_refine_stats is not None:
             stats = self.last_refine_stats
             info["refined"] = {
                 "rf_before": round(stats.rf_before, 6),

@@ -9,11 +9,6 @@ Two pieces, both dependency-free:
   cumulative ``<ns>_request_latency_seconds`` histogram family with an
   ``op`` label — the native shape for ``histogram_quantile()``.
 
-  The cluster supervisor publishes per-worker health as flat gauges
-  (``worker_up_s0r1``, ``worker_epoch_s0r1``); the renderer folds those
-  into properly labelled series (``<ns>_worker_up{shard="0",
-  replica="1"}``) so dashboards can aggregate across the fleet.
-
 * :class:`MetricsServer` — a tiny asyncio HTTP/1.0 endpoint serving
   ``GET /metrics`` (and a ``GET /healthz`` liveness probe).  It speaks
   just enough HTTP for a Prometheus scraper or ``curl``: one request per
@@ -31,9 +26,6 @@ from typing import List, Optional, Tuple
 from repro.service.metrics import _BUCKET_BOUNDS, ServiceMetrics
 
 logger = logging.getLogger(__name__)
-
-#: Flat per-worker gauges published by the cluster supervisor.
-_WORKER_GAUGE = re.compile(r"^worker_(up|epoch)_s(\d+)r(\d+)$")
 
 #: Characters legal in a Prometheus metric name.
 _NAME_SANITISE = re.compile(r"[^a-zA-Z0-9_:]")
@@ -62,27 +54,10 @@ def render_prometheus(
         lines.append(f"# TYPE {name} counter")
         lines.append(f"{name} {_fmt(float(value))}")
 
-    worker_series: List[Tuple[str, str, str, float]] = []
     for raw, value in sorted(metrics.gauges.items()):
-        worker = _WORKER_GAUGE.match(raw)
-        if worker:
-            worker_series.append(
-                (worker.group(1), worker.group(2), worker.group(3), value)
-            )
-            continue
         name = _name(namespace, raw)
         lines.append(f"# TYPE {name} gauge")
         lines.append(f"{name} {_fmt(value)}")
-    for kind in ("up", "epoch"):
-        series = [s for s in worker_series if s[0] == kind]
-        if not series:
-            continue
-        name = f"{namespace}_worker_{kind}"
-        lines.append(f"# TYPE {name} gauge")
-        for _, shard, replica, value in series:
-            lines.append(
-                f'{name}{{shard="{shard}",replica="{replica}"}} {_fmt(value)}'
-            )
 
     if metrics.latency:
         name = f"{namespace}_request_latency_seconds"

@@ -92,14 +92,6 @@ CONFLICT = "conflict"
 CAPACITY = "capacity"
 #: Mutations are paused while a compaction folds the overlay — retry shortly.
 INGEST_FROZEN = "ingest_frozen"
-#: No worker currently serves the shard the request routes to (every
-#: replica is down or mid-respawn) — back off and retry; failover or the
-#: supervisor's respawn makes the shard answerable again shortly.
-UNAVAILABLE = "unavailable"
-#: A shard sub-query named an epoch this worker no longer (or does not
-#: yet) retain — cluster-internal; the front-end treats it as a failover
-#: signal, clients should never see it.
-STALE_EPOCH = "stale_epoch"
 #: Handler raised; the failure is logged server-side.
 INTERNAL = "internal"
 
@@ -115,53 +107,18 @@ ERROR_CODES = frozenset(
         CONFLICT,
         CAPACITY,
         INGEST_FROZEN,
-        UNAVAILABLE,
-        STALE_EPOCH,
         INTERNAL,
     }
 )
 
 #: Error codes a client may transparently retry (with backoff).  A frozen
 #: ingest is retryable by construction: the mutation was *not* applied and
-#: the freeze lifts when the compaction's fold finishes.  ``unavailable``
-#: is retryable the same way: the read was never executed, and a replica
-#: promotion or supervisor respawn answers the retry.
-RETRYABLE_CODES = frozenset({OVERLOAD, TIMEOUT, INGEST_FROZEN, UNAVAILABLE})
+#: the freeze lifts when the compaction's fold finishes.
+RETRYABLE_CODES = frozenset({OVERLOAD, TIMEOUT, INGEST_FROZEN})
 
 
 class ProtocolError(ValueError):
     """A frame violated the protocol (bad length, bad JSON, not an object)."""
-
-
-# -- pre-encoded splicing --------------------------------------------------
-
-_UNSET = object()
-
-
-class PreEncoded:
-    """An already binary-encoded value, spliced verbatim into binary frames.
-
-    The cluster front-end wraps worker-encoded ``neighbors`` partials in
-    this so the response encoder can concatenate the bytes into the
-    outgoing frame without a decode/re-encode round-trip.  A JSON client
-    asking for the same answer forces :meth:`value` — a one-time decode,
-    cached, so coalesced responses shared across mixed-codec connections
-    pay it at most once.
-    """
-
-    __slots__ = ("data", "_decoded")
-
-    def __init__(self, data: bytes) -> None:
-        self.data = data
-        self._decoded = _UNSET
-
-    def value(self) -> Any:
-        if self._decoded is _UNSET:
-            self._decoded = decode_value(self.data)
-        return self._decoded
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"PreEncoded({len(self.data)} bytes)"
 
 
 # -- binary value codec ----------------------------------------------------
@@ -183,8 +140,7 @@ class PreEncoded:
 # Encoding is canonical: the smallest form that fits is always chosen,
 # and any non-empty list of (exactly-typed) ints becomes a packed run of
 # the narrowest width holding every element — so equal payloads encode
-# to equal bytes, which is what lets the cluster splice worker-encoded
-# partials into responses without re-encoding.
+# to equal bytes.
 
 _MAX_DEPTH = 64
 
@@ -310,10 +266,6 @@ def _enc(value: Any, out: bytearray, depth: int) -> None:
             out.append(0xC6)
             out += _U32.pack(n)
         out += value
-    elif kind is PreEncoded:
-        if len(out) + len(value.data) > MAX_FRAME_BYTES + 16:
-            raise ProtocolError(f"frame exceeds {MAX_FRAME_BYTES} bytes")
-        out += value.data
     elif isinstance(value, bool):  # bool subclasses before int
         out.append(0xC3 if value else 0xC2)
     elif isinstance(value, int):
@@ -327,8 +279,6 @@ def _enc(value: Any, out: bytearray, depth: int) -> None:
         _enc_sequence(list(value), out, depth)
     elif isinstance(value, dict):
         _enc_map(value, out, depth)
-    elif isinstance(value, PreEncoded):
-        out += value.data
     else:
         raise ProtocolError(f"unencodable value type {type(value).__name__}")
 
@@ -395,35 +345,10 @@ def _enc_map(value: Dict[Any, Any], out: bytearray, depth: int) -> None:
 
 
 def encode_value(value: Any) -> bytes:
-    """Encode one value in the binary codec (no magic/version prefix).
-
-    This is what workers use to pre-encode ``shard_query`` partials: the
-    returned bytes can be wrapped in :class:`PreEncoded` and spliced
-    verbatim into any binary response frame.
-    """
+    """Encode one value in the binary codec (no magic/version prefix)."""
     out = bytearray()
     _enc(value, out, 0)
     return bytes(out)
-
-
-def encode_int_run(values: List[int]) -> bytes:
-    """Encode a list of plain ints, skipping the exact-type scan.
-
-    Trusted fast path for store-produced id lists (worker ``shard_query``
-    partials).  Produces byte-identical output to :func:`encode_value` on
-    the same list — the canonical packed run — so spliced partials stay
-    indistinguishable from freshly encoded ones.
-    """
-    n = len(values)
-    if not n:
-        return b"\x90"
-    width = _int_run_width(min(values), max(values))
-    if width is None:  # ids beyond int64 — fall back to the generic path
-        return encode_value(list(values))
-    run = array(_WIDTH_CODE[width], values)
-    if not _LITTLE:  # pragma: no cover - big-endian hosts
-        run.byteswap()
-    return bytes((0xE1, width)) + _U32.pack(n) + run.tobytes()
 
 
 def _dec(buf: bytes, pos: int, depth: int) -> Tuple[Any, int]:
@@ -621,16 +546,10 @@ _JSON_CHUNK_ITEMS = 4096
 _JSON_CHUNK_CHARS = 1 << 20
 
 
-def _json_default(obj: Any) -> Any:
-    if isinstance(obj, PreEncoded):
-        return obj.value()
-    raise TypeError(f"unencodable JSON value type {type(obj).__name__}")
-
-
 #: One precompiled encoder — ``json.dumps`` with non-default arguments
 #: builds a fresh ``JSONEncoder`` per call, which costs more than the
 #: actual serialisation for hot-path-sized payloads.
-_JSON_ENCODE = json.JSONEncoder(separators=(",", ":"), default=_json_default).encode
+_JSON_ENCODE = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def _json_scalar(value: Any) -> bytes:
@@ -644,7 +563,6 @@ def _json_walk(value: Any, emit: Callable[[bytes], None]) -> None:
                 isinstance(item, dict)
                 or (isinstance(item, (list, tuple)) and len(item) > _JSON_CHUNK_ITEMS)
                 or (isinstance(item, str) and len(item) > _JSON_CHUNK_CHARS)
-                or isinstance(item, PreEncoded)
             ):
                 break
         else:
@@ -670,8 +588,6 @@ def _json_walk(value: Any, emit: Callable[[bytes], None]) -> None:
         for i in range(0, len(value), _JSON_CHUNK_CHARS):
             emit(_json_scalar(value[i : i + _JSON_CHUNK_CHARS])[1:-1])
         emit(b'"')
-    elif isinstance(value, PreEncoded):
-        _json_walk(value.value(), emit)
     else:
         emit(_json_scalar(value))
 

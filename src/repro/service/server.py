@@ -119,12 +119,16 @@ class PartitionServer:
         handler: Optional[Any] = None,
         allow_reload: bool = True,
         ingestor: Optional[Ingestor] = None,
-        path: Optional[str] = None,
-        concurrent_batches: int = 1,
         accept_binary: bool = True,
     ) -> None:
         if store is None and batch_handler is None and handler is None:
             raise ValueError("need a store, a handler, or an explicit batch_handler")
+        # asyncio.Queue(maxsize=0) is unbounded: it would silently turn
+        # the overload backpressure off.
+        if max_queue < 1:
+            raise ValueError(f"max_queue must be >= 1, got {max_queue}")
+        if max_batch < 1:
+            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         self.host = host
         self.port = port
         #: Whether binary-codec frames are accepted.  When off, a binary
@@ -132,24 +136,11 @@ class PartitionServer:
         #: stays up) — which is exactly the signal that makes a
         #: binary-preferring client downgrade to JSON.
         self.accept_binary = accept_binary
-        #: UNIX domain socket path; when set the server listens there
-        #: instead of on host/port (cluster workers use this).
-        self.path = path
         self.max_queue = max_queue
         self.batch_window = batch_window
         self.max_batch = max_batch
         self.request_timeout = request_timeout
         self.allow_reload = allow_reload
-        #: How many dispatcher batches may execute concurrently.  1 (the
-        #: default) keeps strict admission-order execution — required
-        #: when the handler mutates state (ingest).  The cluster
-        #: front-end raises it so the event loop keeps forming batches
-        #: while earlier scatters wait on worker round trips; safe there
-        #: because every data-plane op is a read pinned to its
-        #: admission-time epoch lease, and per-connection response order
-        #: is preserved by the writer queue regardless of completion
-        #: order.
-        self.concurrent_batches = max(1, concurrent_batches)
         if metrics is None and handler is not None:
             metrics = handler.metrics  # share the injected handler's metrics
         self.metrics = metrics if metrics is not None else ServiceMetrics()
@@ -158,7 +149,7 @@ class PartitionServer:
         self.manager: Optional[StoreManager] = None
         #: ServiceHandler-compatible duck type: needs ``metrics``,
         #: ``manager``, and ``execute_batch(requests, leases=)`` (which may
-        #: return an awaitable — the cluster front-end handler does).
+        #: return an awaitable — tests gate batches that way).
         self._handler: Optional[Any] = None
         if batch_handler is None:
             if handler is None:
@@ -175,8 +166,6 @@ class PartitionServer:
         self._server: Optional[asyncio.AbstractServer] = None
         self._queue: Optional[asyncio.Queue] = None
         self._dispatcher: Optional[asyncio.Task] = None
-        self._batch_slots: Optional[asyncio.Semaphore] = None
-        self._batch_tasks: Set["asyncio.Task"] = set()
         self._conn_tasks: Set["asyncio.Task"] = set()
         self._reader_tasks: Set["asyncio.Task"] = set()
         self._admin_tasks: Set["asyncio.Task"] = set()
@@ -186,15 +175,9 @@ class PartitionServer:
 
     @property
     def address(self) -> Tuple[str, int]:
-        """``(host, port)`` actually bound (port resolved if 0 was asked).
-
-        For a UNIX-socket server this is ``(path, 0)`` — the first element
-        stays a string either way so callers can log it uniformly.
-        """
+        """``(host, port)`` actually bound (port resolved if 0 was asked)."""
         if self._server is None:
             raise RuntimeError("server is not started")
-        if self.path is not None:
-            return self.path, 0
         sock = self._server.sockets[0]
         host, port = sock.getsockname()[:2]
         return host, port
@@ -205,17 +188,9 @@ class PartitionServer:
             raise RuntimeError("server already started")
         self._closing = False
         self._queue = asyncio.Queue(maxsize=self.max_queue)
-        if self.concurrent_batches > 1:
-            self._batch_slots = asyncio.Semaphore(self.concurrent_batches)
         self._dispatcher = asyncio.create_task(
             self._dispatch_loop(), name="repro-serve-dispatch"
         )
-        if self.path is not None:
-            self._server = await asyncio.start_unix_server(
-                self._handle_connection, path=self.path
-            )
-            logger.info("serving partition queries on unix:%s", self.path)
-            return self.address
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port
         )
@@ -248,10 +223,6 @@ class PartitionServer:
             await self._dispatcher
         except asyncio.CancelledError:
             pass
-        # Overlapped batches have all called task_done (join returned),
-        # but their tasks may still be finishing — reap them.
-        if self._batch_tasks:
-            await asyncio.gather(*list(self._batch_tasks), return_exceptions=True)
         # Let any in-flight reload finish so its response gets written.
         if self._admin_tasks:
             await asyncio.gather(*list(self._admin_tasks), return_exceptions=True)
@@ -299,23 +270,7 @@ class PartitionServer:
                 await asyncio.sleep(0)
                 if self._queue.empty():
                     break
-            if self._batch_slots is not None:
-                # Overlapped execution: hand the batch to its own task so
-                # the loop goes straight back to forming the next one
-                # while this batch waits on (e.g.) worker round trips.
-                await self._batch_slots.acquire()
-                task = asyncio.create_task(self._run_batch_slot(batch))
-                self._batch_tasks.add(task)
-                task.add_done_callback(self._batch_tasks.discard)
-            else:
-                await self._run_batch(batch)
-
-    async def _run_batch_slot(self, batch: List[_Pending]) -> None:
-        assert self._batch_slots is not None
-        try:
             await self._run_batch(batch)
-        finally:
-            self._batch_slots.release()
 
     async def _run_batch(self, batch: List[_Pending]) -> None:
         # A request whose future is already done timed out while queued —

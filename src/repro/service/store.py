@@ -348,13 +348,13 @@ class PartitionStore:
         return out
 
     def _gather_neighbours(
-        self, vs: List[int], route: List[Route], lo: int, hi: int
+        self, vs: List[int], route: List[Route]
     ) -> List[List[int]]:
-        """Sorted neighbours per vertex via partitions in ``[lo, hi)``.
+        """Sorted neighbours per vertex, gathered from its replicas.
 
         One ``searchsorted`` + ragged gather per *touched* partition for
-        the whole batch.  A row is empty exactly where the vertex has no
-        replica in the range (a replica implies incident edges there).
+        the whole batch.  A row is empty exactly where the vertex is
+        absent (a replica implies incident edges there).
         """
         partial: List[List[int]] = [[] for _ in vs]
         by_part: Dict[int, List[int]] = {}
@@ -362,8 +362,7 @@ class PartitionStore:
             if r is None:
                 continue
             for k in r[1]:
-                if lo <= k < hi:
-                    by_part.setdefault(k, []).append(i)
+                by_part.setdefault(k, []).append(i)
         for k, positions in by_part.items():
             ids_k, indptr_k, indices_k = self._csr.parts[k]
             local_vs = np.asarray([vs[i] for i in positions], dtype=np.int64)
@@ -390,7 +389,7 @@ class PartitionStore:
         """``(sorted neighbours, replicas)`` per vertex; ``None`` on a miss."""
         vs = [int(v) for v in vertices]
         route = self.route_many(vs)
-        merged = self._gather_neighbours(vs, route, 0, self.num_partitions)
+        merged = self._gather_neighbours(vs, route)
         return [
             None if r is None else (row, r[1]) for r, row in zip(route, merged)
         ]
@@ -429,31 +428,6 @@ class PartitionStore:
                 if j < hi - lo and int(row[j]) == br:
                     out[i] = k
         return out
-
-    # -- group-restricted batch routing ------------------------------------
-    #
-    # The shard-worker read path: a cluster worker owns the contiguous
-    # partition group ``[lo, hi)`` and answers only from those adjacency
-    # lists; the front-end concatenates the disjoint partial lists it
-    # gathers from the shards spanning a vertex.  ``None`` per item means
-    # "this group holds nothing for that vertex/edge".
-
-    def group_neighbors_many(
-        self, vertices: Sequence[int], lo: int, hi: int
-    ) -> List[Optional[List[int]]]:
-        """Per vertex: sorted neighbours via partitions in ``[lo, hi)`` only."""
-        vs = [int(v) for v in vertices]
-        merged = self._gather_neighbours(vs, self.route_many(vs), lo, hi)
-        return [row if row else None for row in merged]
-
-    def group_owners_many(
-        self, pairs: Sequence[Tuple[int, int]], lo: int, hi: int
-    ) -> List[Optional[int]]:
-        """Owning partition per pair when it lies in ``[lo, hi)``, else None."""
-        return [
-            owner if owner is not None and lo <= owner < hi else None
-            for owner in self.owners_many(pairs)
-        ]
 
     # -- summaries ---------------------------------------------------------
 

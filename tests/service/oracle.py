@@ -162,29 +162,6 @@ class DictStore:
                 out.append(None)
         return out
 
-    def group_neighbors_many(
-        self, vertices: Sequence[int], lo: int, hi: int
-    ) -> List[Optional[List[int]]]:
-        out: List[Optional[List[int]]] = []
-        for v in vertices:
-            group = [k for k in self.replicas_of(v) if lo <= k < hi]
-            if not group:
-                out.append(None)
-                continue
-            merged: Set[int] = set()
-            for k in group:
-                merged |= self.local_neighbors(v, k)
-            out.append(sorted(merged))
-        return out
-
-    def group_owners_many(
-        self, pairs: Sequence[Tuple[int, int]], lo: int, hi: int
-    ) -> List[Optional[int]]:
-        return [
-            owner if owner is not None and lo <= owner < hi else None
-            for owner in self.owners_many(pairs)
-        ]
-
     # -- summaries ---------------------------------------------------------
 
     def partition_stats(self, k: int) -> Dict[str, int]:

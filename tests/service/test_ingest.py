@@ -296,6 +296,18 @@ class TestIngestorWal:
             ingestor.overlay.rf_drift(), 6
         )
 
+    def test_bad_refine_slack_fails_at_enable(self, bundle):
+        """An invalid refiner setting is refused up front, not by every
+        later compaction, and leaves the manager and the WAL untouched."""
+        manager = StoreManager(PartitionStore.open(bundle))
+        live = manager.store
+        with pytest.raises(ValueError, match="slack"):
+            Ingestor.enable(
+                manager, bundle, refine_on_compact=True, refine_slack=0.5
+            )
+        assert manager.store is live
+        assert not (bundle / "ingest.wal").exists()
+
 
 class TestCompaction:
     def _enable(self, bundle):

@@ -14,9 +14,6 @@ def metrics():
     m.inc("requests_ok", 7)
     m.inc("batches")
     m.set_gauge("epoch", 3.0)
-    m.set_gauge("worker_up_s0r0", 1.0)
-    m.set_gauge("worker_up_s1r0", 0.0)
-    m.set_gauge("worker_epoch_s0r0", 3.0)
     m.observe("neighbors", 0.004)
     m.observe("neighbors", 0.012)
     m.observe("edge", 0.001)
@@ -24,19 +21,12 @@ def metrics():
 
 
 class TestRender:
-    def test_counters_gauges_and_worker_labels(self, metrics):
+    def test_counters_and_gauges(self, metrics):
         text = render_prometheus(metrics)
         lines = text.splitlines()
         assert "repro_requests_ok_total 7" in lines
         assert "repro_batches_total 1" in lines
         assert "repro_epoch 3" in lines
-        # Flat worker gauges fold into labelled series.
-        assert 'repro_worker_up{shard="0",replica="0"} 1' in lines
-        assert 'repro_worker_up{shard="1",replica="0"} 0' in lines
-        assert 'repro_worker_epoch{shard="0",replica="0"} 3' in lines
-        assert "repro_worker_up_s0r0" not in text
-        # TYPE lines come once per family.
-        assert lines.count("# TYPE repro_worker_up gauge") == 1
         assert text.endswith("\n")
 
     def test_histogram_is_cumulative_with_inf_sum_count(self, metrics):

@@ -357,26 +357,6 @@ class TestBinaryCodec:
         assert all(type(x) is bool for x in decoded["b"])
         assert all(type(x) is int for x in decoded["n"])
 
-    def test_int_run_matches_generic_encoding(self):
-        """The trusted fast path is byte-identical — splice-safe."""
-        for values in ([], [0], [5, 9, 12], list(range(-300, 300, 7)),
-                       [2**33, 2**34], [-(2**20), 2**20]):
-            assert protocol.encode_int_run(values) == protocol.encode_value(values)
-
-    def test_pre_encoded_splices_bit_identically(self):
-        inner = sorted([9, 1, 4, 77, 1000, -3])
-        spliced = protocol.encode_binary_body(
-            {"result": {"neighbors": protocol.PreEncoded(protocol.encode_int_run(inner))}}
-        )
-        direct = protocol.encode_binary_body({"result": {"neighbors": inner}})
-        assert spliced == direct
-
-    def test_pre_encoded_decodes_lazily_for_json(self):
-        wrapped = protocol.PreEncoded(protocol.encode_value([1, 2, 3]))
-        body = protocol.encode_json_body({"result": wrapped})
-        assert protocol.decode_body(body) == {"result": [1, 2, 3]}
-        assert wrapped.value() == [1, 2, 3]
-
     def test_non_string_keys_match_json_coercion(self):
         payload = {"m": {1: "a", True: "b", None: "c", 2.5: "d"}}
         via_json = protocol.decode_body(protocol.encode_json_body(payload))

@@ -169,6 +169,16 @@ class TestOverloadAndTimeouts:
 
         asyncio.run(go())
 
+    @pytest.mark.parametrize(
+        "limits", [{"max_queue": 0}, {"max_queue": -1}, {"max_batch": 0}]
+    )
+    def test_non_positive_limits_rejected(self, store, limits):
+        """``asyncio.Queue(maxsize=0)`` is unbounded, so a zero queue
+        bound would silently disable overload backpressure."""
+        name = next(iter(limits))
+        with pytest.raises(ValueError, match=name):
+            PartitionServer(store, **limits)
+
     def test_client_retries_through_overload(self):
         async def go():
             gate = asyncio.Event()

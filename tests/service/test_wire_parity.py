@@ -3,9 +3,7 @@
 The contract: a binary-wire client receives **the same answer** as a
 JSON-wire client for every operation — success results and errors,
 code *and* message — across every store (the CSR store, the dict-of-sets
-oracle, the ingest overlay) and through the multi-process cluster front-end, where the
-scatter path splices pre-encoded worker payloads instead of
-decode/re-encoding them.
+oracle, the ingest overlay).
 
 "Same answer" is checked at the byte level: both decoded responses are
 re-encoded through the canonical JSON body encoder and compared as
@@ -24,7 +22,6 @@ from repro.core.tlp import TLPPartitioner
 from repro.partitioning.serialization import save_partition
 from repro.service import protocol
 from repro.service.client import ServiceClient
-from repro.service.cluster import ClusterServer
 from repro.service.ingest import Ingestor
 from repro.service.server import PartitionServer
 from repro.service.store import PartitionStore, StoreManager
@@ -150,54 +147,3 @@ class TestSingleProcessParity:
                 if "seconds" in key or "bytes" in key:
                     result.pop(key)
         _assert_byte_identical(json_bodies, binary_bodies, probes)
-
-
-class TestClusterParity:
-    def test_spliced_scatter_matches_json_cluster_and_single(
-        self, graph, bundle
-    ):
-        """Binary client through the splicing cluster == JSON client
-        through the cluster == single-process server, byte for byte."""
-        probes = _probe_requests(graph)
-        store = PartitionStore.open(bundle)
-
-        async def go():
-            cluster = ClusterServer(bundle, workers=2)
-            async with cluster, PartitionServer(store) as single:
-                c_json = await _collect(cluster.address, "json", probes)
-                c_binary = await _collect(cluster.address, "binary", probes)
-                s_json = await _collect(single.address, "json", probes)
-                spliced = cluster.cluster.metrics.counters.get(
-                    "scatter_spliced", 0
-                )
-            return c_json, c_binary, s_json, spliced
-
-        c_json, c_binary, s_json, spliced = asyncio.run(go())
-        _assert_byte_identical(c_json, c_binary, probes)
-        assert spliced > 0, "no scatter used the pre-encoded splice path"
-
-        # Cluster responses carry the same shapes as single-process ones
-        # for the routed read ops (stats differ structurally by design).
-        for probe, c, s in zip(probes, c_json, s_json):
-            op = probe[0]
-            if op in ("master", "neighbors", "edge"):
-                assert protocol.encode_json_body(c) == protocol.encode_json_body(
-                    s
-                ), f"cluster diverged from single-process on {probe}"
-
-    def test_json_internal_links_still_correct(self, graph, bundle):
-        """Forcing worker links to JSON (no splicing) must not change
-        any answer — the splice is an optimisation, not a semantic."""
-        probes = _probe_requests(graph)
-
-        async def go():
-            cluster = ClusterServer(bundle, workers=2, wire="json")
-            async with cluster:
-                c_json = await _collect(cluster.address, "json", probes)
-                c_binary = await _collect(cluster.address, "binary", probes)
-                counters = dict(cluster.cluster.metrics.counters)
-            return c_json, c_binary, counters
-
-        c_json, c_binary, counters = asyncio.run(go())
-        _assert_byte_identical(c_json, c_binary, probes)
-        assert counters.get("scatter_spliced", 0) == 0

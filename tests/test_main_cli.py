@@ -144,3 +144,35 @@ class TestServeSubcommand:
         with SyncServiceClient("127.0.0.1", port) as client:
             v = next(iter(graph.vertices()))
             assert set(client.call("neighbors", v=v)["neighbors"]) == graph.neighbors(v)
+
+    @pytest.fixture
+    def bundle(self, edge_file, tmp_path):
+        path, _ = edge_file
+        directory = tmp_path / "parts"
+        assert main([str(path), "-p", "4", "--save-dir", str(directory)]) == 0
+        return directory
+
+    def test_workers_flag_is_gone(self, bundle, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", str(bundle), "--workers", "2"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
+    def test_zero_max_queue_exits_2(self, bundle, capsys):
+        assert main(["serve", str(bundle), "--max-queue", "0"]) == 2
+        assert "max_queue must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags", [["--refine-on-compact"], ["--capacity", "100"]]
+    )
+    def test_ingest_flags_without_wal_exit_2(self, bundle, flags, capsys):
+        assert main(["serve", str(bundle), *flags]) == 2
+        err = capsys.readouterr().err
+        assert flags[0] in err and "--wal" in err
+
+    def test_bad_refine_slack_refuses_to_start(self, bundle, capsys):
+        argv = ["serve", str(bundle), "--wal", "--refine-on-compact",
+                "--refine-slack", "0.5"]
+        assert main(argv) == 2
+        assert "cannot enable ingest" in capsys.readouterr().err
+        assert not (bundle / "ingest.wal").exists()
