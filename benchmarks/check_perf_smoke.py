@@ -19,8 +19,8 @@ directory.  Checks, in order:
    (``benchmarks/BENCH_serve.quick.json``).  Refresh that baseline in
    the same PR whenever a deliberate change moves it.
 3. ``BENCH_perf.json`` is schema v2+ and its ``parallel`` section proves
-   the thread-pool paths stayed bit-identical (``grow_identical`` /
-   ``fold_identical``) and recorded ``grow_threads`` / ``fold_seconds``.
+   the thread-pool growth stayed bit-identical (``grow_identical``) and
+   recorded ``grow_threads`` / ``fold_seconds``.
 4. When ``python -m repro.bench refine --quick`` contributed a
    ``refine`` section (schema v3), every row must have ``rf_delta >= 0``
    — a refinement pass that *raises* RF violates the engine's
@@ -135,8 +135,6 @@ def main() -> None:
         fail("BENCH_perf.json has no 'parallel' section")
     if not parallel.get("grow_identical"):
         fail("threaded growth diverged from sequential output")
-    if not parallel.get("fold_identical"):
-        fail("parallel compaction fold produced a different bundle")
     for field in ("grow_threads", "fold_seconds"):
         if field not in parallel:
             fail(f"BENCH_perf.json parallel section missing {field!r}")

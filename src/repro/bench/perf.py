@@ -37,7 +37,10 @@ from repro.partitioning.metrics import replication_factor
 #: oocore`` (out-of-core streaming partitioner vs in-memory HDRF:
 #: RF ratio, edges/s, and subprocess-measured peak RSS vs the byte
 #: budget).
-SCHEMA_VERSION = 4
+#: v5 drops ``fold_seconds_sequential`` and ``fold_identical`` from the
+#: ``parallel`` section: the compaction fold has no thread pool, and
+#: ``fold_seconds`` times its one sequential fold plus save.
+SCHEMA_VERSION = 5
 
 #: The probe workload: G5 (Slashdot0811) is the largest stand-in that the
 #: full benchmark finishes in a couple of minutes at scale 0.25.
@@ -147,26 +150,14 @@ def run_perf(
     }
 
 
-def _bundle_digests(directory: Path) -> Dict[str, object]:
-    """The checksums save_partition recorded (identity fingerprint)."""
-    manifest = json.loads(
-        (directory / "partition.json").read_text(encoding="utf-8")
-    )
-    return {
-        "sidecar": manifest["csr_sidecar"]["checksum"],
-        "parts": [entry["checksum"] for entry in manifest["partitions"]],
-    }
-
-
 def _parallel_section(graph: Graph, p: int, seeds: Sequence[int]) -> Dict:
-    """Measure thread-pool growth and compaction fold vs sequential.
+    """Measure thread-pool growth vs sequential, and one compaction fold.
 
-    Both measurements double as identity checks: the threaded growth
-    jobs must reproduce the sequential partitionings exactly, and the
-    parallel fold+save must produce a bundle with the same sha256
-    digests (per-partition edge checksums and sidecar checksum) as the
-    sequential one.  On a 1-core host the timings tie — the fields
-    still land so multi-core runs have a baseline to diff against.
+    The growth measurement doubles as an identity check: the threaded
+    growth jobs must reproduce the sequential partitionings exactly.  On
+    a 1-core host the timings tie — the fields still land so multi-core
+    runs have a baseline to diff against.  ``fold_seconds`` times one
+    overlay fold plus ``save_partition``, the compaction's core.
     """
     from repro.core.parallel import partition_many, resolve_workers
     from repro.core.tlp import TLPPartitioner
@@ -205,17 +196,10 @@ def _parallel_section(graph: Graph, p: int, seeds: Sequence[int]) -> Dict:
         if i % 2 == 0:  # move half of them instead of dropping
             overlay.apply_insert(u, v, (was + 1) % p)
 
-    def fold(workers: int, directory: Path) -> float:
-        start = time.perf_counter()
-        folded = overlay.to_partition(workers=workers)
-        save_partition(folded, directory, workers=workers)
-        return time.perf_counter() - start
-
     with tempfile.TemporaryDirectory(prefix="repro-perf-fold-") as tmp:
-        seq_dir, par_dir = Path(tmp) / "seq", Path(tmp) / "par"
-        fold_seq = fold(1, seq_dir)
-        fold_par = fold(threads, par_dir)
-        fold_identical = _bundle_digests(seq_dir) == _bundle_digests(par_dir)
+        start = time.perf_counter()
+        save_partition(overlay.to_partition(), Path(tmp), workers=1)
+        fold_seconds = time.perf_counter() - start
 
     return {
         "grow_threads": threads,
@@ -223,9 +207,7 @@ def _parallel_section(graph: Graph, p: int, seeds: Sequence[int]) -> Dict:
         "grow_seconds_parallel": round(grow_par, 4),
         "grow_identical": grow_identical,
         "fold_mutations": len(victims),
-        "fold_seconds": round(fold_par, 4),
-        "fold_seconds_sequential": round(fold_seq, 4),
-        "fold_identical": fold_identical,
+        "fold_seconds": round(fold_seconds, 4),
     }
 
 

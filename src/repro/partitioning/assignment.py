@@ -1,16 +1,50 @@
 """The result type of every edge partitioner: :class:`EdgePartition`.
 
-Stores, for each partition ``P_k``, the list of edges allocated to it
-(canonical ``(u, v), u < v`` form), plus lazily computed derived views
-(per-partition vertex sets, the edge -> partition map).  All quality metrics
-in :mod:`repro.partitioning.metrics` are computed from this object.
+Stores, for each partition ``P_k``, the edges allocated to it (canonical
+``(u, v), u < v`` form), plus lazily computed derived views (per-partition
+vertex sets, the edge -> partition map).  All quality metrics in
+:mod:`repro.partitioning.metrics` are computed from this object.
+
+Each partition has two interchangeable forms, derived from one another on
+first use and then cached: a list of ``(u, v)`` tuples (:meth:`edges_of`)
+and an ``(m_k, 2)`` integer array (:meth:`edge_array`), in the same edge
+order.  Partitioners build from lists; the serving and compaction layers
+(CSR store, overlay fold, local-search refiner, ``save_partition``) build
+from and consume arrays, so a partition crosses them without a per-edge
+Python object unless something asks for the tuples.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
+import numpy as np
+
 from repro.graph.graph import Edge, Graph, normalize_edge
+
+
+def edges_to_array(edges: Sequence[Edge]) -> np.ndarray:
+    """``(m, 2)`` int64 array of ``edges``; object dtype for ids beyond int64."""
+    try:
+        return np.array(edges, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:  # ids beyond int64 stay Python ints
+        return np.array(edges, dtype=object).reshape(-1, 2)
+
+
+def _normalize_array(edges: np.ndarray) -> np.ndarray:
+    """Vectorised :func:`normalize_edge` over the rows of ``edges``."""
+    edges = np.asarray(edges)
+    if edges.dtype != object and edges.dtype != np.int64:
+        edges = edges.astype(np.int64)
+    edges = edges.reshape(-1, 2)
+    u, v = edges[:, 0], edges[:, 1]
+    if bool(np.all(u < v)):
+        return edges
+    loops = np.flatnonzero(u == v)
+    if len(loops):
+        w = edges[loops[0], 0]
+        raise ValueError(f"self loop ({w}, {w}) is not a valid edge")
+    return np.column_stack((np.minimum(u, v), np.maximum(u, v)))
 
 
 class EdgePartition:
@@ -21,9 +55,11 @@ class EdgePartition:
     """
 
     def __init__(self, parts: Sequence[Sequence[Edge]]) -> None:
-        self._parts: List[List[Edge]] = [
+        self._parts: List[Optional[List[Edge]]] = [
             [normalize_edge(u, v) for u, v in part] for part in parts
         ]
+        self._arrays: List[Optional[np.ndarray]] = [None] * len(self._parts)
+        self._sizes = [len(part) for part in self._parts]
         self._vertex_sets: Optional[List[Set[int]]] = None
         self._edge_to_part: Optional[Dict[Edge, int]] = None
 
@@ -39,6 +75,23 @@ class EdgePartition:
             parts[k].append(edge)
         return cls(parts)
 
+    @classmethod
+    def from_arrays(cls, arrays: Sequence[np.ndarray]) -> "EdgePartition":
+        """Build from one ``(m_k, 2)`` edge array per partition.
+
+        Rows are normalised to ``u < v`` in one vectorised pass (a
+        self-loop raises ``ValueError``, as in the list constructor) and
+        keep their order.  The arrays are adopted, not copied: treat them
+        as read-only afterwards.  Integer arrays become int64; an object
+        array holds ids beyond int64.
+        """
+        normalized = [_normalize_array(edges) for edges in arrays]
+        partition = cls([])
+        partition._arrays = list(normalized)
+        partition._parts = [None] * len(normalized)
+        partition._sizes = [len(edges) for edges in normalized]
+        return partition
+
     # -- basic views -------------------------------------------------------
 
     @property
@@ -49,21 +102,47 @@ class EdgePartition:
     @property
     def num_edges(self) -> int:
         """Total number of edges across all partitions."""
-        return sum(len(part) for part in self._parts)
+        return sum(self.partition_sizes())
 
     def edges_of(self, k: int) -> List[Edge]:
-        """Edges of partition ``k``.  Treat as read-only."""
-        return self._parts[k]
+        """Edges of partition ``k`` as ``(u, v)`` tuples (cached).
+
+        Treat as read-only.
+        """
+        part = self._parts[k]
+        if part is None:
+            edges = self._arrays[k]
+            assert edges is not None
+            part = list(zip(edges[:, 0].tolist(), edges[:, 1].tolist()))
+            self._parts[k] = part
+        return part
+
+    def edge_array(self, k: int) -> np.ndarray:
+        """Edges of partition ``k`` as an ``(m_k, 2)`` array (cached).
+
+        Same order as :meth:`edges_of`; int64, or object dtype when an id
+        is beyond int64.  Treat as read-only.
+        """
+        edges = self._arrays[k]
+        if edges is None:
+            part = self._parts[k]
+            assert part is not None
+            edges = edges_to_array(part)
+            self._arrays[k] = edges
+        return edges
 
     def partition_sizes(self) -> List[int]:
         """``|E(P_k)|`` for each k."""
-        return [len(part) for part in self._parts]
+        return list(self._sizes)
 
     def vertex_sets(self) -> List[Set[int]]:
         """``V(P_k)`` — endpoints of the edges in each partition (cached)."""
         if self._vertex_sets is None:
             sets: List[Set[int]] = []
-            for part in self._parts:
+            for k, part in enumerate(self._parts):
+                if part is None:
+                    sets.append(set(self.edge_array(k).ravel().tolist()))
+                    continue
                 vs: Set[int] = set()
                 for u, v in part:
                     vs.add(u)
@@ -83,8 +162,8 @@ class EdgePartition:
         """
         if self._edge_to_part is None:
             mapping: Dict[Edge, int] = {}
-            for k, part in enumerate(self._parts):
-                for edge in part:
+            for k in range(self.num_partitions):
+                for edge in self.edges_of(k):
                     if edge in mapping:
                         raise ValueError(
                             f"edge {edge} assigned to partitions {mapping[edge]} and {k}"

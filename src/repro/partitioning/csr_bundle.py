@@ -84,12 +84,18 @@ def _partition_adjacency(
     if len(edges) == 0:
         empty = np.empty(0, dtype=_DTYPE)
         return empty, np.zeros(1, dtype=_DTYPE), empty
-    ids = np.unique(edges)  # sorted endpoints
+    ids, rows = np.unique(edges, return_inverse=True)  # sorted endpoints
+    rows = rows.reshape(-1, 2).astype(_DTYPE, copy=False)
     # Both directions of every undirected edge, as row indices into ids.
-    src = np.searchsorted(ids, np.concatenate([edges[:, 0], edges[:, 1]]))
-    dst = np.searchsorted(ids, np.concatenate([edges[:, 1], edges[:, 0]]))
-    order = np.lexsort((dst, src))  # group by row, neighbours ascending
-    indices = np.ascontiguousarray(dst[order], dtype=_DTYPE)
+    src = np.concatenate([rows[:, 0], rows[:, 1]])
+    dst = np.concatenate([rows[:, 1], rows[:, 0]])
+    del rows
+    # Group by row, neighbours ascending: one sort on the (src, dst) key.
+    key = src * len(ids)
+    key += dst
+    order = np.argsort(key)
+    del key
+    indices = dst[order]
     counts = np.bincount(src, minlength=len(ids))
     indptr = np.zeros(len(ids) + 1, dtype=_DTYPE)
     np.cumsum(counts, out=indptr[1:])
@@ -106,7 +112,7 @@ def build_partition_csr(
     serving store answers exactly as a table built from the edge lists.
 
     ``workers`` fans the per-partition adjacency construction (the
-    ``unique``/``lexsort``/``bincount`` passes, which release the GIL
+    ``unique``/``argsort``/``bincount`` passes, which release the GIL
     inside numpy) over a thread pool, one partition per worker.  The
     result is bit-identical for any worker count: each partition's CSR
     block depends only on its own edges, blocks merge by ascending
@@ -115,15 +121,12 @@ def build_partition_csr(
     """
     p = partition.num_partitions
 
-    def block(k: int) -> Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        edges = np.asarray(partition.edges_of(k), dtype=_DTYPE).reshape(-1, 2)
-        return edges, _partition_adjacency(edges)
+    def block(k: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # An id beyond int64 (object array) raises OverflowError here.
+        edges = partition.edge_array(k).astype(_DTYPE, copy=False)
+        return _partition_adjacency(edges)
 
-    blocks = parallel_map(block, range(p), workers)
-    edge_arrays: List[np.ndarray] = [edges for edges, _ in blocks]
-    parts: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = [
-        adjacency for _, adjacency in blocks
-    ]
+    parts = parallel_map(block, range(p), workers)
 
     all_ids = [ids for ids, _, _ in parts if len(ids)]
     vertex_ids = (
@@ -166,7 +169,7 @@ def build_partition_csr(
 
     return PartitionCSR(
         num_partitions=p,
-        num_edges=sum(len(e) for e in edge_arrays),
+        num_edges=partition.num_edges,
         vertex_ids=vertex_ids,
         master=master,
         rep_indptr=rep_indptr,
@@ -176,18 +179,22 @@ def build_partition_csr(
 
 
 def csr_to_partition(csr: PartitionCSR) -> EdgePartition:
-    """Materialise an :class:`EdgePartition` back from the array form."""
-    parts: List[List[Tuple[int, int]]] = []
+    """Materialise an :class:`EdgePartition` back from the array form.
+
+    Each partition's edges come out row by row, neighbours ascending,
+    keeping the ``u < v`` copy of every undirected edge — so the edge
+    order is lexicographic by ``(u, v)``.  The result is array-built:
+    no per-edge Python object is made unless tuples are asked for.
+    """
+    arrays: List[np.ndarray] = []
     for ids, indptr, indices in csr.parts:
-        edges: List[Tuple[int, int]] = []
-        for row in range(len(ids)):
-            u = int(ids[row])
-            for idx in indices[indptr[row] : indptr[row + 1]]:
-                v = int(ids[idx])
-                if u < v:  # each undirected edge appears twice
-                    edges.append((u, v))
-        parts.append(edges)
-    return EdgePartition(parts)
+        ids = np.asarray(ids, dtype=_DTYPE)
+        rows = np.repeat(np.arange(len(ids)), np.diff(indptr))
+        u = ids[rows]
+        v = ids[np.asarray(indices)]
+        keep = u < v  # each undirected edge appears twice
+        arrays.append(np.column_stack((u[keep], v[keep])))
+    return EdgePartition.from_arrays(arrays)
 
 
 # -- binary sidecar ----------------------------------------------------------

@@ -60,7 +60,6 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.graph.graph import Edge
 from repro.partitioning.assignment import EdgePartition
 
 PathLike = Union[str, Path]
@@ -309,16 +308,14 @@ class _State:
             capacity = max(1, math.ceil(slack * m / p)) if p else 1
             capacity = max(capacity, max(partition.partition_sizes() or [0]))
         self.capacity = capacity
-        edges: List[Edge] = [
-            edge for k in range(p) for edge in partition.edges_of(k)
-        ]
         parts = np.repeat(
             np.arange(p, dtype=np.int32), partition.partition_sizes()
         )
-        try:
-            ids = np.array(edges, dtype=np.int64).reshape(m, 2)
-        except OverflowError:  # ids beyond int64 sort as Python ints
-            ids = np.array(edges, dtype=object).reshape(m, 2)
+        # Ids beyond int64 arrive as object arrays and sort as Python ints.
+        ids = np.concatenate(
+            [partition.edge_array(k) for k in range(p)]
+            or [np.empty((0, 2), dtype=np.int64)]
+        )
         vertex_ids, ranks = np.unique(ids, return_inverse=True)
         ranks = ranks.reshape(m, 2)
         num_vertices = len(vertex_ids)
@@ -327,7 +324,8 @@ class _State:
         self.ev = ranks[order, 1]
         if np.any((self.eu[1:] == self.eu[:-1]) & (self.ev[1:] == self.ev[:-1])):
             partition.edge_to_partition()  # raises, naming the duplicate
-        self.edges: List[Edge] = [edges[i] for i in order.tolist()]
+        #: Endpoint ids of each edge, in edge-index order.
+        self.ids = ids[order]
         self.epart = parts[order]
         self.counts = (
             np.bincount(self.eu * p + self.epart, minlength=num_vertices * p)
@@ -574,12 +572,8 @@ class _State:
 
     def to_partition(self) -> EdgePartition:
         """Materialise the refined assignment (sorted edge order)."""
-        edges = self.edges
-        return EdgePartition(
-            [
-                [edges[i] for i in np.flatnonzero(self.epart == k).tolist()]
-                for k in range(self.p)
-            ]
+        return EdgePartition.from_arrays(
+            [self.ids[self.epart == k] for k in range(self.p)]
         )
 
 

@@ -36,7 +36,9 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
+
+import numpy as np
 
 from repro.core.parallel import parallel_map
 from repro.graph.graph import Edge
@@ -60,8 +62,9 @@ class EdgeChecksum:
 
     The streaming bundle writer (:mod:`repro.partitioning.oocore.bundle`)
     folds edges in one at a time as they come off the external merge;
-    :func:`_checksum` is the eager equivalent over a list.  Both hash the
-    same ``"u,v;"`` byte stream, so manifests agree bit-for-bit.
+    :func:`_checksum` is the eager equivalent over a list, and
+    :func:`_edge_text` the one over an edge array.  All hash the same
+    ``"u,v;"`` byte stream, so manifests agree bit-for-bit.
     """
 
     def __init__(self) -> None:
@@ -79,6 +82,19 @@ def _checksum(edges: List[Edge]) -> str:
     for u, v in edges:
         digest.add(u, v)
     return digest.hexdigest()
+
+
+def _edge_text(edges: np.ndarray) -> Tuple[str, str]:
+    """The edge-file text of ``edges`` (in order) and its manifest checksum.
+
+    The text is formatted in one pass over a flat list of Python ints
+    (``%d`` prints ids beyond int64 too); the checksum stream ``"u,v;"``
+    is the same text with its two separators swapped.
+    """
+    flat = edges.ravel().tolist()
+    text = ("%d\t%d\n" * len(edges)) % tuple(flat)
+    stream = text.replace("\t", ",").replace("\n", ";")
+    return text, hashlib.sha256(stream.encode()).hexdigest()[:16]
 
 
 def _write_atomic(path: Path, write) -> None:
@@ -113,7 +129,11 @@ def save_partition(
     PartitionStore`) that finds a manifest finds complete edge files.
 
     The partition is also frozen into the binary CSR sidecar the serving
-    layer memory-maps (:mod:`repro.partitioning.csr_bundle`).
+    layer memory-maps (:mod:`repro.partitioning.csr_bundle`).  The
+    sidecar is built in memory before the first file is replaced, so a
+    partition the bundle cannot hold (an id beyond int64 raises
+    ``OverflowError`` in the CSR build) leaves an existing bundle
+    byte-untouched.
 
     ``workers`` fans the per-partition work (sort, edge file, checksum,
     CSR block) over a thread pool — one partition per worker, ``None``
@@ -123,48 +143,45 @@ def save_partition(
     in ascending ``k`` from the positionally-merged results.
     """
     directory = Path(directory)
+    csr = csr_bundle.build_partition_csr(partition, workers=workers)
     directory.mkdir(parents=True, exist_ok=True)
-    manifest: Dict[str, object] = {
-        "format_version": FORMAT_VERSION,
-        "num_partitions": partition.num_partitions,
-        "num_edges": partition.num_edges,
-        "partitions": [],
-        "metadata": metadata or {},
-    }
 
     def save_one(k: int) -> Dict[str, object]:
-        edges = sorted(partition.edges_of(k))
+        edges = partition.edge_array(k)
+        edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+        text, checksum = _edge_text(edges)
         path = _edge_file(directory, k, compress)
 
         def write_edges(tmp: Path) -> None:
             with open_text(tmp, "w") as fh:
-                for u, v in edges:
-                    fh.write(f"{u}\t{v}\n")
+                fh.write(text)
 
         _write_atomic(path, write_edges)
         # Drop a stale counterpart from a previous save with the other
         # compression setting, so the directory stays unambiguous.
-        other = _edge_file(directory, k, not compress)
-        if other.exists():
-            other.unlink()
+        _edge_file(directory, k, not compress).unlink(missing_ok=True)
         return {
             "index": k,
             "file": path.name,
             "edges": len(edges),
-            "checksum": _checksum(edges),
+            "checksum": checksum,
         }
 
-    manifest["partitions"] = parallel_map(
-        save_one, range(partition.num_partitions), workers
-    )
+    partitions = parallel_map(save_one, range(partition.num_partitions), workers)
     sidecar_path = directory / csr_bundle.SIDECAR_NAME
-    csr = csr_bundle.build_partition_csr(partition, workers=workers)
     _write_atomic(sidecar_path, lambda tmp: csr_bundle.write_sidecar(csr, tmp))
-    manifest["csr_sidecar"] = {
-        "file": csr_bundle.SIDECAR_NAME,
-        "version": csr_bundle.SIDECAR_VERSION,
-        "bytes": sidecar_path.stat().st_size,
-        "checksum": csr_bundle.sidecar_checksum(sidecar_path),
+    manifest = {
+        "format_version": FORMAT_VERSION,
+        "num_partitions": partition.num_partitions,
+        "num_edges": partition.num_edges,
+        "partitions": partitions,
+        "metadata": metadata or {},
+        "csr_sidecar": {
+            "file": csr_bundle.SIDECAR_NAME,
+            "version": csr_bundle.SIDECAR_VERSION,
+            "bytes": sidecar_path.stat().st_size,
+            "checksum": csr_bundle.sidecar_checksum(sidecar_path),
+        },
     }
     manifest_path = directory / MANIFEST_NAME
     payload = json.dumps(manifest, indent=2)

@@ -500,10 +500,12 @@ class ServiceHandler:
             v = _int_arg(args, "v")
             if u == v:
                 raise _BadArgs(f"self loop ({u}, {v}) is not a valid edge")
-            return ingestor.insert_edge(
-                u, v, client=_opt_str_arg(args, "client"),
-                cseq=_opt_int_arg(args, "cseq"),
-            )
+            client = _opt_str_arg(args, "client")
+            cseq = _opt_int_arg(args, "cseq")
+            try:
+                return ingestor.insert_edge(u, v, client=client, cseq=cseq)
+            except ValueError as exc:  # an id the bundle cannot store
+                raise _BadArgs(str(exc)) from exc
         if op == "delete_edge":
             ingestor = self._require_ingestor()
             u = _int_arg(args, "u")

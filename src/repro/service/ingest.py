@@ -50,12 +50,12 @@ from typing import (
     Union,
 )
 
-from repro.core.parallel import parallel_map
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.partitioning.refine import LocalSearchRefiner, RefineStats
 from repro.graph.graph import Edge, normalize_edge
-from repro.partitioning.assignment import EdgePartition
+from repro.partitioning.assignment import EdgePartition, edges_to_array
 from repro.partitioning.scoring import balance_offsets, greedy_choice, hdrf_ties
 from repro.service.store import (
     NeighborRow,
@@ -73,6 +73,16 @@ WAL_NAME = "ingest.wal"
 
 #: Accepted values for the ``policy=`` option of :class:`Ingestor`.
 PLACEMENT_POLICIES = ("hdrf", "greedy")
+
+#: Vertex ids a bundle can hold: the CSR sidecar stores them as int64.
+_ID_MIN, _ID_MAX = -(2**63), 2**63 - 1
+
+
+def _check_storable(u: int, v: int) -> None:
+    """Raise ``ValueError`` unless both endpoints fit the bundle's int64."""
+    for w in (u, v):
+        if not _ID_MIN <= w <= _ID_MAX:
+            raise ValueError(f"vertex id {w} is outside the int64 range")
 
 
 class IngestError(RuntimeError):
@@ -401,19 +411,16 @@ class DeltaOverlay:
         self._mutated()
         return k
 
-    def to_partition(self, workers: Optional[int] = None) -> EdgePartition:
-        """Fold base + delta into a fresh :class:`EdgePartition`.
+    def to_partition(self) -> EdgePartition:
+        """Fold base + delta into a fresh, array-built :class:`EdgePartition`.
 
         Deterministic: base edge order is preserved, overlay inserts are
         appended in sorted order.  This is the compaction input and the
-        reference the property tests rebuild stats from.
-
-        ``workers`` folds the partitions on a thread pool (one partition
-        per worker; ``None`` = one per core, ``1`` = sequential).  Each
-        partition's fold reads only that partition's base edges and
-        delta entries and results merge by ascending ``k``, so the
-        output is identical for any worker count.  The caller must hold
-        mutations off for the duration (compaction freezes ingest).
+        reference the property tests rebuild stats from.  Per partition,
+        a mask drops the deleted base edges and the sorted inserts are
+        concatenated, so the cost is array passes over the base plus
+        Python work over the delta only.  The caller must hold mutations
+        off for the duration (compaction freezes ingest).
         """
         p = self.num_partitions
         deleted: List[Set[Edge]] = [set() for _ in range(p)]
@@ -422,14 +429,16 @@ class DeltaOverlay:
         inserted: List[List[Edge]] = [[] for _ in range(p)]
         for edge, k in self._ins_owner.items():
             inserted[k].append(edge)
-        base_partition = self._base.partition
-
-        def fold_one(k: int) -> List[Edge]:
-            edges = [e for e in base_partition.edges_of(k) if e not in deleted[k]]
-            edges.extend(sorted(inserted[k]))
-            return edges
-
-        return EdgePartition(parallel_map(fold_one, range(p), workers))
+        base = self._base.partition
+        arrays: List[np.ndarray] = []
+        for k in range(p):
+            edges = base.edge_array(k)
+            if deleted[k]:
+                edges = edges[~_rows_in(edges, deleted[k])]
+            if inserted[k]:
+                edges = np.concatenate((edges, edges_to_array(sorted(inserted[k]))))
+            arrays.append(edges)
+        return EdgePartition.from_arrays(arrays)
 
     # -- internals ---------------------------------------------------------
 
@@ -505,6 +514,18 @@ class DeltaOverlay:
     def _mutated(self) -> None:
         self.delta_version += 1
         self.pending_mutations += 1
+
+
+def _rows_in(edges: np.ndarray, targets: Set[Edge]) -> np.ndarray:
+    """Boolean mask of the rows of ``edges`` that are in ``targets``.
+
+    A vectorised membership test on the first endpoint narrows the rows
+    to the few that can match; only those are checked as tuples.
+    """
+    mask = np.isin(edges[:, 0], [u for u, _ in targets])
+    rows = np.flatnonzero(mask)
+    mask[rows] = [edge in targets for edge in map(tuple, edges[rows].tolist())]
+    return mask
 
 
 # -- placement ---------------------------------------------------------------
@@ -603,7 +624,6 @@ class Ingestor:
         epsilon: float = 1.0,
         metrics=None,
         dedup_size: int = 4096,
-        fold_workers: Optional[int] = None,
         refine_on_compact: bool = False,
         refine_slack: float = 1.0,
         refine_epsilon: float = 0.0,
@@ -625,10 +645,6 @@ class Ingestor:
         self.epsilon = epsilon
         self.metrics = metrics
         self.dedup_size = dedup_size
-        #: Thread-pool width for the compaction fold + bundle save
-        #: (``None`` = one per core, ``1`` = sequential); the folded
-        #: bundle is byte-identical for any value.
-        self.fold_workers = fold_workers
         #: Local-search RF refinement run on every compaction fold
         #: (``refine_on_compact``), clawing back mutation-induced RF drift
         #: before the epoch swap.  Built here, not per fold, so a bad
@@ -653,8 +669,7 @@ class Ingestor:
         #: :class:`~repro.partitioning.refine.RefineStats` of the most
         #: recent refined compaction (``None`` until one runs).
         self.last_refine_stats: Optional[RefineStats] = None
-        #: Wall-clock seconds of the most recent fold + save (the part of
-        #: the compaction pause the thread pool shrinks).
+        #: Wall-clock seconds of the most recent fold + refine + save.
         self.last_fold_seconds = 0.0
         #: Next WAL sequence number (monotonic across compactions).
         self.next_seq = 0
@@ -685,7 +700,6 @@ class Ingestor:
         epsilon: float = 1.0,
         metrics=None,
         dedup_size: int = 4096,
-        fold_workers: Optional[int] = None,
         refine_on_compact: bool = False,
         refine_slack: float = 1.0,
         refine_epsilon: float = 0.0,
@@ -717,7 +731,6 @@ class Ingestor:
             epsilon=epsilon,
             metrics=metrics,
             dedup_size=dedup_size,
-            fold_workers=fold_workers,
             refine_on_compact=refine_on_compact,
             refine_slack=refine_slack,
             refine_epsilon=refine_epsilon,
@@ -763,10 +776,12 @@ class Ingestor:
         Raises :class:`ConflictError` if the edge already exists,
         :class:`CapacityError` if no partition can take it,
         :class:`IngestFrozen` during a compaction fold, and
-        ``ValueError`` for a self-loop.
+        ``ValueError`` for a self-loop or an endpoint outside int64 (the
+        bundle could not store it), before anything reaches the WAL.
         """
         if u == v:
             raise ValueError(f"self-loop ({u}, {v}) is not a valid edge")
+        _check_storable(u, v)
         key = self._dedup_key(client, cseq)
         cached = self._cached(key)
         if cached is not None:
@@ -967,12 +982,15 @@ class Ingestor:
                 u = int(record["u"])  # type: ignore[arg-type]
                 v = int(record["v"])  # type: ignore[arg-type]
                 if op == "insert":
+                    # A log written before inserts were range-checked
+                    # can hold an id no bundle can store.
+                    _check_storable(u, v)
                     overlay.apply_insert(u, v, int(record["k"]))  # type: ignore[arg-type]
                 elif op == "delete":
                     overlay.apply_delete(u, v)
                 else:
                     raise IngestError(f"unknown op {op!r}")
-            except (KeyError, ConflictError, IngestError, TypeError) as exc:
+            except (KeyError, ConflictError, IngestError, TypeError, ValueError) as exc:
                 raise IngestError(
                     f"WAL replay failed at record {record!r}: {exc}"
                 ) from exc
@@ -1043,7 +1061,7 @@ class Ingestor:
 
         fold_started = time.perf_counter()
         overlay = self.overlay
-        partition = overlay.to_partition(workers=self.fold_workers)
+        partition = overlay.to_partition()
         metadata = dict(overlay.metadata)
         # Watermark: WAL records below this are folded into the bundle.
         metadata["ingest_folded_seq"] = self.next_seq
@@ -1068,10 +1086,9 @@ class Ingestor:
                 # Future placements lean toward the freshly refined
                 # layout instead of the stale pre-compaction profile.
                 self.balance_offsets = balance_offsets(sizes)
-        save_partition(
-            partition, self.bundle_dir, metadata=metadata,
-            workers=self.fold_workers,
-        )
+        # One thread: the save is a few array passes, and compaction CPU
+        # is what a pool's start-up would add to.
+        save_partition(partition, self.bundle_dir, metadata=metadata, workers=1)
         self.last_fold_seconds = time.perf_counter() - fold_started
 
     def _finish_compaction(
@@ -1083,7 +1100,6 @@ class Ingestor:
         info["folded_mutations"] = folded
         info["compaction_seconds"] = round(elapsed, 6)
         info["fold_seconds"] = round(self.last_fold_seconds, 6)
-        info["fold_workers"] = self.fold_workers
         info["wal_bytes"] = self.wal.size
         if self.refiner is not None and self.last_refine_stats is not None:
             stats = self.last_refine_stats

@@ -213,7 +213,7 @@ class PartitionStore:
 
     @property
     def partition(self) -> EdgePartition:
-        """The partition, materialised lazily (expensive; compaction only)."""
+        """The partition, materialised lazily as edge arrays (compaction)."""
         if self._materialized is None:
             from repro.partitioning.csr_bundle import csr_to_partition
 

@@ -1,5 +1,6 @@
 """Unit tests for the EdgePartition result type."""
 
+import numpy as np
 import pytest
 
 from repro.graph.graph import Graph
@@ -31,6 +32,46 @@ class TestConstruction:
         part = EdgePartition([[], [(0, 1)], []])
         assert part.num_partitions == 3
         assert part.partition_sizes() == [0, 1, 0]
+
+
+class TestArrayForm:
+    def test_from_arrays_normalises_and_keeps_order(self):
+        part = EdgePartition.from_arrays(
+            [np.array([[5, 1], [0, 3], [2, 4]]), np.empty((0, 2), dtype=np.int64)]
+        )
+        assert part.edges_of(0) == [(1, 5), (0, 3), (2, 4)]
+        assert part.edges_of(1) == []
+        assert part.partition_sizes() == [3, 0]
+        assert part.edge_array(0).dtype == np.int64
+        assert part.vertex_sets() == [{0, 1, 2, 3, 4, 5}, set()]
+
+    def test_from_arrays_rejects_self_loops(self):
+        with pytest.raises(ValueError, match="self loop"):
+            EdgePartition.from_arrays([np.array([[1, 2], [3, 3]])])
+
+    def test_list_and_array_forms_agree(self, square_partition):
+        for k in range(2):
+            array = square_partition.edge_array(k)
+            assert list(map(tuple, array.tolist())) == square_partition.edges_of(k)
+        rebuilt = EdgePartition.from_arrays(
+            [square_partition.edge_array(k) for k in range(2)]
+        )
+        assert rebuilt.edge_to_partition() == square_partition.edge_to_partition()
+
+    def test_list_constructor_accepts_one_shot_iterables(self):
+        part = EdgePartition(iter([iter([(2, 1), (0, 3)]), iter([])]))
+        assert part.partition_sizes() == [2, 0]
+        assert part.num_edges == 2
+        assert part.edge_array(0).tolist() == [[1, 2], [0, 3]]
+
+    def test_ids_beyond_int64_use_object_arrays(self):
+        big = 2**70
+        part = EdgePartition([[(big, 3), (1, 2)]])
+        array = part.edge_array(0)
+        assert array.dtype == object
+        assert array.tolist() == [[3, big], [1, 2]]
+        back = EdgePartition.from_arrays([array[::-1]])
+        assert back.edges_of(0) == [(1, 2), (3, big)]
 
 
 class TestViews:

@@ -1,6 +1,6 @@
 """Determinism of the thread-pool build paths.
 
-Parallel ``save_partition`` / ``build_partition_csr`` / overlay fold /
+Parallel ``save_partition`` / ``build_partition_csr`` /
 ``partition_many`` must be *byte-identical* to the sequential path — the
 thread pool is a pure latency optimisation, never a semantic one.  The
 bundle checks hash every file (edge lists, sidecar, manifest) so even a
@@ -17,8 +17,6 @@ from repro.core.parallel import parallel_map, partition_many, resolve_workers
 from repro.core.tlp import TLPPartitioner
 from repro.partitioning.csr_bundle import build_partition_csr
 from repro.partitioning.serialization import load_partition, save_partition
-from repro.service.ingest import DeltaOverlay
-from repro.service.store import PartitionStore
 
 P = 4
 
@@ -105,32 +103,6 @@ class TestParallelSave:
             assert np.array_equal(si, pi)
             assert np.array_equal(sp, pp)
             assert np.array_equal(sx, px)
-
-
-class TestParallelFold:
-    def _overlay(self, partition):
-        overlay = DeltaOverlay(PartitionStore.from_partition(partition))
-        edges = sorted(partition.edges_of(0))[:10]
-        for i, (u, v) in enumerate(edges):
-            was = overlay.apply_delete(u, v)
-            if i % 2 == 0:
-                overlay.apply_insert(u, v, (was + 1) % P)
-        return overlay
-
-    def test_fold_identical(self, partition):
-        overlay = self._overlay(partition)
-        seq = overlay.to_partition(workers=1)
-        par = overlay.to_partition(workers=4)
-        # Exact list equality: same edges in the same order per partition.
-        assert [seq.edges_of(k) for k in range(P)] == [
-            par.edges_of(k) for k in range(P)
-        ]
-
-    def test_folded_bundles_identical(self, partition, tmp_path):
-        overlay = self._overlay(partition)
-        save_partition(overlay.to_partition(workers=1), tmp_path / "seq", workers=1)
-        save_partition(overlay.to_partition(workers=4), tmp_path / "par", workers=4)
-        assert _digests(tmp_path / "seq") == _digests(tmp_path / "par")
 
 
 class TestParallelGrowth:

@@ -1,5 +1,6 @@
 """Tests for partition save/load round-tripping."""
 
+import hashlib
 import json
 
 import pytest
@@ -17,6 +18,31 @@ from repro.partitioning.serialization import (
 @pytest.fixture
 def sample_partition(small_social):
     return TLPPartitioner(seed=0).partition(small_social, 4)
+
+
+def fixed_partition():
+    """A small partition built from arithmetic alone (no partitioner).
+
+    Four partitions, the last one empty; edges listed unsorted and partly
+    as ``(v, u)``; a few ids beyond 32 bits.
+    """
+    parts = [[], [], [], []]
+    for i in range(1, 90):
+        u, v = (i * 7) % 23, 23 + (i * 11) % 31
+        if i % 9 == 0:
+            v += 2**40
+        edge = (v, u) if i % 2 else (u, v)
+        if all(edge not in part and edge[::-1] not in part for part in parts):
+            parts[(u + v) % 3].append(edge)
+    return EdgePartition([list(reversed(part)) for part in parts])
+
+
+def bundle_digests(directory):
+    """sha256 of every file of a bundle directory, keyed by name."""
+    return {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(directory.iterdir())
+    }
 
 
 class TestRoundTrip:
@@ -191,3 +217,92 @@ class TestAtomicity:
         after = load_partition(tmp_path / "out")  # verifies checksums
         for k in range(before.num_partitions):
             assert sorted(after.edges_of(k)) == sorted(before.edges_of(k))
+
+
+class TestGoldenBytes:
+    """The bytes ``save_partition`` writes for :func:`fixed_partition`.
+
+    The digests pin edge text, checksums, sidecar and manifest layout, so
+    any change to what a bundle holds on disk shows up here.
+    """
+
+    PLAIN = {
+        "adjacency.csr": (
+            "41529a7028fb37f28e0caa9f8f33bf0b"
+            "8384694261c310f70a5225c78735e6d5"
+        ),
+        "part_0000.edges": (
+            "a6f194ac353e8ccd3323ec23b346462c"
+            "7024768823331f868f7189b841810867"
+        ),
+        "part_0001.edges": (
+            "5812e75f67bebc00044309939563b6a6"
+            "cada336a47bc6c3d10a2ae15056cdbec"
+        ),
+        "part_0002.edges": (
+            "ed58ea1cc797fa47a9d9773c96d5ac57"
+            "87310416801b00ccdf460f914b878647"
+        ),
+        "part_0003.edges": (
+            "e3b0c44298fc1c149afbf4c8996fb924"
+            "27ae41e4649b934ca495991b7852b855"
+        ),
+        "partition.json": (
+            "e0111cfdb412d0e27f8b34ced9825f5b"
+            "b52630b277bc5c6eca9735add08d771a"
+        ),
+    }
+    COMPRESSED = {
+        "adjacency.csr": (
+            "41529a7028fb37f28e0caa9f8f33bf0b"
+            "8384694261c310f70a5225c78735e6d5"
+        ),
+        "part_0000.edges.gz": (
+            "d42a3f898e30283a10d9a908d84e813c"
+            "de50cf3fbba8714233102355f073ce6f"
+        ),
+        "part_0001.edges.gz": (
+            "5fc95a4419535e8e669b874b8af7478b"
+            "e3affed26345d73139b8fba83d0e27ef"
+        ),
+        "part_0002.edges.gz": (
+            "40db0f7bb891ff98d0a5ef61e2a53f96"
+            "471ece2cb941459992da7feec40f0522"
+        ),
+        "part_0003.edges.gz": (
+            "471bca732c742e1b5e345b262c55c05c"
+            "700029e1bd52440c7c5a9aefc5d3d518"
+        ),
+        "partition.json": (
+            "d9baf4888ceb607acbfccb59d87728c7"
+            "0ea13c42473232e06e1765ba4d4af6eb"
+        ),
+    }
+
+    def test_plain_bundle_bytes(self, tmp_path):
+        save_partition(fixed_partition(), tmp_path / "b", metadata={"name": "fixed"})
+        assert bundle_digests(tmp_path / "b") == self.PLAIN
+
+    def test_compressed_bundle_bytes(self, tmp_path):
+        save_partition(
+            fixed_partition(), tmp_path / "b", metadata={"name": "fixed"},
+            compress=True,
+        )
+        assert bundle_digests(tmp_path / "b") == self.COMPRESSED
+
+
+class TestFailedSave:
+    def test_unstorable_id_leaves_existing_bundle_untouched(
+        self, sample_partition, tmp_path
+    ):
+        """An id beyond int64 fails the save before any file is replaced."""
+        directory = tmp_path / "out"
+        save_partition(sample_partition, directory)
+        before = bundle_digests(directory)
+        parts = [list(sample_partition.edges_of(k)) for k in range(4)]
+        parts[1].append((3, 2**70))
+        with pytest.raises(OverflowError):
+            save_partition(EdgePartition(parts), directory)
+        assert bundle_digests(directory) == before
+        loaded = load_partition(directory, verify=True)
+        assert loaded.partition_sizes() == sample_partition.partition_sizes()

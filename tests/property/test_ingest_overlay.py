@@ -8,20 +8,27 @@ dict-of-sets oracle rebuilt from scratch out of the materialised
 ``EdgePartition``.  A second property replays the same mutation sequence
 through the WAL record format and requires the revived overlay to land
 in the identical state, which is exactly the crash-recovery contract.
+A third requires the array fold (``to_partition``) to give exactly the
+edge lists of the tuple fold oracle, on small bases of 1 to 6 partitions
+with empty partitions, drained partitions and cancelled deletes.
 
 Bundles are built once per module; each example opens fresh stores over
 them (cheap — the CSR sidecar is mmapped).
 """
 
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.tlp import TLPPartitioner
+from repro.partitioning.assignment import EdgePartition
 from repro.partitioning.serialization import save_partition
 from repro.service.ingest import DeltaOverlay, place_greedy, place_hdrf
 from repro.service.store import PartitionStore
-from tests.service.oracle import DictStore
+from tests.service.oracle import DictStore, tuple_fold
 
 
 @pytest.fixture(scope="module")
@@ -147,3 +154,68 @@ def test_replaying_the_op_trace_reproduces_the_state(overlay_world, steps):
     assert revived.to_partition().partition_sizes() == (
         overlay.to_partition().partition_sizes()
     )
+
+
+#: Candidate edges of the fold-parity bases: every pair of 9 vertices, in
+#: a fixed shuffled order so base partitions are not pre-sorted.
+FOLD_PAIRS = [(u, v) for u in range(9) for v in range(u + 1, 9)]
+random.Random(5).shuffle(FOLD_PAIRS)
+
+FOLD_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(["insert", "delete", "reinsert", "drain"]),
+        st.integers(min_value=0, max_value=10_000),
+        st.integers(min_value=0, max_value=5),
+    ),
+    max_size=40,
+)
+
+
+@given(
+    p=st.integers(min_value=1, max_value=6),
+    assignment=st.lists(st.integers(min_value=0, max_value=5), max_size=24),
+    steps=FOLD_STEPS,
+)
+@settings(max_examples=80, deadline=None)
+def test_array_fold_matches_tuple_fold(p, assignment, steps):
+    """``to_partition`` gives the oracle's edges, in its order, per partition.
+
+    ``reinsert`` puts a deleted edge back, into the partition that lost
+    it on even picks (the overlay cancels the delete) and elsewhere on
+    odd ones; ``drain`` deletes every edge of one partition.
+    """
+    parts = [[] for _ in range(p)]
+    for edge, a in zip(FOLD_PAIRS, assignment):
+        parts[a % p].append(edge)
+    overlay = DeltaOverlay(PartitionStore.from_partition(EdgePartition(parts)))
+    live = set(FOLD_PAIRS[: len(assignment)])
+    lost = []  # (edge, partition it was deleted from)
+    for op, pick, target in steps:
+        if op == "insert":
+            fresh = [e for e in FOLD_PAIRS if e not in live]
+            if fresh:
+                edge = fresh[pick % len(fresh)]
+                overlay.apply_insert(*edge, target % p)
+                live.add(edge)
+        elif op == "delete" and live:
+            edge = sorted(live)[pick % len(live)]
+            lost.append((edge, overlay.apply_delete(*edge)))
+            live.discard(edge)
+        elif op == "reinsert" and lost:
+            edge, k = lost.pop(pick % len(lost))
+            if edge not in live:
+                overlay.apply_insert(*edge, k if pick % 2 == 0 else target % p)
+                live.add(edge)
+        elif op == "drain":
+            k = target % p
+            for edge in sorted(live):
+                if overlay.owner_of_edge(*edge) == k:
+                    lost.append((edge, overlay.apply_delete(*edge)))
+                    live.discard(edge)
+
+    folded, oracle = overlay.to_partition(), tuple_fold(overlay)
+    assert folded.num_partitions == oracle.num_partitions == p
+    for k in range(p):
+        assert folded.edges_of(k) == oracle.edges_of(k)
+        assert np.array_equal(folded.edge_array(k), oracle.edge_array(k))
+    assert set(folded.edge_to_partition()) == live

@@ -12,6 +12,12 @@ pinned against by the parity suites.
 :func:`strip_sidecar` turns a freshly saved bundle into a pre-sidecar
 (legacy) bundle by deleting the ``adjacency.csr`` file and its manifest
 entry.
+
+:func:`loop_csr_to_partition` and :func:`tuple_fold` are the per-edge
+Python forms of :func:`repro.partitioning.csr_bundle.csr_to_partition`
+and :meth:`repro.service.ingest.DeltaOverlay.to_partition`, which build
+edge arrays instead; the parity suites require the same edges in the
+same order from both.
 """
 
 from __future__ import annotations
@@ -22,13 +28,14 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.graph.graph import Edge, normalize_edge
 from repro.partitioning.assignment import EdgePartition
-from repro.partitioning.csr_bundle import SIDECAR_NAME
+from repro.partitioning.csr_bundle import SIDECAR_NAME, PartitionCSR
 from repro.partitioning.serialization import (
     MANIFEST_NAME,
     load_partition,
     partition_metadata,
 )
 from repro.runtime.replication import ReplicationTable
+from repro.service.ingest import DeltaOverlay
 from repro.service.store import NeighborRow, Route
 
 PathLike = Union[str, Path]
@@ -43,6 +50,47 @@ def strip_sidecar(directory: PathLike) -> Path:
     manifest_path.write_text(json.dumps(manifest, indent=2), encoding="utf-8")
     (directory / SIDECAR_NAME).unlink(missing_ok=True)
     return directory
+
+
+def loop_csr_to_partition(csr: PartitionCSR) -> EdgePartition:
+    """Materialise a partition from its CSR form, one edge at a time.
+
+    Rows in order, each row's neighbours in order, keeping the ``u < v``
+    copy of every undirected edge.
+    """
+    parts: List[List[Edge]] = []
+    for ids, indptr, indices in csr.parts:
+        edges: List[Edge] = []
+        for row in range(len(ids)):
+            u = int(ids[row])
+            for idx in indices[indptr[row] : indptr[row + 1]]:
+                v = int(ids[idx])
+                if u < v:  # each undirected edge appears twice
+                    edges.append((u, v))
+        parts.append(edges)
+    return EdgePartition(parts)
+
+
+def tuple_fold(overlay: DeltaOverlay) -> EdgePartition:
+    """Fold an overlay's base + delta as tuple lists.
+
+    Per partition: the base edges in base order, minus the deleted ones,
+    then that partition's inserts in sorted order.
+    """
+    p = overlay.num_partitions
+    deleted: List[Set[Edge]] = [set() for _ in range(p)]
+    for edge, k in overlay._del_owner.items():
+        deleted[k].add(edge)
+    inserted: List[List[Edge]] = [[] for _ in range(p)]
+    for edge, k in overlay._ins_owner.items():
+        inserted[k].append(edge)
+    base = overlay.base.partition
+    parts: List[List[Edge]] = []
+    for k in range(p):
+        edges = [e for e in base.edges_of(k) if e not in deleted[k]]
+        edges.extend(sorted(inserted[k]))
+        parts.append(edges)
+    return EdgePartition(parts)
 
 
 class DictStore:

@@ -31,7 +31,7 @@ from repro.partitioning.serialization import (
 )
 from repro.service.metrics import ServiceMetrics
 from repro.service.store import PartitionStore, ReloadError, StoreManager
-from tests.service.oracle import DictStore, strip_sidecar
+from tests.service.oracle import DictStore, loop_csr_to_partition, strip_sidecar
 
 
 @pytest.fixture
@@ -239,6 +239,28 @@ class TestSidecarFormat:
         back = csr_to_partition(build_partition_csr(tlp_partition))
         for k in range(tlp_partition.num_partitions):
             assert sorted(back.edges_of(k)) == sorted(tlp_partition.edges_of(k))
+
+    @pytest.mark.parametrize("algorithm", ["TLP", "DBH"])
+    def test_csr_to_partition_matches_loop_oracle(
+        self, small_social, tmp_path, algorithm
+    ):
+        """The vectorised materialise gives the loop's edges, in its order."""
+        partition = make_partitioner(algorithm, seed=3).partition(small_social, 5)
+        save_partition(partition, tmp_path / "b")
+        csr = load_sidecar(tmp_path / "b")
+        fast, slow = csr_to_partition(csr), loop_csr_to_partition(csr)
+        assert fast.partition_sizes() == slow.partition_sizes()
+        for k in range(5):
+            assert fast.edges_of(k) == slow.edges_of(k)
+            assert fast.edge_array(k).dtype == np.int64
+            assert np.array_equal(fast.edge_array(k), slow.edge_array(k))
+
+    def test_csr_to_partition_of_an_empty_store(self):
+        csr = build_partition_csr(EdgePartition([[], [], []]))
+        fast, slow = csr_to_partition(csr), loop_csr_to_partition(csr)
+        assert fast.partition_sizes() == slow.partition_sizes() == [0, 0, 0]
+        assert [fast.edges_of(k) for k in range(3)] == [[], [], []]
+        assert fast.edge_array(1).shape == (0, 2)
 
     def test_sidecar_verify_catches_size_change(self, bundle):
         path = bundle / SIDECAR_NAME

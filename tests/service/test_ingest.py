@@ -23,12 +23,16 @@ import random
 import pytest
 
 from repro.core.tlp import TLPPartitioner
-from repro.partitioning.serialization import save_partition
+from repro.partitioning.serialization import load_partition, save_partition
+from repro.service import protocol
 from repro.service.client import ServiceClient, ServiceError
+from repro.service.handler import ServiceHandler
 from repro.service.ingest import (
     CapacityError,
     ConflictError,
+    WAL_NAME,
     DeltaOverlay,
+    IngestError,
     IngestFrozen,
     Ingestor,
     place_greedy,
@@ -36,6 +40,7 @@ from repro.service.ingest import (
 )
 from repro.service.server import PartitionServer
 from repro.service.store import PartitionStore, StoreManager
+from repro.service.wal import WriteAheadLog
 from tests.service.oracle import DictStore
 
 #: Base stores an overlay can wrap: the oracle and the CSR store.
@@ -282,6 +287,68 @@ class TestIngestorWal:
             ingestor.insert_edge(5, 5)
         with pytest.raises(KeyError):
             ingestor.delete_edge(10_005, 10_006)
+
+    def test_insert_beyond_int64_rejected_before_the_wal(self, bundle):
+        """An id the bundle cannot store never reaches the WAL, so later
+        compactions and restarts are unaffected."""
+        manager, ingestor = self._enable(bundle)
+        ingestor.insert_edge(10_001, 10_002)
+        wal_bytes, seq = ingestor.wal.size, ingestor.next_seq
+        for u, v in ((3, 2**70), (-(2**63) - 1, 3), (2**63, 2**63 + 1)):
+            with pytest.raises(ValueError, match="int64"):
+                ingestor.insert_edge(u, v)
+        assert (ingestor.wal.size, ingestor.next_seq) == (wal_bytes, seq)
+        assert ingestor.overlay.pending_mutations == 1
+        # The int64 extremes themselves are storable.
+        ingestor.insert_edge(2**63 - 1, -(2**63))
+        assert ingestor.compact_sync()["folded_mutations"] == 2
+        load_partition(bundle, verify=True)
+        ingestor.close()
+        _, revived = self._enable(bundle)
+        assert revived.replayed_mutations == 0
+        assert revived.overlay.owner_of_edge(-(2**63), 2**63 - 1) >= 0
+
+    def test_binary_insert_beyond_int64_is_bad_request(self, bundle):
+        """Over the binary wire (which carries bigints) the handler answers
+        ``bad_request`` and the next compaction still succeeds."""
+        manager, ingestor = self._enable(bundle)
+        handler = ServiceHandler(manager)
+        handler.attach_ingestor(ingestor)
+
+        def call(op, **args):
+            frame = protocol.encode_frame(
+                {"id": 1, "op": op, "args": args}, protocol.WIRE_BINARY
+            )
+            return handler.execute(protocol.decode_body(frame[4:]))
+
+        response = call("insert_edge", u=3, v=2**70)
+        assert response["ok"] is False
+        assert response["error"]["code"] == protocol.BAD_REQUEST
+        assert "int64" in response["error"]["message"]
+        assert ingestor.wal.size == 0
+        assert call("neighbors", v=2**70)["error"]["code"] == protocol.NOT_FOUND
+        assert call("insert_edge", u=3, v=10_001)["ok"] is True
+        compacted = call("compact")
+        assert compacted["ok"] is True, compacted
+        assert compacted["result"]["folded_mutations"] == 1
+        load_partition(bundle, verify=True)
+
+    def test_replayed_insert_beyond_int64_fails_enable(self, bundle):
+        """A WAL written before inserts were range-checked can hold an id
+        no bundle can store: replay refuses it at enable, naming the
+        record, instead of wedging every later compaction."""
+        wal = WriteAheadLog(bundle / WAL_NAME, fsync="always")
+        wal.open()
+        wal.append({"op": "insert", "u": 10_001, "v": 10_002, "k": 0, "seq": 0})
+        wal.append({"op": "insert", "u": 3, "v": 2**70, "k": 0, "seq": 1})
+        wal.close()
+        files = {f.name: f.read_bytes() for f in bundle.iterdir()}
+        manager = StoreManager(PartitionStore.open(bundle))
+        with pytest.raises(IngestError, match="int64") as info:
+            Ingestor.enable(manager, bundle, fsync="always")
+        assert str(2**70) in str(info.value)
+        assert {f.name: f.read_bytes() for f in bundle.iterdir()} == files
+        load_partition(bundle, verify=True)
 
     def test_ingest_stats_shape(self, bundle):
         manager, ingestor = self._enable(bundle, capacity=100_000)
