@@ -33,7 +33,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -50,6 +50,7 @@ SIDECAR_VERSION = 1
 _MAGIC = b"RCSR"
 _ALIGN = 64
 _DTYPE = np.int64  # every array in the sidecar
+_EMPTY = np.empty(0, dtype=_DTYPE)
 
 
 @dataclass
@@ -115,9 +116,8 @@ def build_partition_csr(
     ``unique``/``argsort``/``bincount`` passes, which release the GIL
     inside numpy) over a thread pool, one partition per worker.  The
     result is bit-identical for any worker count: each partition's CSR
-    block depends only on its own edges, blocks merge by ascending
-    ``k``, and the replica/master derivation below is sequential over
-    that merged order.
+    block depends only on its own edges, and :func:`replica_tables`
+    derives the global tables from the blocks in ascending ``k``.
     """
     p = partition.num_partitions
 
@@ -128,45 +128,9 @@ def build_partition_csr(
 
     parts = parallel_map(block, range(p), workers)
 
-    all_ids = [ids for ids, _, _ in parts if len(ids)]
-    vertex_ids = (
-        np.unique(np.concatenate(all_ids))
-        if all_ids
-        else np.empty(0, dtype=_DTYPE)
+    vertex_ids, master, rep_indptr, rep_parts = replica_tables(
+        [ids for ids, _, _ in parts], [np.diff(indptr) for _, indptr, _ in parts]
     )
-    n = len(vertex_ids)
-
-    # Replica lists: partitions are visited in ascending k, so stacking the
-    # per-partition id lists and stable-sorting by row keeps each vertex's
-    # partitions sorted — the ReplicationTable convention.
-    rows = np.concatenate(
-        [np.searchsorted(vertex_ids, ids) for ids, _, _ in parts]
-        or [np.empty(0, dtype=_DTYPE)]
-    )
-    parts_of_rows = np.concatenate(
-        [np.full(len(ids), k, dtype=_DTYPE) for k, (ids, _, _) in enumerate(parts)]
-        or [np.empty(0, dtype=_DTYPE)]
-    )
-    order = np.argsort(rows, kind="stable")
-    rep_parts = np.ascontiguousarray(parts_of_rows[order], dtype=_DTYPE)
-    rep_counts = np.bincount(rows, minlength=n)
-    rep_indptr = np.zeros(n + 1, dtype=_DTYPE)
-    np.cumsum(rep_counts, out=rep_indptr[1:])
-
-    # Master = partition with the most incident edges, ties to the lowest
-    # id: visit k ascending and replace only on a strictly greater count.
-    master = np.zeros(n, dtype=_DTYPE)
-    best = np.zeros(n, dtype=_DTYPE)
-    for k, (ids, indptr, _) in enumerate(parts):
-        if len(ids) == 0:
-            continue
-        local_rows = np.searchsorted(vertex_ids, ids)
-        local_deg = np.diff(indptr)
-        better = local_deg > best[local_rows]
-        target = local_rows[better]
-        master[target] = k
-        best[target] = local_deg[better]
-
     return PartitionCSR(
         num_partitions=p,
         num_edges=partition.num_edges,
@@ -176,6 +140,41 @@ def build_partition_csr(
         rep_parts=rep_parts,
         parts=parts,
     )
+
+
+def replica_tables(
+    ids: Sequence[np.ndarray], degrees: Sequence[np.ndarray]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The global ``(vertex_ids, master, rep_indptr, rep_parts)`` tables.
+
+    ``ids[k]`` holds partition ``k``'s distinct local vertex ids and
+    ``degrees[k]`` their local degrees.  One lexsort by ``(vertex, k)``
+    groups every vertex's replicas in ascending ``k`` (the
+    ReplicationTable convention); the master is the replica with the
+    most local edges, ties to the lowest ``k``.  Shared by the in-memory
+    build and the streaming bundle writer, so both write equal tables.
+    """
+    vertex = np.concatenate([np.asarray(a, dtype=_DTYPE) for a in ids] or [_EMPTY])
+    part = np.concatenate(
+        [np.full(len(a), k, dtype=_DTYPE) for k, a in enumerate(ids)] or [_EMPTY]
+    )
+    degree = np.concatenate(
+        [np.asarray(d, dtype=_DTYPE) for d in degrees] or [_EMPTY]
+    )
+    order = np.lexsort((part, vertex))
+    vertex, part, degree = vertex[order], part[order], degree[order]
+    # A sort and an adjacent-difference mask rather than np.unique, which
+    # imports numpy.ma on first use (tens of ms in every saving process).
+    first = np.ones(len(vertex), dtype=bool)
+    first[1:] = vertex[1:] != vertex[:-1]
+    starts = np.flatnonzero(first)
+    rep_indptr = np.append(starts, len(vertex)).astype(_DTYPE)
+    if not len(vertex):
+        return vertex, _EMPTY.copy(), rep_indptr, part
+    best = np.repeat(np.maximum.reduceat(degree, starts), np.diff(rep_indptr))
+    # k ascends within a vertex: the smallest k holding the best degree.
+    master = np.minimum.reduceat(np.where(degree == best, part, len(ids)), starts)
+    return vertex[starts], master, rep_indptr, part
 
 
 def csr_to_partition(csr: PartitionCSR) -> EdgePartition:

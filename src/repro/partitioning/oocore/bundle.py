@@ -7,17 +7,21 @@ included), same CSR sidecar bytes — because the acceptance criterion
 opens both through :class:`~repro.service.store.PartitionStore` and
 compares answers.  The difference is purely how much lives in memory:
 
-* one partition at a time, its spill is external-sorted and streamed to
-  the text edge file (incremental checksum) while filling a single
-  ``(m_k, 2)`` array — peak O(edges / P), not O(edges);
+* one partition at a time, its spill is external-sorted into array
+  chunks (:func:`~repro.partitioning.oocore.spill.sorted_chunks`); each
+  chunk is formatted and hashed at once by the same
+  :func:`~repro.partitioning.serialization.format_edges` the in-memory
+  writer uses, appended to the text edge file, and copied by slice into
+  a single ``(m_k, 2)`` array — peak O(edges / P), not O(edges);
 * that array is frozen into the partition's CSR block
   (:func:`~repro.partitioning.csr_bundle._partition_adjacency`, the
   exact same routine the in-memory writer uses) and immediately parked
   in temp ``.raw`` files, because the sidecar layout puts the *global*
   tables — which depend on every partition — first in the file;
-* global replica/master state accrues in O(vertices) dicts with the
-  ReplicationTable rules (replicas ascending ``k``; master = most local
-  edges, ties to the lowest ``k`` via strictly-greater replacement);
+* each partition's local ids and degrees are kept (O(vertices) in
+  total), and the global replica/master tables come from them in one
+  :func:`~repro.partitioning.csr_bundle.replica_tables` call — the one
+  the in-memory build uses;
 * finally the sidecar is assembled from
   :func:`~repro.partitioning.csr_bundle.sidecar_layout` (the shared
   header/offset logic): global arrays written directly, partition
@@ -26,6 +30,7 @@ compares answers.  The difference is purely how much lives in memory:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
 from pathlib import Path
@@ -40,9 +45,9 @@ from repro.partitioning.oocore import spill as spill_mod
 from repro.partitioning.serialization import (
     FORMAT_VERSION,
     MANIFEST_NAME,
-    EdgeChecksum,
     _edge_file,
     _write_atomic,
+    format_edges,
 )
 
 _DTYPE = np.int64
@@ -90,11 +95,8 @@ def write_streaming_bundle(
         "metadata": metadata or {},
     }
 
-    # O(vertices) global state, ReplicationTable rules.
-    replicas: Dict[int, List[int]] = {}
-    best_deg: Dict[int, int] = {}
-    master_of: Dict[int, int] = {}
-
+    local_ids: List[np.ndarray] = []
+    local_degrees: List[np.ndarray] = []
     entries: List[Dict[str, object]] = []
     lengths: List[tuple] = [
         ("vertex_ids", 0),  # patched below once n is known
@@ -105,23 +107,17 @@ def write_streaming_bundle(
     array_files: Dict[str, Path] = {}
 
     for k in range(num_partitions):
-        checksum = EdgeChecksum()
+        digest = hashlib.sha256()
         edges = np.empty((counts[k], 2), dtype=_DTYPE)
         path = _edge_file(directory, k, compress)
 
         def write_edges(tmp: Path, k: int = k) -> None:
             row = 0
             with open_text(tmp, "w") as fh:
-                stream = spill_mod.external_sort_check(
-                    spill_mod.sorted_edges(spills[k], counts[k], run_edges),
-                    spills[k],
-                )
-                for u, v in stream:
-                    fh.write(f"{u}\t{v}\n")
-                    checksum.add(u, v)
-                    edges[row, 0] = u
-                    edges[row, 1] = v
-                    row += 1
+                for chunk in spill_mod.sorted_chunks(spills[k], counts[k], run_edges):
+                    fh.write(format_edges(chunk, digest).decode("ascii"))
+                    edges[row : row + len(chunk)] = chunk
+                    row += len(chunk)
             if row != counts[k]:
                 raise ValueError(
                     f"{spills[k].name}: expected {counts[k]} records, got {row}"
@@ -136,7 +132,7 @@ def write_streaming_bundle(
                 "index": k,
                 "file": path.name,
                 "edges": counts[k],
-                "checksum": checksum.hexdigest(),
+                "checksum": digest.hexdigest()[:16],
             }
         )
 
@@ -151,33 +147,16 @@ def write_streaming_bundle(
             array.astype(_DTYPE, copy=False).tofile(target)
             array_files[name] = target
             lengths.append((name, int(array.size)))
-
-        local_deg = np.diff(indptr)
-        for vertex, deg in zip(ids.tolist(), local_deg.tolist()):
-            replicas.setdefault(vertex, []).append(k)  # k ascends: sorted
-            if deg > best_deg.get(vertex, 0):
-                best_deg[vertex] = deg
-                master_of[vertex] = k
-        del ids, indptr, indices, local_deg
+        local_ids.append(ids)
+        local_degrees.append(np.diff(indptr))
+        del indptr, indices
 
     # -- global tables -----------------------------------------------------
-    vertex_ids = np.array(sorted(replicas), dtype=_DTYPE)
+    vertex_ids, master, rep_indptr, rep_parts = csr_bundle.replica_tables(
+        local_ids, local_degrees
+    )
+    del local_ids, local_degrees
     n = len(vertex_ids)
-    master = np.fromiter(
-        (master_of[v] for v in vertex_ids.tolist()), dtype=_DTYPE, count=n
-    )
-    rep_indptr = np.zeros(n + 1, dtype=_DTYPE)
-    np.cumsum(
-        np.fromiter(
-            (len(replicas[v]) for v in vertex_ids.tolist()), dtype=_DTYPE, count=n
-        ),
-        out=rep_indptr[1:],
-    )
-    rep_parts = np.fromiter(
-        (k for v in vertex_ids.tolist() for k in replicas[v]),
-        dtype=_DTYPE,
-        count=int(rep_indptr[-1]),
-    )
     lengths[0] = ("vertex_ids", n)
     lengths[1] = ("master", n)
     lengths[2] = ("rep_indptr", n + 1)

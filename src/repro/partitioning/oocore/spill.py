@@ -9,23 +9,22 @@ memory is capped by the pipeline's budget, never by the edge count.
 The bundle writer then needs each partition's edges in canonical sorted
 order (that is what makes ``save_partition`` files and checksums
 deterministic).  A partition's spill can exceed memory on its own, so
-:func:`sorted_edges` external-sorts it: slice the spill into runs of at
+:func:`sorted_chunks` external-sorts it: slice the spill into runs of at
 most ``run_edges`` records, sort each run with ``np.lexsort`` (16 bytes
 per edge plus the sort's index array — compact and fast), write the
-sorted runs back to disk, and ``heapq.merge`` them as lazy chunked
-iterators.  A spill that fits in one run skips the run files entirely.
+sorted runs back to disk, and merge them as arrays: every run keeps one
+bounded chunk in memory, and each round emits the buffered rows no
+unread record can precede, lexsorted.  A spill that fits in one run
+skips the run files entirely.
 """
 
 from __future__ import annotations
 
-import heapq
 import os
 from pathlib import Path
 from typing import Iterator, List, Tuple
 
 import numpy as np
-
-Edge = Tuple[int, int]
 
 _DTYPE = np.dtype("<i8")
 RECORD_BYTES = 2 * _DTYPE.itemsize
@@ -34,7 +33,7 @@ RECORD_BYTES = 2 * _DTYPE.itemsize
 DEFAULT_BUFFER_BYTES = 1 << 18
 DEFAULT_RUN_EDGES = 1 << 20
 
-#: Edges decoded per chunk while merging sorted runs.
+#: Edges read per run, and emitted per chunk, while merging sorted runs.
 _MERGE_CHUNK_EDGES = 1 << 14
 
 
@@ -103,73 +102,107 @@ def _sort_run(edges: np.ndarray) -> np.ndarray:
     return edges[order]
 
 
-def _iter_records(path: Path, num_records: int) -> Iterator[Edge]:
-    """Lazily yield records from a sorted run file in bounded chunks."""
-    start = 0
-    while start < num_records:
-        count = min(_MERGE_CHUNK_EDGES, num_records - start)
-        chunk = _read_run(path, start, count)
-        for u, v in chunk.tolist():
-            yield u, v
-        start += count
+def _rows_through(run: np.ndarray, bound: Tuple[int, int]) -> int:
+    """How many rows of the sorted ``run`` are ``<= bound`` as ``(u, v)``."""
+    u, v = bound
+    lo = int(np.searchsorted(run[:, 0], u, side="left"))
+    hi = int(np.searchsorted(run[:, 0], u, side="right"))
+    return lo + int(np.searchsorted(run[lo:hi, 1], v, side="right"))
 
 
-def sorted_edges(
+def _merge_runs(runs: List[Tuple[Path, int]]) -> Iterator[np.ndarray]:
+    """Merge sorted run files into sorted array slices, in bounded chunks.
+
+    Each run keeps one chunk of at most ``_MERGE_CHUNK_EDGES`` rows in
+    memory.  A run's unread records all sort at or after its last
+    buffered row, so every buffered row up to the smallest such last row
+    (over the runs with records left on disk) is final: those rows are
+    emitted, lexsorted, and the run that set the bound refills.
+    """
+    read = [0] * len(runs)
+    buffers = [np.empty((0, 2), dtype=_DTYPE) for _ in runs]
+    while True:
+        for r, (run_path, count) in enumerate(runs):
+            if not len(buffers[r]) and read[r] < count:
+                n = min(_MERGE_CHUNK_EDGES, count - read[r])
+                buffers[r] = _read_run(run_path, read[r], n)
+                read[r] += n
+        live = [r for r in range(len(runs)) if len(buffers[r])]
+        if not live:
+            return
+        pending = [tuple(buffers[r][-1].tolist()) for r in live if read[r] < runs[r][1]]
+        bound = min(pending) if pending else None
+        cuts = [
+            len(buffers[r]) if bound is None else _rows_through(buffers[r], bound)
+            for r in live
+        ]
+        merged = np.concatenate([buffers[r][:cut] for r, cut in zip(live, cuts)])
+        for r, cut in zip(live, cuts):
+            buffers[r] = buffers[r][cut:]
+        yield _sort_run(merged)
+
+
+def _sorted_slices(
+    path: Path, num_records: int, run_edges: int
+) -> Iterator[np.ndarray]:
+    if num_records <= run_edges:
+        # Single run: sort in memory, no run files.
+        yield _sort_run(_read_run(path, 0, num_records))
+        return
+    runs: List[Tuple[Path, int]] = []
+    try:
+        start = 0
+        while start < num_records:
+            run = _sort_run(_read_run(path, start, min(run_edges, num_records - start)))
+            run_path = path.with_suffix(f".run{len(runs):04d}")
+            with open(run_path, "wb") as fh:
+                fh.write(run.tobytes())
+            runs.append((run_path, len(run)))
+            start += run_edges
+        yield from _merge_runs(runs)
+    finally:
+        for run_path, _ in runs:
+            run_path.unlink(missing_ok=True)
+
+
+def sorted_chunks(
     path: Path, num_records: int, run_edges: int = DEFAULT_RUN_EDGES
-) -> Iterator[Edge]:
+) -> Iterator[np.ndarray]:
     """Stream the spill at ``path`` in ascending ``(u, v)`` order.
 
-    Peak memory is O(``run_edges``) during run sorting and O(number of
-    runs × merge chunk) during the merge.  Run files land next to the
-    spill and are deleted as the merge drains them.
+    Yields ``(m, 2)`` int64 chunks of at most ``_MERGE_CHUNK_EDGES``
+    rows whose concatenation is the sorted spill.  Peak memory is
+    O(``run_edges``) during run sorting and O(number of runs × merge
+    chunk) during the merge.  Run files land next to the spill and are
+    deleted when the stream ends.
+
+    Sorted order makes duplicates adjacent, so a repeated input edge
+    (which would corrupt the bundle's edge->partition map) raises
+    ``ValueError`` here, one comparison of adjacent rows per chunk.
     """
     if run_edges < 1:
         raise ValueError(f"run_edges must be >= 1, got {run_edges}")
     if num_records == 0:
         return
-    if num_records <= run_edges:
-        # Single run: sort in memory, no run files.
-        edges = _sort_run(_read_run(path, 0, num_records))
-        for u, v in edges.tolist():
-            yield u, v
-        return
-    run_paths: List[Tuple[Path, int]] = []
-    try:
-        start = 0
-        while start < num_records:
-            count = min(run_edges, num_records - start)
-            run = _sort_run(_read_run(path, start, count))
-            run_path = path.with_suffix(f".run{len(run_paths):04d}")
-            with open(run_path, "wb") as fh:
-                fh.write(run.tobytes())
-            run_paths.append((run_path, count))
-            start += count
-        merged = heapq.merge(
-            *(_iter_records(rp, count) for rp, count in run_paths)
-        )
-        for edge in merged:
-            yield edge
-    finally:
-        for run_path, _ in run_paths:
-            run_path.unlink(missing_ok=True)
+    last = None
+    for rows in _sorted_slices(path, num_records, run_edges):
+        if not len(rows):
+            continue
+        if last is not None and (rows[0] == last).all():
+            _reject_duplicate(rows[0], path)
+        same = np.flatnonzero((rows[1:] == rows[:-1]).all(axis=1))
+        if len(same):
+            _reject_duplicate(rows[same[0]], path)
+        last = rows[-1]
+        for start in range(0, len(rows), _MERGE_CHUNK_EDGES):
+            yield rows[start : start + _MERGE_CHUNK_EDGES]
 
 
-def external_sort_check(edges: Iterator[Edge], path: Path) -> Iterator[Edge]:
-    """Pass-through that rejects duplicate consecutive edges.
-
-    Sorted order makes duplicates adjacent, so a repeated input edge
-    (which would corrupt the bundle's edge->partition map) is caught
-    here at no extra memory cost.
-    """
-    prev: Tuple[int, int] = (-(1 << 62), -(1 << 62))
-    for edge in edges:
-        if edge == prev:
-            raise ValueError(
-                f"duplicate edge {edge} in partition spill {path.name}; "
-                "the input stream must not repeat edges"
-            )
-        prev = edge
-        yield edge
+def _reject_duplicate(edge: np.ndarray, path: Path) -> None:
+    raise ValueError(
+        f"duplicate edge {tuple(edge.tolist())} in partition spill "
+        f"{path.name}; the input stream must not repeat edges"
+    )
 
 
 def remove_spills(directory: Path, num_partitions: int) -> None:

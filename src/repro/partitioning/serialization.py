@@ -31,17 +31,18 @@ refuses it.
 
 from __future__ import annotations
 
+import gzip
 import hashlib
 import json
 import os
+import re
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
 from repro.core.parallel import parallel_map
-from repro.graph.graph import Edge
 from repro.graph.io import open_text
 from repro.partitioning import csr_bundle
 from repro.partitioning.assignment import EdgePartition
@@ -57,44 +58,142 @@ def _edge_file(directory: Path, k: int, compress: bool) -> Path:
     return directory / f"part_{k:04d}{suffix}"
 
 
-class EdgeChecksum:
-    """Incremental form of the manifest edge checksum.
+#: Edge-file bytes ``"u\tv\n"`` -> checksum stream ``"u,v;"``.
+_TO_STREAM = bytes.maketrans(b"\t\n", b",;")
+#: ``10**j`` for every digit position of an int64 (``10**19`` < 2**64).
+_POW10 = 10 ** np.arange(20, dtype=np.uint64)
+_TEN = np.uint64(10)
+_ZERO = np.uint64(ord("0"))
 
-    The streaming bundle writer (:mod:`repro.partitioning.oocore.bundle`)
-    folds edges in one at a time as they come off the external merge;
-    :func:`_checksum` is the eager equivalent over a list, and
-    :func:`_edge_text` the one over an edge array.  All hash the same
-    ``"u,v;"`` byte stream, so manifests agree bit-for-bit.
+
+def format_edges(edges: np.ndarray, digest: "hashlib._Hash") -> bytes:
+    """Edge-file bytes of the int64 rows of ``edges``, fed into ``digest``.
+
+    The one formatter behind every edge file and manifest checksum:
+    ``save_partition`` and the streaming fold write what it returns, and
+    :func:`load_partition` compares a file against it.  The checksum is
+    the SHA-256 of the ``"u,v;"`` stream, which is the returned text
+    with its two separators swapped, so calling this on consecutive
+    chunks of a partition gives the digest of the whole partition.
+
+    Digits are laid down one decimal place at a time over all ids at
+    once, so the cost is a few numpy passes per digit, not a Python
+    object per edge.
     """
+    flat = np.array(edges, dtype=np.int64).reshape(-1)
+    if not len(flat):
+        return b""
+    neg = flat < 0
+    q = flat.view(np.uint64)  # the copy above makes this safe to reuse
+    np.negative(q, out=q, where=neg)  # |INT64_MIN| = 2**63 fits in uint64
+    width = len(str(int(q.max())))
+    ndigits = np.ones(len(flat), dtype=np.int64)
+    for power in _POW10[1:width]:
+        ndigits += q >= power
+    size = ndigits + neg
+    size += 1  # the separator
+    ends = np.cumsum(size)
+    out = np.empty(int(ends[-1]) + 1, dtype=np.uint8)  # last byte: a sink
+    sink = len(out) - 1
+    out[ends[0::2] - 1] = ord("\t")
+    out[ends[1::2] - 1] = ord("\n")
+    out[(ends - size)[neg]] = ord("-")
+    pos = ends - 2  # units digit
+    shortest = int(ndigits.min())
+    for j in range(width):
+        rest = q // _TEN
+        q -= rest * _TEN
+        q += _ZERO
+        # Ids already out of digits write into the sink byte.
+        out[pos if j < shortest else np.where(ndigits > j, pos, sink)] = q
+        pos -= 1
+        q = rest
+    data = out[:-1].tobytes()
+    digest.update(data.translate(_TO_STREAM))
+    return data
 
-    def __init__(self) -> None:
-        self._digest = hashlib.sha256()
 
-    def add(self, u: int, v: int) -> None:
-        self._digest.update(f"{u},{v};".encode())
+def _parse_canonical(data: bytes) -> Optional[np.ndarray]:
+    """Read ``data`` as canonical ``"u\tv\n"`` lines, one pass per digit.
 
-    def hexdigest(self) -> str:
-        return self._digest.hexdigest()[:16]
-
-
-def _checksum(edges: List[Edge]) -> str:
-    digest = EdgeChecksum()
-    for u, v in edges:
-        digest.add(u, v)
-    return digest.hexdigest()
-
-
-def _edge_text(edges: np.ndarray) -> Tuple[str, str]:
-    """The edge-file text of ``edges`` (in order) and its manifest checksum.
-
-    The text is formatted in one pass over a flat list of Python ints
-    (``%d`` prints ids beyond int64 too); the checksum stream ``"u,v;"``
-    is the same text with its two separators swapped.
+    The inverse of :func:`format_edges` on its own output.  On any other
+    text it returns ``None`` or an array that does not format back to
+    ``data`` — the caller's comparison is what makes the result exact.
     """
-    flat = edges.ravel().tolist()
-    text = ("%d\t%d\n" * len(edges)) % tuple(flat)
-    stream = text.replace("\t", ",").replace("\n", ";")
-    return text, hashlib.sha256(stream.encode()).hexdigest()[:16]
+    if not data:
+        return np.empty((0, 2), dtype=np.int64)
+    text = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(text < 32)  # canonical text has only "\t" and "\n"
+    if not len(ends) or len(ends) % 2 or ends[-1] != len(text) - 1:
+        return None
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    neg = text[starts] == ord("-")
+    ndigits = ends - starts - neg
+    shortest, width = int(ndigits.min()), int(ndigits.max())
+    if shortest < 1 or width > 19:
+        return None
+    padded = np.empty(len(text) + 1, dtype=np.uint8)  # last byte: a "0"
+    padded[:-1] = text
+    padded[-1] = ord("0")
+    pos = ends - 1  # units digit
+    mag = np.zeros(len(ends), dtype=np.uint64)
+    for j in range(width):
+        # Ids already out of digits read the padding "0".
+        digit = padded[pos if j < shortest else np.where(ndigits > j, pos, len(text))]
+        digit = digit.astype(np.uint64)
+        digit -= _ZERO
+        digit *= _POW10[j]
+        mag += digit  # wraps on non-digits: the caller's comparison fails
+        pos -= 1
+    values = mag.view(np.int64)
+    np.negative(values, out=values, where=neg)
+    return values.reshape(-1, 2)
+
+
+_TOKEN = r"[+-]?\d+(?:_\d+)*"  # what int() reads, once split() stripped it
+_LINE = rf"[^\S\n]*{_TOKEN}[^\S\n]+{_TOKEN}[^\S\n]*"
+#: Lines of exactly two integer tokens, the last newline optional.
+_LINES = re.compile(rf"(?:{_LINE}\n)*(?:{_LINE})?")
+
+
+def _parse_text(data: bytes, path: Path) -> np.ndarray:
+    """Edges of a non-canonical edge file, or ``ValueError`` naming the line.
+
+    Accepts what a per-line ``u, v = line.split()`` / ``int()`` reader
+    of the text-mode file accepts — any whitespace between and around
+    the two ids, CRLF or CR line ends, no final newline, signs, leading
+    zeros — checked for the whole text by one regular expression.
+    """
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path.name}: line {lineno}: not UTF-8 text") from None
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    end = _LINES.match(text).end()
+    if end != len(text):
+        lineno = text.count("\n", 0, end) + 1
+        line = text.split("\n")[lineno - 1]
+        raise ValueError(
+            f"{path.name}: line {lineno}: expected two integer ids, got {line!r}"
+        )
+    values = list(map(int, text.split()))
+    try:
+        return np.array(values, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:
+        i = next(i for i, x in enumerate(values) if not -(2**63) <= x < 2**63)
+        raise ValueError(
+            f"{path.name}: line {i // 2 + 1}: id {values[i]} is beyond int64"
+        ) from None
+
+
+def _read_bytes(path: Path) -> bytes:
+    if path.suffix == ".gz":
+        with gzip.open(path, "rb") as fh:
+            return fh.read()
+    return path.read_bytes()
 
 
 def _write_atomic(path: Path, write) -> None:
@@ -149,7 +248,8 @@ def save_partition(
     def save_one(k: int) -> Dict[str, object]:
         edges = partition.edge_array(k)
         edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
-        text, checksum = _edge_text(edges)
+        digest = hashlib.sha256()
+        text = format_edges(edges, digest).decode("ascii")
         path = _edge_file(directory, k, compress)
 
         def write_edges(tmp: Path) -> None:
@@ -164,7 +264,7 @@ def save_partition(
             "index": k,
             "file": path.name,
             "edges": len(edges),
-            "checksum": checksum,
+            "checksum": digest.hexdigest()[:16],
         }
 
     partitions = parallel_map(save_one, range(partition.num_partitions), workers)
@@ -195,6 +295,14 @@ def load_partition(directory: PathLike, verify: bool = True) -> EdgePartition:
     Gzip and plain edge files are both accepted (per-file, from the
     manifest).  ``verify=True`` (default) checks edge counts and
     checksums, raising ``ValueError`` on any corruption.
+
+    Each file is read whole and parsed as canonical text in one
+    vectorised pass; formatting the result back must give the file's
+    bytes, and that same formatting yields the checksum.  Anything else
+    (spaces for tabs, CRLF, no final newline, ...) takes a whole-text
+    structure check instead and loads to the same edges.  A malformed
+    line or an id beyond int64 raises ``ValueError`` naming the file
+    and line, whatever ``verify`` says.
     """
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
@@ -205,23 +313,32 @@ def load_partition(directory: PathLike, verify: bool = True) -> EdgePartition:
         raise ValueError(
             f"unsupported partition format {manifest.get('format_version')!r}"
         )
-    parts: List[List[Edge]] = []
+    arrays: List[np.ndarray] = []
     for entry in manifest["partitions"]:
         path = directory / entry["file"]
-        edges: List[Edge] = []
-        with open_text(path, "r") as fh:
-            for line in fh:
-                u_str, v_str = line.split()
-                edges.append((int(u_str), int(v_str)))
+        data = _read_bytes(path)
+        digest = hashlib.sha256()
+        edges = _parse_canonical(data)
+        if edges is None or format_edges(edges, digest) != data:
+            edges = _parse_text(data, path)
+            digest = hashlib.sha256()
+            if verify:
+                format_edges(edges, digest)
+        loops = np.flatnonzero(edges[:, 0] == edges[:, 1])
+        if len(loops):
+            raise ValueError(
+                f"{path.name}: line {loops[0] + 1}: self loop "
+                f"({edges[loops[0], 0]}, {edges[loops[0], 0]}) is not a valid edge"
+            )
         if verify:
             if len(edges) != entry["edges"]:
                 raise ValueError(
                     f"{path.name}: expected {entry['edges']} edges, found {len(edges)}"
                 )
-            if _checksum(edges) != entry["checksum"]:
+            if digest.hexdigest()[:16] != entry["checksum"]:
                 raise ValueError(f"{path.name}: checksum mismatch (corrupt file?)")
-        parts.append(edges)
-    return EdgePartition(parts)
+        arrays.append(edges)
+    return EdgePartition.from_arrays(arrays)
 
 
 def has_sidecar(directory: PathLike) -> bool:

@@ -32,18 +32,15 @@ from repro.partitioning.oocore import (
 )
 from repro.partitioning.oocore.cluster import StreamingClustering, map_clusters
 from repro.partitioning.oocore.sketch import CountMinDegrees, DegreeSketch
-from repro.partitioning.oocore.spill import (
-    SpillWriter,
-    external_sort_check,
-    sorted_edges,
-    spill_path,
-)
+from repro.partitioning.oocore.spill import SpillWriter, spill_path
 from repro.partitioning.serialization import (
     load_partition,
     partition_metadata,
     save_partition,
 )
 from repro.service.store import PartitionStore
+
+from tests.partitioning.bundle_oracle import external_sort_check, sorted_edges
 
 
 @pytest.fixture(scope="module")
