@@ -11,9 +11,9 @@ Run:  python examples/stage_anatomy.py
 import math
 
 from repro.core.stages import ModularityStagePolicy
-from repro.core.state import PartitionState
+from repro.core.state import CSRPartitionState
 from repro.graph.generators import community_graph
-from repro.graph.residual import ResidualGraph
+from repro.graph.residual_csr import CSRResidual
 from repro.utils.rng import make_rng
 
 
@@ -26,8 +26,8 @@ def main() -> None:
         f"growing one partition to capacity {capacity}\n"
     )
 
-    residual = ResidualGraph(graph)
-    state = PartitionState(residual, graph)
+    residual = CSRResidual(graph)
+    state = CSRPartitionState(residual)
     policy = ModularityStagePolicy()
     rng = make_rng(0)
     state.seed(residual.sample_seed(rng))

@@ -39,7 +39,6 @@ _SOURCE = os.path.join(os.path.dirname(__file__), "tlp_kernel.c")
 _lock = threading.Lock()
 _kernel: Optional[ctypes.CDLL] = None
 _attempted = False
-_failure: Optional[str] = None
 
 
 class GrowState(ctypes.Structure):
@@ -171,26 +170,20 @@ def _compile_and_load() -> ctypes.CDLL:
     return lib
 
 
-def load_kernel(require: bool = False) -> Optional[ctypes.CDLL]:
+def load_kernel() -> Optional[ctypes.CDLL]:
     """The compiled kernel, or ``None`` when it cannot be built.
 
-    The first call pays the (cached) compile; later calls are a dict hit.
-    With ``require=True`` a build failure raises instead of returning
-    ``None``.
+    The first call pays the (cached) compile; later calls return the
+    loaded library.  ``None`` also when ``REPRO_NO_NATIVE`` is set.
     """
-    global _kernel, _attempted, _failure
+    global _kernel, _attempted
     if os.environ.get("REPRO_NO_NATIVE"):
-        if require:
-            raise RuntimeError("native kernel disabled by REPRO_NO_NATIVE")
         return None
     with _lock:
         if not _attempted:
             _attempted = True
             try:
                 _kernel = _compile_and_load()
-            except Exception as exc:  # degrade to the numpy path
+            except Exception:  # degrade to the numpy path
                 _kernel = None
-                _failure = f"{type(exc).__name__}: {exc}"
-        if _kernel is None and require:
-            raise RuntimeError(f"native kernel unavailable ({_failure})")
         return _kernel

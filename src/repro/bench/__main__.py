@@ -14,7 +14,7 @@ Experiments (paper artefact in parentheses):
 * ``window``  — TLP-W window-size sweep (the §V future-work feature)
 * ``seeds``   — RF stability across random seeds, per algorithm
 * ``slack``   — TLP's balance-slack vs RF trade-off
-* ``perf``    — TLP backend throughput benchmark; writes ``BENCH_perf.json``
+* ``perf``    — TLP hot-path throughput benchmark; writes ``BENCH_perf.json``
 * ``refine``  — local-search RF refinement benchmark (rf-delta, moves/s,
   time-to-convergence per bundle); merges a ``refine`` section into
   ``BENCH_perf.json``
@@ -293,7 +293,7 @@ def _run_perf(args) -> None:
         QUICK_SCALE if args.quick else FULL_SCALE
     )
     dataset = (args.datasets or [PROBE_DATASET])[0]
-    print(render_banner("Backend throughput — TLP hot-path benchmark"))
+    print(render_banner("Throughput — TLP hot-path benchmark"))
     print(f"graph: {dataset} scale={scale:g}, p=8\n")
     graph = load_cached(dataset, scale=scale, seed=args.seed)
     report = run_perf(
@@ -302,22 +302,21 @@ def _run_perf(args) -> None:
         seeds=(args.seed, args.seed + 1),
         quick=args.quick,
         progress=lambda r: print(
-            f"  done {r.algorithm:14s} backend={r.backend:9s} seed={r.seed} "
+            f"  done {r.algorithm:14s} seed={r.seed} "
             f"{r.edges_per_s:>9.0f} edges/s RF={r.rf:.3f}",
             file=sys.stderr,
         ),
     )
     print(
         render_table(
-            ["algorithm", "backend", "seed", "seconds", "edges/s", "RF"],
+            ["algorithm", "seed", "seconds", "edges/s", "RF"],
             [
-                [r["algorithm"], r["backend"], r["seed"], r["seconds"],
-                 r["edges_per_s"], r["rf"]]
+                [r["algorithm"], r["seed"], r["seconds"], r["edges_per_s"],
+                 r["rf"]]
                 for r in report["results"]
             ],
         )
     )
-    print(f"\nTLP speedup (csr vs reference): {report['speedup']:g}x")
     # The refine and oocore experiments own their sections; carry them
     # over so a perf rerun never silently drops tracked numbers.
     import json

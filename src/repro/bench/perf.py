@@ -1,12 +1,10 @@
 """Tracked throughput benchmark for the TLP hot path.
 
-The CSR backend exists purely for speed, so its speed is a tracked
-artefact: ``python -m repro.bench perf`` times the TLP hot loop on the G5
-(Slashdot) stand-in for every backend, checks that the CSR and reference
-backends produce *identical* partitionings (same RF per seed — the
-backends are bit-for-bit equivalent, so anything else is a bug), and
-writes the measurements to ``BENCH_perf.json`` so regressions show up in
-review diffs.
+``python -m repro.bench perf`` times TLP and TLP_R on the G5 (Slashdot)
+stand-in — through the compiled kernel when it builds, else the numpy
+path — and writes the measurements to ``BENCH_perf.json`` so regressions
+show up in review diffs.  Bit-for-bit parity with the dict-of-sets
+reference loop is pinned by the test suite, not timed here.
 
 METIS and LDG ride along as context: they bound what "fast" and "good"
 mean for a non-local streaming heuristic and an offline partitioner on
@@ -40,7 +38,9 @@ from repro.partitioning.metrics import replication_factor
 #: v5 drops ``fold_seconds_sequential`` and ``fold_identical`` from the
 #: ``parallel`` section: the compaction fold has no thread pool, and
 #: ``fold_seconds`` times its one sequential fold plus save.
-SCHEMA_VERSION = 5
+#: v6 drops the ``reference`` TLP rows, the top-level ``speedup`` and the
+#: per-row ``backend`` field: TLP has one growth path.
+SCHEMA_VERSION = 6
 
 #: The probe workload: G5 (Slashdot0811) is the largest stand-in that the
 #: full benchmark finishes in a couple of minutes at scale 0.25.
@@ -57,7 +57,6 @@ class PerfRow:
 
     dataset: str
     algorithm: str
-    backend: str
     p: int
     seed: int
     edges: int
@@ -81,29 +80,23 @@ def run_perf(
     quick: bool = False,
     progress: Optional[Callable[[PerfRow], None]] = None,
 ) -> Dict:
-    """Time every contender on ``graph`` and assemble the report dict.
-
-    Raises ``AssertionError`` if the CSR and reference TLP backends
-    disagree on any (p, seed) cell — equivalence is part of what this
-    benchmark tracks.
-    """
+    """Time every contender on ``graph`` and assemble the report dict."""
     from repro.core.tlp import TLPPartitioner
     from repro.core.tlp_r import TLPRPartitioner
     from repro.partitioning.registry import make_partitioner
 
     # Pay the one-off kernel compilation outside the timed region.
-    from repro.core.native_grow import native_kernel
+    from repro._native import load_kernel
 
-    native_kernel()
+    load_kernel()
 
     rows: List[PerfRow] = []
 
-    def record(algorithm: str, backend: str, partitioner, seed: int) -> PerfRow:
+    def record(algorithm: str, partitioner, seed: int) -> None:
         partition, seconds = _timed(partitioner, graph, p)
         row = PerfRow(
             dataset=dataset,
             algorithm=algorithm,
-            backend=backend,
             p=p,
             seed=seed,
             edges=graph.num_edges,
@@ -114,28 +107,12 @@ def run_perf(
         rows.append(row)
         if progress is not None:
             progress(row)
-        return row
 
-    ref_secs = csr_secs = 0.0
     for seed in seeds:
-        csr = record("TLP", "csr", TLPPartitioner(seed=seed, backend="csr"), seed)
-        ref = record(
-            "TLP", "reference", TLPPartitioner(seed=seed, backend="reference"), seed
-        )
-        csr_secs += csr.seconds
-        ref_secs += ref.seconds
-        assert csr.rf == ref.rf, (
-            f"backend parity violated on {dataset} p={p} seed={seed}: "
-            f"csr RF={csr.rf} != reference RF={ref.rf}"
-        )
-        record(
-            "TLP_R(R=0.5)",
-            "csr",
-            TLPRPartitioner(0.5, seed=seed, backend="csr"),
-            seed,
-        )
-        record("METIS", "-", make_partitioner("METIS", seed=seed), seed)
-        record("LDG", "-", make_partitioner("LDG", seed=seed), seed)
+        record("TLP", TLPPartitioner(seed=seed), seed)
+        record("TLP_R(R=0.5)", TLPRPartitioner(0.5, seed=seed), seed)
+        record("METIS", make_partitioner("METIS", seed=seed), seed)
+        record("LDG", make_partitioner("LDG", seed=seed), seed)
 
     return {
         "version": SCHEMA_VERSION,
@@ -144,7 +121,6 @@ def run_perf(
         "p": p,
         "seeds": list(seeds),
         "edges": graph.num_edges,
-        "speedup": round(ref_secs / csr_secs, 2) if csr_secs else None,
         "parallel": _parallel_section(graph, p, seeds),
         "results": [asdict(row) for row in rows],
     }
@@ -170,7 +146,7 @@ def _parallel_section(graph: Graph, p: int, seeds: Sequence[int]) -> Dict:
     # -- growth: independent per-seed jobs, sequential vs thread pool ----
     def jobs():
         return [
-            (TLPPartitioner(seed=seed, backend="csr"), graph, p)
+            (TLPPartitioner(seed=seed), graph, p)
             for seed in seeds
         ]
 

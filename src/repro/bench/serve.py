@@ -324,7 +324,7 @@ def run_serve(
 
     Raises ``AssertionError`` if any routed response disagrees with the
     graph or the partition — correctness is part of what this benchmark
-    tracks, exactly like backend parity in ``repro.bench.perf``.
+    tracks.
     """
     from repro.core.tlp import TLPPartitioner
     from repro.partitioning.serialization import save_partition

@@ -1,7 +1,6 @@
 """The paper's contribution: local graph edge partitioning with two stages."""
 
 from repro.core.dynamic import DynamicPartitioner
-from repro.core.frontier import Frontier
 from repro.core.local import LocalEdgePartitioner
 from repro.core.modularity import (
     claim1_rf_estimate,
@@ -17,7 +16,6 @@ from repro.core.stages import (
     ModularityStagePolicy,
     StagePolicy,
 )
-from repro.core.state import PartitionState
 from repro.core.telemetry import SelectionRecord, StageTelemetry
 from repro.core.tlp import (
     StageOneOnlyPartitioner,
@@ -29,7 +27,6 @@ from repro.core.windowed import WindowedLocalPartitioner
 
 __all__ = [
     "DynamicPartitioner",
-    "Frontier",
     "LocalEdgePartitioner",
     "claim1_rf_estimate",
     "degree_sum_identity_residuals",
@@ -41,7 +38,6 @@ __all__ = [
     "FixedStagePolicy",
     "ModularityStagePolicy",
     "StagePolicy",
-    "PartitionState",
     "SelectionRecord",
     "StageTelemetry",
     "StageOneOnlyPartitioner",

@@ -51,20 +51,19 @@ class DynamicPartitioner:
         graph: Graph,
         num_partitions: int,
         slack: float = 1.1,
-        backend: str = "csr",
         **tlp_kwargs,
     ) -> "DynamicPartitioner":
         """Bootstrap by running TLP on ``graph``, then maintain online.
 
         The common lifecycle — partition a snapshot with TLP, keep placing
-        new edges as they arrive — in one call.  ``backend`` and any extra
-        keyword arguments go to :class:`~repro.core.tlp.TLPPartitioner`;
+        new edges as they arrive — in one call.  Extra keyword arguments
+        go to :class:`~repro.core.tlp.TLPPartitioner`;
         ``slack`` is shared between the initial partitioning and the online
         capacity rule.
         """
         from repro.core.tlp import TLPPartitioner
 
-        tlp = TLPPartitioner(slack=slack, backend=backend, **tlp_kwargs)
+        tlp = TLPPartitioner(slack=slack, **tlp_kwargs)
         return cls(tlp.partition(graph, num_partitions), slack=slack)
 
     # -- queries -------------------------------------------------------------

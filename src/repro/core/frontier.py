@@ -18,11 +18,9 @@ O(|frontier|) with C-speed constants.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
-
-_INITIAL_CAPACITY = 64
 
 
 def argmax_with_ties(
@@ -31,8 +29,7 @@ def argmax_with_ties(
     """Index of the max of ``primary``; ties by max ``secondary``, min id.
 
     Fast path: a single ``argmax`` plus one equality count; the full
-    tie-break machinery only runs when a genuine tie exists.  Shared by
-    the reference and CSR frontiers so both resolve ties identically.
+    tie-break machinery only runs when a genuine tie exists.
     """
     i = int(np.argmax(primary))
     best = primary[i]
@@ -47,146 +44,17 @@ def argmax_with_ties(
     return int(finalists[np.argmin(ids[finalists])])
 
 
-class Frontier:
-    """Dynamic arrays over the frontier with swap-and-pop deletion."""
-
-    def __init__(self) -> None:
-        self._ids = np.empty(_INITIAL_CAPACITY, dtype=np.int64)
-        self._c = np.zeros(_INITIAL_CAPACITY, dtype=np.int64)
-        self._r = np.zeros(_INITIAL_CAPACITY, dtype=np.int64)
-        self._mu1 = np.zeros(_INITIAL_CAPACITY, dtype=np.float64)
-        self._pos: Dict[int, int] = {}
-        self._size = 0
-
-    # -- structure ----------------------------------------------------------
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __contains__(self, v: int) -> bool:
-        return v in self._pos
-
-    def c_of(self, v: int) -> int:
-        """Current ``c(v)``; 0 if ``v`` is not in the frontier."""
-        i = self._pos.get(v)
-        return int(self._c[i]) if i is not None else 0
-
-    def _grow(self) -> None:
-        new_cap = 2 * len(self._ids)
-        for name in ("_ids", "_c", "_r", "_mu1"):
-            old = getattr(self, name)
-            fresh = np.zeros(new_cap, dtype=old.dtype)
-            fresh[: self._size] = old[: self._size]
-            setattr(self, name, fresh)
-
-    def touch(self, v: int, residual_degree: int) -> None:
-        """Ensure ``v`` is present (with ``c = 0`` if new)."""
-        if v in self._pos:
-            return
-        if self._size == len(self._ids):
-            self._grow()
-        i = self._size
-        self._ids[i] = v
-        self._c[i] = 0
-        self._r[i] = residual_degree
-        self._mu1[i] = 0.0
-        self._pos[v] = i
-        self._size += 1
-
-    def increment_c(self, v: int) -> None:
-        """One more partition edge now touches ``v``."""
-        self._c[self._pos[v]] += 1
-
-    def touch_and_increment(self, v: int, residual_degree_of) -> None:
-        """Fused :meth:`touch` + :meth:`increment_c` (the allocation hot path).
-
-        ``residual_degree_of`` is a callable evaluated only when ``v`` is new
-        to the frontier, saving a degree lookup per repeat touch.
-        """
-        i = self._pos.get(v)
-        if i is not None:
-            self._c[i] += 1
-            return
-        if self._size == len(self._ids):
-            self._grow()
-        i = self._size
-        self._ids[i] = v
-        self._c[i] = 1
-        self._r[i] = residual_degree_of(v)
-        self._mu1[i] = 0.0
-        self._pos[v] = i
-        self._size += 1
-
-    def raise_mu1(self, v: int, value: float) -> None:
-        """Monotone update of the Stage-I score (scores only ever improve)."""
-        i = self._pos[v]
-        if value > self._mu1[i]:
-            self._mu1[i] = value
-
-    def remove(self, v: int) -> None:
-        """Remove ``v`` (it became a member) via swap-and-pop."""
-        i = self._pos.pop(v)
-        last = self._size - 1
-        if i != last:
-            for arr in (self._ids, self._c, self._r, self._mu1):
-                arr[i] = arr[last]
-            self._pos[int(self._ids[i])] = i
-        self._size = last
-
-    # -- selection ----------------------------------------------------------
-
-    def _argmax_with_ties(
-        self, primary: np.ndarray, secondary: np.ndarray
-    ) -> int:
-        """Index of the max of ``primary``; ties by max ``secondary``, min id."""
-        return argmax_with_ties(primary, secondary, self._ids[: self._size])
-
-    def select_stage1(self) -> Optional[int]:
-        """Vertex maximising ``mu_s1`` (Eq. 8); ties to higher residual degree.
-
-        The degree tie-break implements the paper's stated intent that Stage I
-        prefers the *high-degree* close vertex (§III-C discussion of Fig. 6).
-        """
-        n = self._size
-        if n == 0:
-            return None
-        i = self._argmax_with_ties(self._mu1[:n], self._r[:n])
-        return int(self._ids[i])
-
-    def select_stage2(self, internal: int, external: int) -> Optional[int]:
-        """Vertex maximising the modularity gain ``dM`` (Eq. 9-11).
-
-        Maximising ``mu_s2 = 1 - 1/(1 + dM)`` is equivalent to maximising the
-        post-move modularity ``M' = (E_in + c) / (E_out + r - 2c)`` because
-        ``M`` is fixed within a step.  A non-positive denominator means the
-        partition would swallow its whole remaining component (``M' = inf``),
-        the best possible move.  Ties go to larger ``c`` (more edges absorbed),
-        then smaller id.
-        """
-        n = self._size
-        if n == 0:
-            return None
-        c = self._c[:n]
-        r = self._r[:n]
-        num = (internal + c).astype(np.float64)
-        den = (external + r - 2 * c).astype(np.float64)
-        score = np.where(den > 0, num / np.where(den > 0, den, 1.0), np.inf)
-        i = self._argmax_with_ties(score, c)
-        return int(self._ids[i])
-
-
 class DenseFrontier:
     """Int-indexed frontier over a fixed vertex universe ``0..n-1``.
 
-    The CSR backend's twin of :class:`Frontier`: membership is a dense
-    position array (``pos[v] == -1`` when absent) instead of a dict, so
-    every bookkeeping operation is a vectorised slice — no per-vertex
+    Membership is a dense position array (``pos[v] == -1`` when absent),
+    so every bookkeeping operation is a vectorised slice — no per-vertex
     hashing.  Compact parallel arrays (``ids``/``c``/``r``/``mu1``) are
-    preallocated at full size, and the per-step argmax scans only the
-    live prefix.  Selection semantics (including tie-breaks) are shared
-    with :class:`Frontier` via :func:`argmax_with_ties`; here ``ids``
-    hold dense vertex *indices*, whose order matches original-id order
-    by construction of :class:`~repro.graph.residual_csr.CSRResidual`.
+    preallocated at full size, swap-and-pop deletion keeps them dense, and
+    the per-step argmax scans only the live prefix.  ``ids`` hold dense
+    vertex *indices*, whose order matches original-id order by
+    construction of :class:`~repro.graph.residual_csr.CSRResidual`, so the
+    min-index tie-break is the min-id tie-break.
     """
 
     __slots__ = ("_ids", "_c", "_r", "_mu1", "_pos", "_size")
@@ -222,7 +90,7 @@ class DenseFrontier:
         """Vectorised ``touch + c += 1`` over distinct vertices ``vs``.
 
         New entries get ``c = 1`` and ``r`` sampled from ``live_deg`` at
-        entry time, exactly like the reference frontier's fused touch.
+        entry time (``r`` stays fixed for the rest of the round).
         """
         if len(vs) == 0:
             return
@@ -261,7 +129,11 @@ class DenseFrontier:
     # -- selection ----------------------------------------------------------
 
     def select_stage1(self) -> Optional[int]:
-        """Vertex index maximising ``mu_s1``; same tie-breaks as :class:`Frontier`."""
+        """Vertex index maximising ``mu_s1`` (Eq. 8); ties to higher residual degree.
+
+        The degree tie-break implements the paper's stated intent that Stage I
+        prefers the *high-degree* close vertex (§III-C discussion of Fig. 6).
+        """
         n = self._size
         if n == 0:
             return None
@@ -269,7 +141,15 @@ class DenseFrontier:
         return int(self._ids[i])
 
     def select_stage2(self, internal: int, external: int) -> Optional[int]:
-        """Vertex index maximising the modularity gain (Eq. 9-11)."""
+        """Vertex index maximising the modularity gain ``dM`` (Eq. 9-11).
+
+        Maximising ``mu_s2 = 1 - 1/(1 + dM)`` is equivalent to maximising the
+        post-move modularity ``M' = (E_in + c) / (E_out + r - 2c)`` because
+        ``M`` is fixed within a step.  A non-positive denominator means the
+        partition would swallow its whole remaining component (``M' = inf``),
+        the best possible move.  Ties go to larger ``c`` (more edges absorbed),
+        then smaller index.
+        """
         n = self._size
         if n == 0:
             return None

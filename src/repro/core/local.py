@@ -20,28 +20,14 @@ job; ``last_telemetry`` is recorded on the instance.
 from __future__ import annotations
 
 from repro.core.stages import STAGE_ONE, StagePolicy
-from repro.core.state import SIMILARITY_SCOPES, CSRPartitionState, PartitionState
+from repro.core.state import SIMILARITY_SCOPES, CSRPartitionState
 from repro.core.telemetry import StageTelemetry
 from repro.graph.graph import Graph
-from repro.graph.residual import ResidualGraph
 from repro.graph.residual_csr import CSRResidual
 from repro.partitioning.assignment import EdgePartition
 from repro.partitioning.base import EdgePartitioner, default_capacity
 from repro.utils.rng import Seed, make_rng
 from repro.utils.validation import check_positive
-
-#: Recognised values of ``LocalEdgePartitioner(backend=...)``.
-#:
-#: ``"reference"``  — the original dict-of-sets implementation.
-#: ``"csr"``        — array-native path; uses the compiled C kernel when a
-#:                    toolchain is available, else the vectorised numpy path.
-#: ``"csr-python"`` — array-native path, numpy only (no compilation attempt).
-#: ``"csr-native"`` — array-native path, compiled kernel required (raises if
-#:                    it cannot be built).
-#:
-#: All backends are bit-for-bit equivalent under a fixed seed.
-BACKENDS = ("reference", "csr", "csr-python", "csr-native")
-
 
 class LocalEdgePartitioner(EdgePartitioner):
     """Round-based local edge partitioning with a pluggable stage policy.
@@ -73,11 +59,12 @@ class LocalEdgePartitioner(EdgePartitioner):
         line 1).  ``"random"`` is the paper's choice; ``"max-degree"`` /
         ``"min-degree"`` sample a small pool of candidates and keep the
         highest/lowest residual degree — the seed-choice ablation.
-    backend:
-        Hot-loop implementation; see :data:`BACKENDS`.  The default
-        ``"csr"`` runs the array-native path (compiled kernel when
-        available) and produces output bit-for-bit identical to
-        ``"reference"`` under the same seed.
+
+    Growth runs over a :class:`~repro.graph.residual_csr.CSRResidual`.
+    Each round uses the compiled kernel when it builds and encodes the
+    stage policy, else the numpy :class:`~repro.core.state.CSRPartitionState`
+    path; both give bit-for-bit the same output under a fixed seed.  Set
+    ``REPRO_NO_NATIVE=1`` to force the numpy path.
     """
 
     name = "Local"
@@ -94,7 +81,6 @@ class LocalEdgePartitioner(EdgePartitioner):
         reseed_on_break: bool = True,
         similarity_scope: str = "residual",
         seed_strategy: str = "random",
-        backend: str = "csr",
     ) -> None:
         if similarity_scope not in SIMILARITY_SCOPES:
             raise ValueError(
@@ -108,10 +94,6 @@ class LocalEdgePartitioner(EdgePartitioner):
                 f"seed_strategy must be one of {self.SEED_STRATEGIES}, "
                 f"got {seed_strategy!r}"
             )
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"backend must be one of {BACKENDS}, got {backend!r}"
-            )
         self.stage_policy = stage_policy
         self.seed = seed
         self.slack = slack
@@ -119,7 +101,6 @@ class LocalEdgePartitioner(EdgePartitioner):
         self.reseed_on_break = reseed_on_break
         self.similarity_scope = similarity_scope
         self.seed_strategy = seed_strategy
-        self.backend = backend
         #: Telemetry of the most recent :meth:`partition` call.
         self.last_telemetry: StageTelemetry = StageTelemetry()
 
@@ -130,11 +111,8 @@ class LocalEdgePartitioner(EdgePartitioner):
         check_positive("num_partitions", num_partitions)
         rng = make_rng(self.seed)
         telemetry = StageTelemetry()
-        if self.backend == "reference":
-            residual = ResidualGraph(graph)
-        else:
-            residual = CSRResidual(graph)
-        runner = self._make_native_runner(residual, graph)
+        residual = CSRResidual(graph)
+        runner = self._make_native_runner(residual)
         capacity = default_capacity(graph.num_edges, num_partitions, self.slack)
         parts = []
         for k in range(num_partitions):
@@ -159,44 +137,35 @@ class LocalEdgePartitioner(EdgePartitioner):
         partition = EdgePartition(parts)
         return partition
 
-    # -- backend dispatch ------------------------------------------------------
+    # -- kernel dispatch -------------------------------------------------------
 
-    def _make_native_runner(self, residual, graph: Graph):
+    def _make_native_runner(self, residual: CSRResidual):
         """A compiled-kernel round runner, or ``None`` for the numpy path.
 
-        ``"csr"`` silently falls back to numpy when no kernel is available
-        (no C toolchain, or a stage policy the kernel does not encode);
-        ``"csr-native"`` insists and raises instead.
+        ``None`` when no kernel is available (no C toolchain, or
+        ``REPRO_NO_NATIVE`` set) or the stage policy is one the kernel
+        does not encode.
         """
-        if self.backend in ("reference", "csr-python"):
-            return None
-        from repro.core.native_grow import NativeRunner, native_kernel
+        from repro._native import load_kernel
+        from repro.core.native_grow import NativeRunner
 
-        require = self.backend == "csr-native"
-        kernel = native_kernel(require=require)
+        kernel = load_kernel()
         if kernel is None:
             return None
-        runner = NativeRunner.try_create(
+        return NativeRunner.try_create(
             kernel,
             residual,
-            graph,
             self.stage_policy,
             self.similarity_scope,
             self.strict_capacity,
         )
-        if runner is None and require:
-            raise ValueError(
-                "backend='csr-native' does not support stage policy "
-                f"{self.stage_policy.describe()!r}"
-            )
-        return runner
 
     # -- one round -----------------------------------------------------------
 
     def _grow_round(
         self,
         graph: Graph,
-        residual,
+        residual: CSRResidual,
         capacity: int,
         k: int,
         rng,
@@ -204,10 +173,7 @@ class LocalEdgePartitioner(EdgePartitioner):
     ) -> list:
         if capacity <= 0 or residual.is_exhausted():
             return []
-        if isinstance(residual, CSRResidual):
-            state = CSRPartitionState(residual, self.similarity_scope)
-        else:
-            state = PartitionState(residual, graph, self.similarity_scope)
+        state = CSRPartitionState(residual, self.similarity_scope)
         state.seed(self._pick_seed(residual, rng))
         while state.internal < capacity:
             if state.frontier_empty():

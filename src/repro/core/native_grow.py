@@ -4,8 +4,8 @@
 arrays, Stage-I snapshot buffer, edge/telemetry outputs), hands them to
 ``tlp_grow_episode`` via a :class:`~repro._native.GrowState` struct, and
 converts the raw index-space outputs back into the id-space edges and
-:class:`~repro.core.telemetry.StageTelemetry` records the pure-Python
-backends produce — bit-for-bit.
+:class:`~repro.core.telemetry.StageTelemetry` records the numpy
+:class:`~repro.core.state.CSRPartitionState` path produces — bit-for-bit.
 
 Only the stage policies the kernel encodes (modularity, edge-count
 ratio, fixed) are supported; :meth:`NativeRunner.try_create` returns
@@ -25,11 +25,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from repro._native import (
-    REASON_EMPTY,
-    GrowState,
-    load_kernel,
-)
+from repro._native import REASON_EMPTY, GrowState
 from repro.core.stages import (
     STAGE_ONE,
     EdgeCountStagePolicy,
@@ -38,17 +34,12 @@ from repro.core.stages import (
     StagePolicy,
 )
 from repro.core.telemetry import StageTelemetry
-from repro.graph.graph import Edge, Graph
+from repro.graph.graph import Edge
 from repro.graph.residual_csr import CSRResidual
 
 _I64P = ctypes.POINTER(ctypes.c_int64)
 _U8P = ctypes.POINTER(ctypes.c_uint8)
 _F64P = ctypes.POINTER(ctypes.c_double)
-
-
-def native_kernel(require: bool = False):
-    """The compiled kernel library, or ``None`` (see :func:`load_kernel`)."""
-    return load_kernel(require=require)
 
 
 def _encode_policy(policy: StagePolicy) -> Optional[Tuple[int, float]]:
@@ -149,7 +140,6 @@ class NativeRunner:
         cls,
         kernel,
         residual: CSRResidual,
-        graph: Graph,
         stage_policy: StagePolicy,
         similarity_scope: str,
         strict_capacity: bool,

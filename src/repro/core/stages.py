@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import abc
 
-from repro.core.state import PartitionState
+from repro.core.state import CSRPartitionState
 from repro.utils.validation import check_probability
 
 STAGE_ONE = 1
@@ -35,7 +35,7 @@ class StagePolicy(abc.ABC):
     """
 
     @abc.abstractmethod
-    def stage(self, state: PartitionState, capacity: int) -> int:
+    def stage(self, state: CSRPartitionState, capacity: int) -> int:
         """Return ``STAGE_ONE`` or ``STAGE_TWO`` for the upcoming selection."""
 
     def describe(self) -> str:
@@ -46,7 +46,7 @@ class StagePolicy(abc.ABC):
 class ModularityStagePolicy(StagePolicy):
     """Stage I iff ``M(P_k) <= 1``, i.e. ``|E(P_k)| <= |E_out(P_k)|``."""
 
-    def stage(self, state: PartitionState, capacity: int) -> int:
+    def stage(self, state: CSRPartitionState, capacity: int) -> int:
         return STAGE_ONE if state.internal <= state.external else STAGE_TWO
 
     def describe(self) -> str:
@@ -60,7 +60,7 @@ class EdgeCountStagePolicy(StagePolicy):
         check_probability("ratio", ratio)
         self.ratio = ratio
 
-    def stage(self, state: PartitionState, capacity: int) -> int:
+    def stage(self, state: CSRPartitionState, capacity: int) -> int:
         return STAGE_ONE if state.internal < self.ratio * capacity else STAGE_TWO
 
     def describe(self) -> str:
@@ -75,7 +75,7 @@ class FixedStagePolicy(StagePolicy):
             raise ValueError(f"fixed_stage must be 1 or 2, got {fixed_stage}")
         self.fixed_stage = fixed_stage
 
-    def stage(self, state: PartitionState, capacity: int) -> int:
+    def stage(self, state: CSRPartitionState, capacity: int) -> int:
         return self.fixed_stage
 
     def describe(self) -> str:

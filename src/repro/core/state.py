@@ -1,23 +1,28 @@
 """The growing partition of one local-partitioning round.
 
-:class:`PartitionState` owns all invariants of Algorithm 1's inner loop:
+:class:`CSRPartitionState` owns all invariants of Algorithm 1's inner loop
+over a :class:`~repro.graph.residual_csr.CSRResidual`:
 
 * ``members`` = ``V(P_k)`` so far; ``edges`` = ``E(P_k)`` so far;
 * ``internal`` = ``|E(P_k)|``; ``external`` = ``|E_out(P_k)|`` — residual
   edges with exactly one endpoint in ``members``;
-* the :class:`~repro.core.frontier.Frontier` is exactly the set of external
-  endpoints, with ``sum(c) == external``;
+* the :class:`~repro.core.frontier.DenseFrontier` is exactly the set of
+  external endpoints, with ``sum(c) == external``;
 * no residual edge ever has both endpoints in ``members`` (allocation is
   exhaustive), except immediately after a capacity-truncated add, which ends
   the round.
 
 Neighbourhood snapshots: within a round, a frontier vertex keeps its
 residual adjacency untouched (only member-member edges are allocated), so
-``residual.neighbors(v)`` *is* the round-start neighbourhood of any
-non-member.  A member's round-start neighbourhood is snapshotted at join
-time, which is all the Stage-I similarity (Eq. 7) needs; snapshots are
-processed lazily (only when Stage I actually selects) and then discarded,
-keeping space at O(L d) as claimed in §III-E.
+its live CSR row *is* the round-start neighbourhood of any non-member.  A
+member's round-start neighbourhood is snapshotted at join time, which is
+all the Stage-I similarity (Eq. 7) needs; snapshots are processed lazily
+(only when Stage I actually selects) and then discarded, keeping space at
+O(L d) as claimed in §III-E.
+
+The compiled kernel (:mod:`repro.core.native_grow`) runs the same loop in
+C; this class is the numpy path used when no kernel is available and for
+stage policies the kernel does not encode.
 """
 
 from __future__ import annotations
@@ -26,165 +31,17 @@ from typing import List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.graph.graph import Edge, Graph
-from repro.graph.residual import ResidualGraph
+from repro.core.frontier import DenseFrontier
+from repro.graph.graph import Edge
 from repro.graph.residual_csr import CSRResidual
-from repro.core.frontier import DenseFrontier, Frontier
 
 SIMILARITY_SCOPES = ("residual", "original")
 
 
-class PartitionState:
-    """State of one partition while it grows."""
-
-    def __init__(
-        self,
-        residual: ResidualGraph,
-        graph: Graph,
-        similarity_scope: str = "residual",
-    ) -> None:
-        if similarity_scope not in SIMILARITY_SCOPES:
-            raise ValueError(
-                f"similarity_scope must be one of {SIMILARITY_SCOPES}, "
-                f"got {similarity_scope!r}"
-            )
-        self._residual = residual
-        self._graph = graph
-        self._similarity_scope = similarity_scope
-        self.members: Set[int] = set()
-        self.edges: List[Edge] = []
-        self.internal = 0
-        self.external = 0
-        self.frontier = Frontier()
-        # Members whose Stage-I similarity contributions are not yet applied:
-        # (member, round-start neighbour snapshot).
-        self._pending_mu1: List[Tuple[int, Set[int]]] = []
-
-    # -- derived quantities --------------------------------------------------
-
-    @property
-    def modularity(self) -> float:
-        """``M(P_k) = |E(P_k)| / |E_out(P_k)|`` (Definition 8); inf if closed."""
-        if self.external == 0:
-            return float("inf")
-        return self.internal / self.external
-
-    def frontier_empty(self) -> bool:
-        """True when ``N(P_k)`` is empty (equivalently ``E_out = 0``)."""
-        return len(self.frontier) == 0
-
-    # -- growth --------------------------------------------------------------
-
-    def seed(self, x: int) -> None:
-        """Start (or restart, for disconnected residuals) growth from ``x``.
-
-        Implements lines 1-3 of Algorithm 1: ``x`` joins ``V(P_k)`` and its
-        neighbours form the frontier.  No edges are allocated yet.
-        """
-        if x in self.members:
-            raise ValueError(f"seed {x} is already a member")
-        snapshot = set(self._residual.neighbors(x))
-        self.members.add(x)
-        degree_of = self._residual.degree
-        for u in snapshot:
-            # A neighbour of a fresh seed can never already be a member:
-            # that edge would have been external, contradicting the empty
-            # frontier that triggered reseeding.
-            self.frontier.touch_and_increment(u, degree_of)
-        self.external += len(snapshot)
-        self._pending_mu1.append((x, snapshot))
-
-    def add_vertex(self, v: int, max_edges: Optional[int] = None) -> Tuple[int, bool]:
-        """Move frontier vertex ``v`` into the partition (line 10 of Alg. 1).
-
-        Allocates every residual edge between ``v`` and ``members``; if
-        ``max_edges`` is smaller than that batch, only ``max_edges`` of them
-        are allocated (strict-capacity truncation) and the round must end.
-
-        Returns ``(allocated, truncated)``.
-        """
-        snapshot = set(self._residual.neighbors(v))
-        # Sorted batch order makes capacity truncation canonical (smallest
-        # neighbour ids win), so every backend truncates identically.
-        member_nbrs = sorted(u for u in snapshot if u in self.members)
-        truncated = max_edges is not None and len(member_nbrs) > max_edges
-        batch = member_nbrs[:max_edges] if truncated else member_nbrs
-        for u in batch:
-            self._residual.remove_edge(v, u)
-            self.edges.append((v, u) if v < u else (u, v))
-        self.internal += len(batch)
-        self.external -= len(batch)
-        if truncated:
-            # Round over: bookkeeping beyond the edge list no longer matters.
-            return len(batch), True
-        self.members.add(v)
-        if v in self.frontier:
-            self.frontier.remove(v)
-        members = self.members
-        degree_of = self._residual.degree
-        outside = 0
-        for u in snapshot:
-            if u in members:
-                continue
-            self.frontier.touch_and_increment(u, degree_of)
-            outside += 1
-        self.external += outside
-        self._pending_mu1.append((v, snapshot))
-        return len(batch), False
-
-    # -- Stage-I score maintenance -------------------------------------------
-
-    def flush_stage1_scores(self) -> None:
-        """Apply pending Stage-I similarity updates (Eq. 7).
-
-        For each unprocessed member ``v_j`` and each non-member neighbour
-        ``u``, raise ``mu1(u)`` to ``|N(u) ∩ N(v_j)| / |N(v_j)|``.  Each
-        member is processed exactly once per round, so the total Stage-I
-        cost is bounded by the two-hop neighbourhood of the partition no
-        matter how often the stage toggles.
-        """
-        if not self._pending_mu1:
-            return
-        use_original = self._similarity_scope == "original"
-        for v_j, snapshot in self._pending_mu1:
-            if use_original:
-                nbrs_j: Set[int] = self._graph.neighbors(v_j)
-            else:
-                nbrs_j = snapshot
-            deg_j = len(nbrs_j)
-            if deg_j == 0:
-                continue
-            for u in snapshot:
-                if u in self.members:
-                    continue
-                nbrs_u = (
-                    self._graph.neighbors(u)
-                    if use_original
-                    else self._residual.neighbors(u)
-                )
-                # C-speed set intersection (both operands are sets).
-                common = len(nbrs_u & nbrs_j)
-                self.frontier.raise_mu1(u, common / deg_j)
-        self._pending_mu1.clear()
-
-    # -- selection -----------------------------------------------------------
-
-    def select_stage1(self) -> Optional[int]:
-        """Best Stage-I vertex (Eq. 8), refreshing scores first."""
-        self.flush_stage1_scores()
-        return self.frontier.select_stage1()
-
-    def select_stage2(self) -> Optional[int]:
-        """Best Stage-II vertex (Eq. 11)."""
-        return self.frontier.select_stage2(self.internal, self.external)
-
-
 class CSRPartitionState:
-    """Array-native twin of :class:`PartitionState` over a :class:`CSRResidual`.
+    """State of one partition while it grows, as flat CSR arrays.
 
-    Same public API and bit-for-bit identical selections under a fixed
-    seed, but every inner-loop operation is a vectorised slice over flat
-    CSR arrays:
+    Every inner-loop operation is a vectorised slice:
 
     * membership is a dense boolean mask indexed by vertex index;
     * ``add_vertex`` classifies a whole adjacency row (live / member /
@@ -254,9 +111,12 @@ class CSRPartitionState:
     def add_vertex(self, v: int, max_edges: Optional[int] = None) -> Tuple[int, bool]:
         """Move frontier vertex ``v`` (original id) into the partition.
 
-        Returns ``(allocated, truncated)`` with the same truncation
-        semantics as the reference backend: the batch is the member
-        neighbours in ascending id order, cut at ``max_edges``.
+        Allocates every residual edge between ``v`` and the members; if
+        ``max_edges`` is smaller than that batch, only the first
+        ``max_edges`` member neighbours in ascending id order are allocated
+        (strict-capacity truncation) and the round must end.
+
+        Returns ``(allocated, truncated)``.
         """
         res = self._residual
         i = res.index_of[v]

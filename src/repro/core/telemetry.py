@@ -49,7 +49,7 @@ class StageTelemetry:
         degrees: List[int],
         allocated: List[int],
     ) -> None:
-        """Log a whole round of selections at once (the kernel backend)."""
+        """Log a whole round of selections at once (the compiled kernel)."""
         self.records.extend(
             SelectionRecord(partition, s, v, d, a)
             for s, v, d, a in zip(stages, vertices, degrees, allocated)

@@ -26,7 +26,6 @@ class TLPPartitioner(LocalEdgePartitioner):
         reseed_on_break: bool = True,
         similarity_scope: str = "residual",
         seed_strategy: str = "random",
-        backend: str = "csr",
     ) -> None:
         super().__init__(
             ModularityStagePolicy(),
@@ -36,7 +35,6 @@ class TLPPartitioner(LocalEdgePartitioner):
             reseed_on_break=reseed_on_break,
             similarity_scope=similarity_scope,
             seed_strategy=seed_strategy,
-            backend=backend,
         )
 
 

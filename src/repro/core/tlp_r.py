@@ -32,7 +32,6 @@ class TLPRPartitioner(LocalEdgePartitioner):
         reseed_on_break: bool = True,
         similarity_scope: str = "residual",
         seed_strategy: str = "random",
-        backend: str = "csr",
     ) -> None:
         super().__init__(
             EdgeCountStagePolicy(ratio),
@@ -42,7 +41,6 @@ class TLPRPartitioner(LocalEdgePartitioner):
             reseed_on_break=reseed_on_break,
             similarity_scope=similarity_scope,
             seed_strategy=seed_strategy,
-            backend=backend,
         )
         self.ratio = ratio
         self.name = f"TLP_R(R={ratio:g})"

@@ -25,7 +25,7 @@ import math
 from typing import Iterable, Iterator, List, Optional
 
 from repro.core.stages import STAGE_ONE, ModularityStagePolicy, StagePolicy
-from repro.core.state import CSRPartitionState, PartitionState
+from repro.core.state import CSRPartitionState
 from repro.core.telemetry import StageTelemetry
 from repro.graph.graph import Edge, Graph
 from repro.graph.residual import ResidualGraph
@@ -47,32 +47,18 @@ class WindowedLocalPartitioner(StreamingEdgePartitioner):
         stage_policy: Optional[StagePolicy] = None,
         seed: Seed = None,
         slack: float = 1.0,
-        similarity_scope: str = "residual",
-        backend: str = "csr",
     ) -> None:
         check_positive("window_size", window_size)
         if slack < 1.0:
             raise ValueError(f"slack must be >= 1.0, got {slack}")
-        # Import here to avoid a circular import at module load.
-        from repro.core.local import BACKENDS
-
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"backend must be one of {BACKENDS}, got {backend!r}"
-            )
         self.window_size = window_size
         self.stage_policy = stage_policy or ModularityStagePolicy()
         self.seed = seed
         self.slack = slack
-        self.similarity_scope = similarity_scope
-        #: ``"reference"`` grows inside the dict buffer directly; every
-        #: ``"csr*"`` value grows inside an array mirror of the buffer
-        #: (rebuilt per refill) via the vectorised numpy path.  The windowed
-        #: partitioner never uses the compiled kernel: episodes are short
-        #: and the buffer mutates between them, so the numpy state is the
-        #: right trade-off.
-        self.backend = backend
         self.last_telemetry = StageTelemetry()
+        # Array mirror of the buffer that episodes grow in, rebuilt lazily
+        # after each refill.  The compiled kernel is never used here:
+        # episodes are short and the buffer mutates between them.
         self._csr_mirror: Optional[CSRResidual] = None
 
     # -- public API ----------------------------------------------------------
@@ -84,7 +70,12 @@ class WindowedLocalPartitioner(StreamingEdgePartitioner):
         graph: Optional[Graph] = None,
         total_edges: Optional[int] = None,
     ) -> EdgePartition:
-        """Partition a stream of edges using only the window as state."""
+        """Partition a stream of edges using only the window as state.
+
+        ``total_edges`` sets the capacity ``C``; a stream with more edges
+        than that raises ``ValueError``, and a shorter one is partitioned
+        as it is.
+        """
         check_positive("num_partitions", num_partitions)
         if total_edges is None:
             if graph is not None:
@@ -127,6 +118,14 @@ class WindowedLocalPartitioner(StreamingEdgePartitioner):
             assigned += len(part_edges)
             if not stream_exhausted:
                 stream_exhausted = self._refill(buffer, source)
+        if not buffer.is_exhausted():
+            # The last round stops at the declared total, so an edge left
+            # over means the stream was longer than declared.
+            seen = assigned + buffer.num_edges + sum(1 for _ in source)
+            raise ValueError(
+                f"the edge stream holds more than total_edges={total_edges} "
+                f"edges: {seen} seen"
+            )
         self.last_telemetry = telemetry
         return EdgePartition(parts)
 
@@ -161,19 +160,13 @@ class WindowedLocalPartitioner(StreamingEdgePartitioner):
         graph: Optional[Graph],
     ) -> List[Edge]:
         """One local growth episode inside the (frozen) buffer."""
-        if self.backend == "reference":
-            mirrored = False
-            state = PartitionState(buffer, graph or Graph.empty(), "residual")
-        else:
-            mirrored = True
-            if self._csr_mirror is None:
-                self._csr_mirror = CSRResidual.from_adjacency(
-                    buffer.vertices(), buffer.neighbors, buffer.num_edges
-                )
-            state = CSRPartitionState(self._csr_mirror, "residual")
-        # The dict buffer stays authoritative for seed sampling so the RNG
-        # consumption — and hence the grown partitions — are identical
-        # across backends.
+        if self._csr_mirror is None:
+            self._csr_mirror = CSRResidual.from_adjacency(
+                buffer.vertices(), buffer.neighbors, buffer.num_edges
+            )
+        state = CSRPartitionState(self._csr_mirror, "residual")
+        # The dict buffer stays authoritative for seed sampling, refills and
+        # degree telemetry; every allocation is replayed on it.
         state.seed(buffer.sample_seed(rng))
         synced = 0
         while state.internal < cap:
@@ -182,12 +175,9 @@ class WindowedLocalPartitioner(StreamingEdgePartitioner):
             stage = self.stage_policy.stage(state, cap)
             v = state.select_stage1() if stage == STAGE_ONE else state.select_stage2()
             allocated, truncated = state.add_vertex(v, cap - state.internal)
-            if mirrored:
-                # Replay the allocation on the dict buffer so refills, seed
-                # sampling and degree telemetry see the same residual.
-                for a, b in state.edges[synced:]:
-                    buffer.remove_edge(a, b)
-                synced = len(state.edges)
+            for a, b in state.edges[synced:]:
+                buffer.remove_edge(a, b)
+            synced = len(state.edges)
             degree = graph.degree(v) if graph is not None and v in graph else buffer.degree(v)
             telemetry.record(k, stage, v, degree, allocated)
             telemetry.record_local_state(state.internal + len(state.frontier))

@@ -17,7 +17,7 @@ vertex cannot start a partition — its frontier is empty on arrival).
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Dict, Iterator, List, Set
 
 from repro.graph.graph import Edge, Graph
 
@@ -107,28 +107,6 @@ class ResidualGraph:
         self._adj[u].remove(v)
         self._adj[v].remove(u)
         self._num_edges -= 1
-
-    def remove_edges_between(self, v: int, targets: Set[int]) -> List[Tuple[int, int]]:
-        """Remove every residual edge between ``v`` and ``targets``.
-
-        Returns the removed edges as ``(v, u)`` pairs (not canonicalised).
-        This is the hot path of edge allocation: when vertex ``v`` joins a
-        partition, all residual edges from ``v`` into the partition's vertex
-        set are allocated at once.
-        """
-        nbrs = self._adj.get(v)
-        if not nbrs:
-            return []
-        # Iterate over the smaller side of the intersection.
-        if len(nbrs) <= len(targets):
-            hit = [u for u in nbrs if u in targets]
-        else:
-            hit = [u for u in targets if u in nbrs]
-        for u in hit:
-            nbrs.remove(u)
-            self._adj[u].remove(v)
-        self._num_edges -= len(hit)
-        return [(v, u) for u in hit]
 
     # -- seed sampling -----------------------------------------------------
 

@@ -12,9 +12,9 @@ the compact-adjacency layout production edge partitioners (HEP, 2PS) use
 to reach linear run-time.
 
 Determinism contract: seed sampling consumes the random stream *exactly*
-like the reference ``ResidualGraph`` (same initial candidate order — graph
-insertion order — and the same lazy swap-and-pop rejection loop), so a
-fixed seed drives both backends through identical seed sequences.
+like the dict-of-sets ``ResidualGraph`` (same initial candidate order —
+graph insertion order — and the same lazy swap-and-pop rejection loop), so
+a fixed seed drives both through identical seed sequences.
 
 Internally every vertex is addressed by a dense index; the index order is
 the *sorted* original-id order, so comparing indices compares ids and a

@@ -12,7 +12,6 @@ from repro.graph.generators import holme_kim
 ROW_KEYS = {
     "dataset",
     "algorithm",
-    "backend",
     "p",
     "seed",
     "edges",
@@ -37,7 +36,7 @@ class TestPerfReport:
         assert report["p"] == 4
         assert report["seeds"] == [0]
         assert report["edges"] > 0
-        assert report["speedup"] is None or report["speedup"] > 0
+        assert "speedup" not in report
 
     def test_rows_schema(self, report):
         assert report["results"], "benchmark produced no rows"
@@ -48,19 +47,9 @@ class TestPerfReport:
             assert row["rf"] >= 1.0
 
     def test_contenders_present(self, report):
-        pairs = {(r["algorithm"], r["backend"]) for r in report["results"]}
-        assert ("TLP", "csr") in pairs
-        assert ("TLP", "reference") in pairs
-        assert ("METIS", "-") in pairs and ("LDG", "-") in pairs
-
-    def test_backend_rf_parity(self, report):
-        by_cell = {}
-        for r in report["results"]:
-            if r["algorithm"] == "TLP":
-                by_cell.setdefault((r["p"], r["seed"]), set()).add(r["rf"])
-        assert by_cell
-        for cell, rfs in by_cell.items():
-            assert len(rfs) == 1, f"RF diverged across backends in {cell}"
+        algorithms = [r["algorithm"] for r in report["results"]]
+        assert algorithms.count("TLP") == len(report["seeds"])
+        assert {"TLP_R(R=0.5)", "METIS", "LDG"} <= set(algorithms)
 
     def test_write_report_round_trips(self, report, tmp_path):
         path = write_report(report, str(tmp_path / "BENCH_perf.json"))

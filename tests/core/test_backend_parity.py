@@ -1,24 +1,35 @@
-"""Backend equivalence: every CSR backend reproduces the reference output.
+"""TLP growth parity: the shipped path reproduces the dict-of-sets oracle.
 
-The contract of ``LocalEdgePartitioner(backend=...)`` is bit-for-bit
-equality under a fixed seed — same edge lists in the same order, same
-replication factor, same telemetry stream.  These tests pin that across
-dataset stand-ins, stage policies, capacity modes and reseed modes, for
-the automatic ``csr`` backend, the forced-numpy ``csr-python`` backend
-and (when a toolchain exists) the compiled ``csr-native`` backend.
+The contract of :class:`~repro.core.local.LocalEdgePartitioner` is
+bit-for-bit equality with :mod:`tests.core.tlp_oracle` under a fixed seed
+— same edge lists in the same order, same replication factor, same
+telemetry stream.  These tests pin that across dataset stand-ins, stage
+policies, capacity modes and reseed modes, once on the default path (the
+compiled kernel when a toolchain exists) and once with the kernel switched
+off by ``REPRO_NO_NATIVE=1`` (the numpy ``CSRPartitionState`` path).
+TLP-W never uses the kernel; its array mirror is pinned against the
+oracle growing in the dict buffer directly.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.local import BACKENDS, LocalEdgePartitioner
+from repro._native import load_kernel
+from repro.core.local import LocalEdgePartitioner
+from repro.core.native_grow import NativeRunner
 from repro.core.stages import EdgeCountStagePolicy, ModularityStagePolicy
 from repro.core.windowed import WindowedLocalPartitioner
 from repro.datasets.synthetic import load_dataset
 from repro.partitioning.metrics import replication_factor
+from tests.core.tlp_oracle import OracleLocalPartitioner, OracleWindowedPartitioner
 
 P = 6
+
+POLICIES = {
+    "modularity": ModularityStagePolicy,
+    "ratio": lambda: EdgeCountStagePolicy(0.4),
+}
 
 
 @pytest.fixture(scope="module", params=["G1", "G4", "G9"])
@@ -27,15 +38,7 @@ def standin(request):
     return load_dataset(request.param, bench=True)
 
 
-def _run(graph, backend, policy, strict, reseed, seed=0):
-    partitioner = LocalEdgePartitioner(
-        policy,
-        seed=seed,
-        strict_capacity=strict,
-        reseed_on_break=reseed,
-        backend=backend,
-    )
-    partition = partitioner.partition(graph, P)
+def _summary(partitioner, partition, graph):
     telemetry = partitioner.last_telemetry
     return {
         "edges": [partition.edges_of(i) for i in range(P)],
@@ -49,46 +52,88 @@ def _run(graph, backend, policy, strict, reseed, seed=0):
     }
 
 
-POLICIES = {
-    "modularity": ModularityStagePolicy,
-    "ratio": lambda: EdgeCountStagePolicy(0.4),
-}
+def _run(graph, cls, policy, strict, reseed, seed=0):
+    partitioner = cls(
+        POLICIES[policy](),
+        seed=seed,
+        strict_capacity=strict,
+        reseed_on_break=reseed,
+    )
+    return _summary(partitioner, partitioner.partition(graph, P), graph)
+
+
+@pytest.fixture(scope="module")
+def oracle(standin):
+    """The oracle run of a matrix cell on ``standin``, computed once."""
+    cache = {}
+
+    def run(policy, strict, reseed):
+        key = (policy, strict, reseed)
+        if key not in cache:
+            cache[key] = _run(standin, OracleLocalPartitioner, policy, strict, reseed)
+        return cache[key]
+
+    return run
+
+
+@pytest.fixture
+def grow_round_calls(monkeypatch):
+    """Count kernel rounds: a spy on :meth:`NativeRunner.grow_round`."""
+    calls = []
+    real = NativeRunner.grow_round
+
+    def spy(self, *args, **kwargs):
+        calls.append(args[1])
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(NativeRunner, "grow_round", spy)
+    return calls
 
 
 class TestBackendParity:
     @pytest.mark.parametrize("policy", sorted(POLICIES))
     @pytest.mark.parametrize("strict", [True, False])
     @pytest.mark.parametrize("reseed", [True, False])
-    def test_csr_matches_reference(self, standin, policy, strict, reseed):
-        make = POLICIES[policy]
-        ref = _run(standin, "reference", make(), strict, reseed)
-        csr = _run(standin, "csr", make(), strict, reseed)
-        assert csr == ref
+    def test_csr_matches_reference(self, standin, oracle, policy, strict, reseed):
+        """Default path (kernel when it builds) against the oracle."""
+        got = _run(standin, LocalEdgePartitioner, policy, strict, reseed)
+        assert got == oracle(policy, strict, reseed)
 
     @pytest.mark.parametrize("policy", sorted(POLICIES))
-    def test_numpy_path_matches_reference(self, standin, policy, monkeypatch):
-        """Force the pure-numpy CSR path even when a compiler exists."""
+    def test_numpy_path_matches_reference(self, standin, oracle, policy, monkeypatch):
+        """The whole strict x reseed matrix with the kernel switched off."""
         monkeypatch.setenv("REPRO_NO_NATIVE", "1")
-        make = POLICIES[policy]
-        ref = _run(standin, "reference", make(), True, True)
-        numpy_csr = _run(standin, "csr", make(), True, True)
-        forced = _run(standin, "csr-python", make(), True, True)
-        assert numpy_csr == ref
-        assert forced == ref
+        for strict in (True, False):
+            for reseed in (True, False):
+                got = _run(standin, LocalEdgePartitioner, policy, strict, reseed)
+                assert got == oracle(policy, strict, reseed), (
+                    f"strict={strict} reseed={reseed}"
+                )
 
-    def test_native_path_matches_reference(self, standin):
-        from repro.core.native_grow import native_kernel
-
-        if native_kernel() is None:
-            pytest.skip("no C toolchain available for csr-native")
-        ref = _run(standin, "reference", ModularityStagePolicy(), True, True)
-        native = _run(standin, "csr-native", ModularityStagePolicy(), True, True)
-        assert native == ref
+    def test_native_path_matches_reference(self, standin, oracle, grow_round_calls):
+        if load_kernel() is None:
+            pytest.skip("kernel unavailable: no C toolchain, or REPRO_NO_NATIVE set")
+        got = _run(standin, LocalEdgePartitioner, "modularity", True, True)
+        assert grow_round_calls == list(range(P))
+        assert got == oracle("modularity", True, True)
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            LocalEdgePartitioner(ModularityStagePolicy(), backend="gpu")
-        assert "csr" in BACKENDS and "reference" in BACKENDS
+        """The ``backend=`` option is gone; passing it is an error."""
+        with pytest.raises(TypeError, match="backend"):
+            LocalEdgePartitioner(ModularityStagePolicy(), backend="csr")
+
+
+class TestKernelDispatch:
+    def test_kernel_path_taken_when_available(self, standin, grow_round_calls):
+        _run(standin, LocalEdgePartitioner, "ratio", True, True)
+        expected = list(range(P)) if load_kernel() is not None else []
+        assert grow_round_calls == expected
+
+    def test_no_native_skips_kernel(self, standin, grow_round_calls, monkeypatch):
+        monkeypatch.setenv("REPRO_NO_NATIVE", "1")
+        assert load_kernel() is None
+        _run(standin, LocalEdgePartitioner, "modularity", True, True)
+        assert grow_round_calls == []
 
 
 class TestWindowedBackendParity:
@@ -98,23 +143,13 @@ class TestWindowedBackendParity:
             standin.num_edges // window_divisor, standin.num_edges // P + 1
         )
         results = {}
-        for backend in ("reference", "csr"):
-            partitioner = WindowedLocalPartitioner(
-                window_size=window, seed=0, backend=backend
-            )
+        for cls in (OracleWindowedPartitioner, WindowedLocalPartitioner):
+            partitioner = cls(window_size=window, seed=0)
             partition = partitioner.partition(standin, P)
-            telemetry = partitioner.last_telemetry
-            results[backend] = {
-                "edges": [partition.edges_of(i) for i in range(P)],
-                "rf": replication_factor(partition, standin),
-                "records": [
-                    (r.partition, r.stage, r.vertex, r.degree, r.allocated)
-                    for r in telemetry.records
-                ],
-                "reseeds": telemetry.reseeds,
-            }
-        assert results["csr"] == results["reference"]
+            results[cls] = _summary(partitioner, partition, standin)
+        assert results[WindowedLocalPartitioner] == results[OracleWindowedPartitioner]
 
     def test_windowed_rejects_unknown_backend(self):
-        with pytest.raises(ValueError, match="backend"):
-            WindowedLocalPartitioner(window_size=100, backend="nope")
+        """The ``backend=`` option is gone; passing it is an error."""
+        with pytest.raises(TypeError, match="backend"):
+            WindowedLocalPartitioner(window_size=100, backend="csr")

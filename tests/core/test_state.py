@@ -1,15 +1,27 @@
-"""Unit tests for PartitionState invariants and the paper's worked examples."""
+"""Unit tests for CSRPartitionState invariants and the paper's worked examples.
+
+The frontier is addressed by dense vertex index; :func:`in_frontier` and
+:func:`frontier_ids` translate to original ids.
+"""
 
 import pytest
 
-from repro.core.state import PartitionState
+from repro.core.state import CSRPartitionState
 from repro.graph.graph import Graph
-from repro.graph.residual import ResidualGraph
+from repro.graph.residual_csr import CSRResidual
 
 
 def make_state(graph, scope="residual"):
-    residual = ResidualGraph(graph)
-    return PartitionState(residual, graph, scope), residual
+    residual = CSRResidual(graph)
+    return CSRPartitionState(residual, scope), residual
+
+
+def in_frontier(state, residual, v):
+    return residual.index_of[v] in state.frontier
+
+
+def frontier_ids(state, residual):
+    return set(residual.ids[state.frontier.members()].tolist())
 
 
 def external_count_brute_force(state, residual):
@@ -109,9 +121,7 @@ class TestAddVertex:
             for u, v in residual.edges()
             if (u in state.members) != (v in state.members)
         }
-        assert expected == {
-            v for v in communities.vertices() if v in state.frontier
-        }
+        assert expected == frontier_ids(state, residual)
 
 
 class TestStage1Scores:
@@ -142,8 +152,7 @@ class TestStage1Scores:
         ]
         ids = {name: i for i, name in enumerate(sorted({v for edge in edges for v in edge}))}
         graph = Graph.from_edges([(ids[u], ids[v]) for u, v in edges])
-        residual = ResidualGraph(graph)
-        state = PartitionState(residual, graph)
+        state, residual = make_state(graph)
         # Manually install members b, c, d (bypassing selection).
         state.seed(ids[b])
         state.add_vertex(ids[c])
@@ -151,7 +160,7 @@ class TestStage1Scores:
         state.flush_stage1_scores()
         f = state.frontier
         scores = {
-            name: f._mu1[f._pos[ids[name]]] for name in (a, e, g)
+            name: f._mu1[f._pos[residual.index_of[ids[name]]]] for name in (a, e, g)
         }
         assert scores[a] == pytest.approx(0.4)
         assert scores[e] == pytest.approx(0.6)
@@ -169,15 +178,15 @@ class TestStage1Scores:
     def test_original_scope_uses_full_graph(self, small_social):
         # Smoke test: both scopes run and select valid frontier vertices.
         for scope in ("residual", "original"):
-            state, _ = make_state(small_social, scope)
+            state, residual = make_state(small_social, scope)
             state.seed(next(iter(small_social.vertices())))
             v = state.select_stage1()
-            assert v in state.frontier
+            assert in_frontier(state, residual, v)
 
     def test_invalid_scope_rejected(self, triangle):
-        residual = ResidualGraph(triangle)
+        residual = CSRResidual(triangle)
         with pytest.raises(ValueError, match="similarity_scope"):
-            PartitionState(residual, triangle, "bogus")
+            CSRPartitionState(residual, "bogus")
 
 
 class TestModularityTracking:

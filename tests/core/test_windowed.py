@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.tlp import TLPPartitioner
 from repro.core.windowed import WindowedLocalPartitioner
-from repro.graph.generators import community_graph, path_graph
+from repro.graph.generators import holme_kim, path_graph
 from repro.graph.graph import Graph
 from repro.partitioning.metrics import edge_balance, replication_factor
 from repro.partitioning.registry import make_partitioner
@@ -79,6 +79,32 @@ class TestContract:
             WindowedLocalPartitioner(window_size=0)
         with pytest.raises(ValueError):
             WindowedLocalPartitioner(window_size=10, slack=0.5)
+
+    def test_similarity_scope_not_accepted(self):
+        """Episodes always score Stage I on the buffer residual."""
+        with pytest.raises(TypeError, match="similarity_scope"):
+            WindowedLocalPartitioner(window_size=10, similarity_scope="residual")
+
+
+class TestDeclaredTotal:
+    """``total_edges`` must not undercount the stream."""
+
+    @pytest.fixture
+    def stream(self):
+        return list(holme_kim(200, 3, 0.3, seed=1).edges())
+
+    @pytest.mark.parametrize("window", [136, 591])
+    def test_longer_stream_than_declared_raises(self, stream, window):
+        assert len(stream) == 591
+        partitioner = WindowedLocalPartitioner(window_size=window, seed=0)
+        with pytest.raises(ValueError, match="total_edges=541 edges: 591 seen"):
+            partitioner.assign_stream(iter(stream), 4, total_edges=541)
+
+    def test_shorter_stream_than_declared_is_partitioned(self, stream):
+        part = WindowedLocalPartitioner(window_size=200, seed=0).assign_stream(
+            iter(stream), 4, total_edges=700
+        )
+        assert sorted(e for k in range(4) for e in part.edges_of(k)) == sorted(stream)
 
 
 class TestQuality:

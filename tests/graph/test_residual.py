@@ -41,23 +41,6 @@ class TestRemoval:
         with pytest.raises(KeyError):
             residual.remove_edge(0, 1)
 
-    def test_remove_edges_between(self, residual):
-        removed = residual.remove_edges_between(0, {1, 2})
-        assert len(removed) == 2
-        assert residual.degree(0) == 0
-        assert residual.num_edges == 1  # only (1, 2) remains
-
-    def test_remove_edges_between_partial_targets(self, residual):
-        removed = residual.remove_edges_between(0, {1})
-        assert removed == [(0, 1)]
-        assert residual.has_edge(0, 2)
-
-    def test_remove_edges_between_iterates_smaller_side(self):
-        g = Graph.from_edges([(0, i) for i in range(1, 50)])
-        residual = ResidualGraph(g)
-        removed = residual.remove_edges_between(0, {1, 2, 3})
-        assert sorted(u for _, u in removed) == [1, 2, 3]
-
     def test_exhaustion(self, residual):
         for u, v in list(residual.edges()):
             residual.remove_edge(u, v)

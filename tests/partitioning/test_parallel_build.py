@@ -14,9 +14,11 @@ import numpy as np
 import pytest
 
 from repro.core.parallel import parallel_map, partition_many, resolve_workers
+from repro.core.stages import ModularityStagePolicy
 from repro.core.tlp import TLPPartitioner
 from repro.partitioning.csr_bundle import build_partition_csr
 from repro.partitioning.serialization import load_partition, save_partition
+from tests.core.tlp_oracle import OracleLocalPartitioner
 
 P = 4
 
@@ -107,19 +109,20 @@ class TestParallelSave:
 
 class TestParallelGrowth:
     def test_threaded_jobs_match_sequential(self, graph):
-        jobs = [(TLPPartitioner(seed=s, backend="csr"), graph, P) for s in (0, 1)]
+        jobs = [(TLPPartitioner(seed=s), graph, P) for s in (0, 1)]
         threaded = partition_many(jobs, workers=2)
         # Recompute each job alone and compare edge lists exactly.
         for seed, result in zip((0, 1), threaded):
-            alone = TLPPartitioner(seed=seed, backend="csr").partition(graph, P)
+            alone = TLPPartitioner(seed=seed).partition(graph, P)
             assert [result.edges_of(k) for k in range(P)] == [
                 alone.edges_of(k) for k in range(P)
             ]
 
     def test_mixed_backends_agree_under_threads(self, graph):
+        """The shipped path and the dict-of-sets oracle, side by side."""
         jobs = [
-            (TLPPartitioner(seed=3, backend="csr"), graph, P),
-            (TLPPartitioner(seed=3, backend="reference"), graph, P),
+            (TLPPartitioner(seed=3), graph, P),
+            (OracleLocalPartitioner(ModularityStagePolicy(), seed=3), graph, P),
         ]
         csr, ref = partition_many(jobs, workers=2)
         assert [csr.edges_of(k) for k in range(P)] == [
