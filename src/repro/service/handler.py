@@ -82,7 +82,7 @@ OPERATIONS = (
 #: Ops that change server state: never coalesced inside a batch.
 MUTATING_OPS = frozenset({"insert_edge", "delete_edge", "compact", "reload"})
 
-#: Read ops answered in bulk through the stores' vectorised ``*_many``
+#: Read ops answered in bulk through the stores' ``*_many``
 #: batch methods — ``execute_batch`` groups them per snapshot.
 VECTOR_OPS = frozenset({"master", "neighbors", "edge"})
 
@@ -249,9 +249,9 @@ class ServiceHandler:
 
         Requests for the three routing ops (:data:`VECTOR_OPS`) are
         grouped per ``(store, epoch, delta_version)`` snapshot and
-        answered through the store's vectorised ``route_many`` /
-        ``neighbors_many`` / ``owners_many`` — one searchsorted/gather
-        pass per batch instead of per request.  A mutating op flushes the
+        answered through the store's ``route_many`` / ``neighbors_many`` /
+        ``owners_many`` — one store call per op per batch, which walks the
+        CSR rows item by item.  A mutating op flushes the
         pending groups first, so observable ordering is unchanged: a read
         admitted before a mutation is answered from the pre-mutation
         snapshot, exactly as the scalar loop did.

@@ -261,8 +261,8 @@ class DeltaOverlay:
     # records both endpoints of every mutation in ``_deg``, so any vertex
     # absent from it answers exactly as the base store.  Each batch is
     # therefore split once — touched vertices take the scalar overlay
-    # path, the (typically much larger) untouched remainder is answered
-    # by one vectorised call on the base.
+    # path, the (typically much larger) untouched remainder goes to the
+    # base store in one ``*_many`` call, which walks its CSR rows.
 
     def route_many(self, vertices: Sequence[int]) -> List[Route]:
         out: List[Route] = [None] * len(vertices)

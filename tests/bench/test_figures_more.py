@@ -2,8 +2,6 @@
 
 import math
 
-import pytest
-
 from repro.bench.figures import TLPRSweep, fig8
 from repro.bench.report import render_table
 from repro.graph.generators import community_graph

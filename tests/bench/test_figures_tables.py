@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.figures import Fig8Data, TLPRSweep, fig8, tlp_r_sweep
+from repro.bench.figures import TLPRSweep, fig8, tlp_r_sweep
 from repro.bench.tables import Table4Data, render_table3, table4, table6
 from repro.graph.generators import community_graph, holme_kim
 

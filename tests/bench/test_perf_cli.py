@@ -56,3 +56,33 @@ class TestPerfReport:
         loaded = json.loads((tmp_path / "BENCH_perf.json").read_text())
         assert loaded == report
         assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_tlp_warm_up_call_is_not_timed(monkeypatch):
+    """The first TLP call runs before any timed row, and records none."""
+    from repro.bench import perf
+    from repro.core.tlp import TLPPartitioner
+
+    timing = [False]
+    calls = []
+    partition, timed = TLPPartitioner.partition, perf._timed
+
+    def spy_partition(self, *args, **kwargs):
+        calls.append(timing[0])
+        return partition(self, *args, **kwargs)
+
+    def spy_timed(*args):
+        timing[0] = True
+        try:
+            return timed(*args)
+        finally:
+            timing[0] = False
+
+    monkeypatch.setattr(TLPPartitioner, "partition", spy_partition)
+    monkeypatch.setattr(perf, "_timed", spy_timed)
+    seeds = (0, 1)
+    report = run_perf(holme_kim(120, 3, 0.3, seed=5), p=4, seeds=seeds, quick=True)
+    assert calls[0] is False  # the warm-up
+    assert calls[1:].count(True) == len(seeds)
+    tlp_rows = [r for r in report["results"] if r["algorithm"] == "TLP"]
+    assert [r["seed"] for r in tlp_rows] == list(seeds)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.bench.sweeps import (
-    SeedSensitivityRow,
     seed_sensitivity,
     slack_tradeoff,
 )

@@ -1,12 +1,10 @@
 """Tests for incremental partition maintenance."""
 
-import math
-
 import pytest
 
 from repro.core.dynamic import DynamicPartitioner
 from repro.core.tlp import TLPPartitioner
-from repro.graph.generators import community_graph, holme_kim
+from repro.graph.generators import holme_kim
 from repro.graph.graph import Graph
 from repro.partitioning.assignment import EdgePartition
 from repro.partitioning.metrics import edge_balance, replication_factor

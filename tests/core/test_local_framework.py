@@ -1,15 +1,12 @@
 """Tests of the generic local-partitioning framework not covered elsewhere."""
 
-import pytest
-
 from repro.core.local import LocalEdgePartitioner
 from repro.core.stages import (
     EdgeCountStagePolicy,
     FixedStagePolicy,
     ModularityStagePolicy,
 )
-from repro.graph.generators import holme_kim, path_graph
-from repro.graph.graph import Graph
+from repro.graph.generators import path_graph
 
 
 class TestCustomPolicies:

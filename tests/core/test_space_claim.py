@@ -3,7 +3,6 @@
 import math
 
 from repro.core.tlp import TLPPartitioner
-from repro.graph.degree import max_degree
 from repro.graph.generators import holme_kim
 
 

@@ -1,9 +1,6 @@
 """Additional graph-substrate coverage: iterator semantics, views, reprs."""
 
-import pytest
-
 from repro.graph.generators import holme_kim
-from repro.graph.graph import Graph
 
 
 class TestIterationSemantics:

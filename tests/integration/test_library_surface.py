@@ -1,17 +1,15 @@
 """Smoke tests of the public API surface: everything documented imports and
 composes the way README/USAGE show."""
 
-import pytest
-
 
 class TestTopLevelImports:
     def test_readme_quickstart_surface(self):
         from repro import (
-            EdgePartition,
-            Graph,
-            GraphBuilder,
+            EdgePartition,  # noqa: F401
+            Graph,  # noqa: F401
+            GraphBuilder,  # noqa: F401
             TLPPartitioner,
-            TLPRPartitioner,
+            TLPRPartitioner,  # noqa: F401
             make_partitioner,
             replication_factor,
         )

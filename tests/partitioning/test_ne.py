@@ -2,8 +2,6 @@
 
 import math
 
-import pytest
-
 from repro.graph.generators import complete_graph, path_graph
 from repro.graph.graph import Graph
 from repro.partitioning.metrics import edge_balance, replication_factor

@@ -16,7 +16,6 @@ Pins the subsystem's three load-bearing contracts:
   ``test_oocore_rss.py`` (subprocess-measured).
 """
 
-import json
 import gzip
 
 import pytest

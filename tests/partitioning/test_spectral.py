@@ -1,7 +1,5 @@
 """Tests for the spectral bisection partitioner."""
 
-import pytest
-
 from repro.graph.generators import community_graph, grid_2d, path_graph
 from repro.graph.graph import Graph
 from repro.partitioning.metrics import replication_factor

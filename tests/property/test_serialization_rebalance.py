@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph.generators import erdos_renyi_gnm
-from repro.partitioning.assignment import EdgePartition
 from repro.partitioning.rebalance import rebalance
 from repro.partitioning.registry import make_partitioner
 from repro.partitioning.serialization import load_partition, save_partition

@@ -12,7 +12,6 @@ from repro.runtime.programs import (
     SingleSourceShortestPaths,
     run_reference,
 )
-from repro.runtime.replication import ReplicationTable
 from repro.runtime.stats import load_imbalance
 
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.tlp import TLPPartitioner
 from repro.graph.generators import community_graph, path_graph
-from repro.graph.graph import Graph
 from repro.runtime.engine import GASEngine
 from repro.runtime.programs import (
     ConnectedComponents,

@@ -1,7 +1,5 @@
 """Tests for the k-core decomposition program."""
 
-import pytest
-
 from repro.core.tlp import TLPPartitioner
 from repro.graph.generators import (
     complete_graph,

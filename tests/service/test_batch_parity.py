@@ -248,3 +248,46 @@ class TestHandlerBatchParity:
         responses = handler.execute_batch(requests)
         assert responses[0]["ok"]
         assert responses[0]["result"]["partition"] == overlay.owner_of_edge(u, v)
+
+
+BEYOND_INT64 = [2**70, -(2**70), 2**63]
+
+
+@pytest.mark.parametrize("big", BEYOND_INT64)
+def test_beyond_int64_ids_are_batched_misses(big, graph, partition):
+    """An id no int64 array can hold is a plain miss inside the bulk pass.
+
+    Its ``not_found`` response is byte-identical on both wires to the one
+    the scalar path gives, and it no longer pushes the valid requests of
+    its batch off the bulk pass.
+    """
+    from repro.service import protocol
+
+    store = PartitionStore.from_partition(partition)
+    u, v = sorted(partition.edges_of(0))[0]
+    requests = [
+        {"id": 0, "op": "neighbors", "args": {"v": big}},
+        {"id": 1, "op": "master", "args": {"v": big}},
+        {"id": 2, "op": "edge", "args": {"u": big, "v": v}},
+        {"id": 3, "op": "edge", "args": {"u": u, "v": big}},
+        {"id": 4, "op": "neighbors", "args": {"v": u}},
+        {"id": 5, "op": "master", "args": {"v": u}},
+        {"id": 6, "op": "edge", "args": {"u": u, "v": v}},
+    ]
+    handler = ServiceHandler(store)
+    batched = handler.execute_batch(requests)
+    scalar = [ServiceHandler(store).execute(r) for r in requests]
+    missing = [big, big, normalize_edge(big, v), normalize_edge(u, big)]
+    for i, what in enumerate(missing):
+        expected = protocol.error_response(
+            i, protocol.NOT_FOUND, f"not in store: {what!r}", epoch=store.epoch
+        )
+        for wire in sorted(protocol.WIRES):
+            frame = protocol.encode_frame(batched[i], wire)
+            assert frame == protocol.encode_frame(expected, wire)
+            assert frame == protocol.encode_frame(scalar[i], wire)
+    assert batched[4:] == scalar[4:]
+    assert all(r["ok"] for r in batched[4:])
+    counters = handler.metrics.snapshot()["counters"]
+    assert counters["requests_vectorised"] == len(requests)
+    assert counters["requests_not_found"] == len(missing)
