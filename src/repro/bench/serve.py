@@ -289,7 +289,6 @@ def run_serve(
     concurrency: int = DEFAULT_CONCURRENCY,
     seed: int = 0,
     quick: bool = False,
-    batch_window: float = 0.002,
     mutate_ratio: float = 0.0,
     delete_ratio: float = 0.3,
     fsync: str = "always",
@@ -385,9 +384,7 @@ def run_serve(
             Dict[str, List[float]], int, int, Dict, Optional[Dict], float, float,
             Dict[str, Dict[str, float]],
         ]:
-            server = PartitionServer(
-                served, batch_window=batch_window, ingestor=ingestor
-            )
+            server = PartitionServer(served, ingestor=ingestor)
             async with server:
                 host, port = server.address
                 per_wire: Dict[str, Dict[str, float]] = {}
@@ -549,7 +546,6 @@ def run_serve(
 _DISTURBANCE_COUNTERS = (
     "requests_timeout",
     "requests_overload",
-    "requests_rejected_shutdown",
     "responses_dropped",
     "responses_unencodable",
 )

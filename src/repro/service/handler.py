@@ -26,7 +26,7 @@ op                      args                  result
 
 ``execute_batch`` coalesces duplicate ``(op, args)`` pairs inside one
 batch — under skewed access patterns (the norm for power-law graphs) hot
-vertices are looked up many times per batching window and computed once.
+vertices are looked up many times per batch and computed once.
 Mutating ops are never coalesced, and read results are shared only
 within one ``(epoch, delta_version)`` — a coalesced read batch observes
 one delta version even when a mutation lands mid-batch.
@@ -139,17 +139,200 @@ class ServiceHandler:
         """The store serving the live epoch."""
         return self.manager.store
 
-    # -- single request ----------------------------------------------------
+    # -- requests ----------------------------------------------------------
 
     def execute(
         self, request: Dict[str, Any], lease: Optional[Lease] = None
     ) -> Dict[str, Any]:
         """Map one request dict to one response dict (never raises).
 
-        With ``lease`` the request runs against the pinned ``(store,
-        epoch)`` (the caller releases it); otherwise a lease is taken and
-        returned around the dispatch.
+        A batch of one: with ``lease`` the request runs against the
+        pinned ``(store, epoch)`` (the caller releases it), otherwise
+        against the live epoch.
         """
+        return self.execute_batch([request], None if lease is None else [lease])[0]
+
+    def execute_batch(
+        self,
+        requests: List[Dict[str, Any]],
+        leases: Optional[Sequence[Optional[Lease]]] = None,
+    ) -> List[Dict[str, Any]]:
+        """Execute a batch: dedup duplicates, answer routing reads in bulk.
+
+        Responses line up index-for-index with ``requests`` and carry each
+        request's own ``id`` even when the result was shared.  ``leases``
+        optionally pins each request to the ``(store, epoch)`` the server
+        leased at admission; results are only shared within one epoch.
+
+        The three routing ops (:data:`VECTOR_OPS`) have one read path:
+        they are grouped per op and ``(store, epoch)`` and answered
+        through the store's ``route_many`` / ``neighbors_many`` /
+        ``owners_many`` — one store call per group, which walks the CSR
+        rows item by item.  A mutating op answers the pending groups
+        first, so a read admitted before a mutation is answered from the
+        pre-mutation snapshot, and a group never spans two delta versions.
+        """
+        metrics = self.metrics
+        metrics.inc("batches")
+        metrics.inc("batch_requests_total", len(requests))
+        if len(requests) > 1:
+            metrics.inc("batched_requests", len(requests))
+        computed: Dict[Tuple, Dict[str, Any]] = {}
+        queued: Dict[Tuple, _Read] = {}
+        groups: Dict[Tuple, _ReadGroup] = {}
+        responses: List[Optional[Dict[str, Any]]] = [None] * len(requests)
+
+        def answer_groups() -> None:
+            for group in groups.values():
+                self._answer_reads(group, responses, computed)
+            groups.clear()
+            queued.clear()
+
+        for i, request in enumerate(requests):
+            lease = leases[i] if leases is not None else None
+            op = request.get("op")
+            if isinstance(op, str) and op in MUTATING_OPS:
+                answer_groups()  # state may change: answer the earlier reads first
+            store, epoch = lease if lease else (self.manager.store, self.manager.epoch)
+            # A lone request has nothing to share a result with.
+            key = _coalesce_key(request) if len(requests) > 1 else None
+            if key is not None:
+                # Results are shared only within one (epoch, delta_version)
+                # snapshot: a mutation mid-batch bumps the version, so later
+                # duplicates recompute instead of reusing a stale answer.
+                key = (epoch, getattr(store, "delta_version", 0)) + key
+                hit = computed.get(key)
+                if hit is not None:
+                    metrics.inc("batch_dedup_hits")
+                    response = dict(hit)
+                    response["id"] = request.get("id")
+                    responses[i] = response
+                    self._count_shared(op, response)
+                    continue
+                item = queued.get(key)
+                if item is not None:
+                    # Duplicate of a read already queued for the bulk pass.
+                    metrics.inc("batch_dedup_hits")
+                    item.duplicates.append((i, request.get("id")))
+                    continue
+            args = request.get("args") or {}
+            if isinstance(op, str) and op in VECTOR_OPS and isinstance(args, dict):
+                try:
+                    arg = _read_arg(op, args)
+                except _BadArgs as exc:
+                    metrics.inc("requests_bad")
+                    responses[i] = protocol.error_response(
+                        request.get("id"), protocol.BAD_REQUEST, str(exc), epoch=epoch
+                    )
+                else:
+                    gkey = (id(store), epoch, op)
+                    group = groups.get(gkey)
+                    if group is None:
+                        group = groups[gkey] = _ReadGroup(store, epoch, op)
+                    item = _Read(key, request.get("id"), i)
+                    group.items.append(item)
+                    group.args.append(arg)
+                    if key is not None:
+                        queued[key] = item
+                    continue
+            else:
+                responses[i] = self._execute_one(request, lease)
+            if key is not None:
+                computed[key] = cast("Dict[str, Any]", responses[i])
+        answer_groups()
+        # A string type: subscripting typing generics at run time costs
+        # several Python calls per batch.
+        return cast("List[Dict[str, Any]]", responses)
+
+    def _answer_reads(
+        self,
+        group: "_ReadGroup",
+        responses: List[Optional[Dict[str, Any]]],
+        computed: Dict[Tuple, Dict[str, Any]],
+    ) -> None:
+        """Answer one snapshot's queued reads of one op in one store call.
+
+        A store call that raises answers its items with ``internal``.
+        """
+        op, epoch, args, items = group.op, group.epoch, group.args, group.items
+        metrics = self.metrics
+        try:
+            if op == "neighbors":
+                rows: Sequence[Any] = group.store.neighbors_many(args)
+            elif op == "master":
+                rows = group.store.route_many(args)
+            else:
+                rows = group.store.owners_many(args)
+        except Exception as exc:  # noqa: BLE001 — fault barrier at the edge
+            failure = f"{type(exc).__name__}: {exc}"
+            metrics.inc("requests_internal_error", len(items))
+            for item in items:
+                self._share(
+                    op,
+                    item,
+                    protocol.error_response(
+                        item.request_id, protocol.INTERNAL, failure, epoch=epoch
+                    ),
+                    responses,
+                    computed,
+                )
+            return
+        metrics.inc("requests_vectorised", len(items))
+        found = 0
+        for item, arg, row in zip(items, args, rows):
+            if row is None:
+                missing = normalize_edge(*arg) if op == "edge" else arg
+                response = protocol.error_response(
+                    item.request_id,
+                    protocol.NOT_FOUND,
+                    f"not in store: {missing!r}",
+                    epoch=epoch,
+                )
+            else:
+                found += 1
+                if op == "neighbors":
+                    result = {"v": arg, "neighbors": row[0], "partitions": list(row[1])}
+                elif op == "master":
+                    master, replicas = row
+                    result = {
+                        "v": arg,
+                        "master": master,
+                        "mirrors": [k for k in replicas if k != master],
+                        "replicas": list(replicas),
+                    }
+                else:
+                    result = {"u": arg[0], "v": arg[1], "partition": row}
+                response = protocol.ok_response(item.request_id, result, epoch=epoch)
+            self._share(op, item, response, responses, computed)
+        if found < len(items):
+            metrics.inc("requests_not_found", len(items) - found)
+        if found:
+            metrics.inc("requests_ok", found)
+            metrics.inc(f"op_{op}", found)
+
+    def _share(
+        self,
+        op: str,
+        item: "_Read",
+        response: Dict[str, Any],
+        responses: List[Optional[Dict[str, Any]]],
+        computed: Dict[Tuple, Dict[str, Any]],
+    ) -> None:
+        """Place one read's response, and copies for its duplicates."""
+        responses[item.position] = response
+        if item.key is None:
+            return
+        computed[item.key] = response
+        for pos, rid in item.duplicates:
+            shared = dict(response)
+            shared["id"] = rid
+            responses[pos] = shared
+            self._count_shared(op, shared)
+
+    def _execute_one(
+        self, request: Dict[str, Any], lease: Optional[Lease]
+    ) -> Dict[str, Any]:
+        """Answer one request that is not a routing read (never raises)."""
         request_id = request.get("id")
         op = request.get("op")
         if not isinstance(op, str) or op not in OPERATIONS:
@@ -233,204 +416,6 @@ class ServiceHandler:
             epoch = result.get("epoch", epoch)
         return protocol.ok_response(request_id, result, epoch=epoch)
 
-    # -- batched requests --------------------------------------------------
-
-    def execute_batch(
-        self,
-        requests: List[Dict[str, Any]],
-        leases: Optional[Sequence[Optional[Lease]]] = None,
-    ) -> List[Dict[str, Any]]:
-        """Execute a batch: dedup duplicates, answer routing reads in bulk.
-
-        Responses line up index-for-index with ``requests`` and carry each
-        request's own ``id`` even when the result was shared.  ``leases``
-        optionally pins each request to the ``(store, epoch)`` the server
-        leased at admission; results are only shared within one epoch.
-
-        Requests for the three routing ops (:data:`VECTOR_OPS`) are
-        grouped per ``(store, epoch, delta_version)`` snapshot and
-        answered through the store's ``route_many`` / ``neighbors_many`` /
-        ``owners_many`` — one store call per op per batch, which walks the
-        CSR rows item by item.  A mutating op flushes the
-        pending groups first, so observable ordering is unchanged: a read
-        admitted before a mutation is answered from the pre-mutation
-        snapshot, exactly as the scalar loop did.
-        """
-        self.metrics.inc("batches")
-        self.metrics.inc("batch_requests_total", len(requests))
-        if len(requests) > 1:
-            self.metrics.inc("batched_requests", len(requests))
-        if leases is None:
-            leases = [None] * len(requests)
-        computed: Dict[Tuple, Dict[str, Any]] = {}
-        pending: Dict[Tuple, _VectorItem] = {}
-        groups: Dict[Tuple, _VectorGroup] = {}
-        responses: List[Optional[Dict[str, Any]]] = [None] * len(requests)
-
-        def flush() -> None:
-            for group in groups.values():
-                self._answer_vector_group(group, responses, computed)
-            groups.clear()
-            pending.clear()
-
-        for i, (request, lease) in enumerate(zip(requests, leases)):
-            op = request.get("op")
-            if isinstance(op, str) and op in MUTATING_OPS:
-                flush()  # state may change: answer the earlier reads first
-            key = _coalesce_key(request)
-            if key is not None:
-                # Results are shared only within one (epoch, delta_version)
-                # snapshot: a mutation mid-batch bumps the version, so later
-                # duplicates recompute instead of reusing a stale answer.
-                store = lease[0] if lease else self.manager.store
-                epoch = lease[1] if lease else self.manager.epoch
-                version = getattr(store, "delta_version", 0)
-                key = (epoch, version) + key
-                hit = computed.get(key)
-                if hit is not None:
-                    self.metrics.inc("batch_dedup_hits")
-                    response = dict(hit)
-                    response["id"] = request.get("id")
-                    responses[i] = response
-                    self._count_shared(op, response)
-                    continue
-                item = pending.get(key)
-                if item is not None:
-                    # Duplicate of a read already queued for the bulk pass.
-                    self.metrics.inc("batch_dedup_hits")
-                    item.positions.append(i)
-                    item.ids.append(request.get("id"))
-                    continue
-                if op in VECTOR_OPS:
-                    parsed = _vector_args(op, request.get("args") or {})
-                    if parsed is not None:
-                        gkey = (id(store), epoch, version)
-                        group = groups.get(gkey)
-                        if group is None:
-                            group = groups[gkey] = _VectorGroup(store, epoch)
-                        item = _VectorItem(op, parsed, key, request, lease, i)
-                        group.items.append(item)
-                        pending[key] = item
-                        continue
-            responses[i] = self.execute(request, lease=lease)
-            if key is not None:
-                computed[key] = responses[i]
-        flush()
-        return cast(List[Dict[str, Any]], responses)
-
-    def _answer_vector_group(
-        self,
-        group: "_VectorGroup",
-        responses: List[Optional[Dict[str, Any]]],
-        computed: Dict[Tuple, Dict[str, Any]],
-    ) -> None:
-        """Answer one snapshot's worth of queued routing reads in bulk."""
-        store, epoch, items = group.store, group.epoch, group.items
-        m_items = [it for it in items if it.op == "master"]
-        n_items = [it for it in items if it.op == "neighbors"]
-        e_items = [it for it in items if it.op == "edge"]
-        try:
-            routes = (
-                store.route_many([it.args[0] for it in m_items])
-                if m_items
-                else []
-            )
-            rows = (
-                store.neighbors_many([it.args[0] for it in n_items])
-                if n_items
-                else []
-            )
-            owners = (
-                store.owners_many(
-                    [cast(Tuple[int, int], it.args) for it in e_items]
-                )
-                if e_items
-                else []
-            )
-        except Exception:  # noqa: BLE001 — fault barrier: scalar fallback
-            for item in items:
-                self._finish_vector_item(
-                    item,
-                    self.execute(item.request, lease=item.lease),
-                    responses,
-                    computed,
-                )
-            return
-        self.metrics.inc("requests_vectorised", len(items))
-        for item, route in zip(m_items, routes):
-            if route is None:
-                response = self._vector_miss(item, item.args[0], epoch)
-            else:
-                master, replicas = route
-                response = self._vector_ok(
-                    item,
-                    {
-                        "v": item.args[0],
-                        "master": master,
-                        "mirrors": [k for k in replicas if k != master],
-                        "replicas": list(replicas),
-                    },
-                    epoch,
-                )
-            self._finish_vector_item(item, response, responses, computed)
-        for item, row in zip(n_items, rows):
-            if row is None:
-                response = self._vector_miss(item, item.args[0], epoch)
-            else:
-                neighbours, replicas = row
-                response = self._vector_ok(
-                    item,
-                    {
-                        "v": item.args[0],
-                        "neighbors": neighbours,
-                        "partitions": list(replicas),
-                    },
-                    epoch,
-                )
-            self._finish_vector_item(item, response, responses, computed)
-        for item, owner in zip(e_items, owners):
-            u, v = cast(Tuple[int, int], item.args)
-            if owner is None:
-                response = self._vector_miss(item, normalize_edge(u, v), epoch)
-            else:
-                response = self._vector_ok(
-                    item, {"u": u, "v": v, "partition": owner}, epoch
-                )
-            self._finish_vector_item(item, response, responses, computed)
-
-    def _vector_ok(
-        self, item: "_VectorItem", result: Dict[str, Any], epoch: int
-    ) -> Dict[str, Any]:
-        self.metrics.inc("requests_ok")
-        self.metrics.inc(f"op_{item.op}")
-        return protocol.ok_response(item.ids[0], result, epoch=epoch)
-
-    def _vector_miss(
-        self, item: "_VectorItem", missing: object, epoch: int
-    ) -> Dict[str, Any]:
-        self.metrics.inc("requests_not_found")
-        return protocol.error_response(
-            item.ids[0],
-            protocol.NOT_FOUND,
-            f"not in store: {missing!r}",
-            epoch=epoch,
-        )
-
-    def _finish_vector_item(
-        self,
-        item: "_VectorItem",
-        response: Dict[str, Any],
-        responses: List[Optional[Dict[str, Any]]],
-        computed: Dict[Tuple, Dict[str, Any]],
-    ) -> None:
-        responses[item.positions[0]] = response
-        for pos, rid in zip(item.positions[1:], item.ids[1:]):
-            shared = dict(response)
-            shared["id"] = rid
-            responses[pos] = shared
-            self._count_shared(item.op, shared)
-        computed[item.key] = response
-
     def _count_shared(self, op: Any, response: Dict[str, Any]) -> None:
         """Count a dedup-answered request like a freshly computed one.
 
@@ -457,31 +442,6 @@ class ServiceHandler:
     ) -> Dict[str, Any]:
         if op == "ping":
             return {"pong": True}
-        if op == "master":
-            v = _int_arg(args, "v")
-            master = store.master_of(v)
-            return {
-                "v": v,
-                "master": master,
-                "mirrors": list(store.mirrors_of(v)),
-                "replicas": list(store.replicas_of(v)),
-            }
-        if op == "neighbors":
-            v = _int_arg(args, "v")
-            partitions = list(store.replicas_of(v))
-            if not partitions:
-                raise KeyError(v)
-            return {
-                "v": v,
-                "neighbors": sorted(store.neighbors(v)),
-                "partitions": partitions,
-            }
-        if op == "edge":
-            u = _int_arg(args, "u")
-            v = _int_arg(args, "v")
-            if u == v:
-                raise _BadArgs(f"self loop ({u}, {v}) is not a valid edge")
-            return {"u": u, "v": v, "partition": store.owner_of_edge(u, v)}
         if op == "partition_stats":
             return store.partition_stats(_int_arg(args, "k"))
         if op == "stats":
@@ -553,60 +513,50 @@ class _BadArgs(ValueError):
     """Argument validation failure → ``bad_request``."""
 
 
-class _VectorItem:
+class _Read:
     """One unique routing read queued for a bulk store call.
 
-    ``positions``/``ids`` grow when later requests in the batch coalesce
-    onto this computation; the first entry owns the canonical response.
+    ``duplicates`` collects ``(position, id)`` of later requests in the
+    batch that coalesce onto this computation.
     """
 
-    __slots__ = ("op", "args", "key", "request", "lease", "positions", "ids")
+    __slots__ = ("key", "request_id", "position", "duplicates")
 
-    def __init__(
-        self,
-        op: str,
-        args: Tuple[int, ...],
-        key: Tuple,
-        request: Dict[str, Any],
-        lease: Optional[Lease],
-        position: int,
-    ) -> None:
-        self.op = op
-        self.args = args
+    def __init__(self, key: Optional[Tuple], request_id: Any, position: int) -> None:
         self.key = key
-        self.request = request
-        self.lease = lease
-        self.positions = [position]
-        self.ids: List[Any] = [request.get("id")]
+        self.request_id = request_id
+        self.position = position
+        self.duplicates: List[Tuple[int, Any]] = []
 
 
-class _VectorGroup:
-    """All vector items pinned to one ``(store, epoch, delta_version)``."""
+class _ReadGroup:
+    """The reads of one op pinned to one ``(store, epoch)`` snapshot.
 
-    __slots__ = ("store", "epoch", "items")
+    ``args[i]`` is the vertex (or the ``(u, v)`` pair for ``edge``) of
+    ``items[i]``.
+    """
 
-    def __init__(self, store: ServingStore, epoch: int) -> None:
+    __slots__ = ("store", "epoch", "op", "items", "args")
+
+    def __init__(self, store: ServingStore, epoch: int, op: str) -> None:
         self.store = store
         self.epoch = epoch
-        self.items: List[_VectorItem] = []
+        self.op = op
+        self.items: List[_Read] = []
+        self.args: List[Any] = []
 
 
-def _vector_args(op: str, args: Dict[str, Any]) -> Optional[Tuple[int, ...]]:
-    """Validated positional args for a vector op, or None → scalar path.
+def _read_arg(op: str, args: Dict[str, Any]) -> Any:
+    """The vertex of a ``master``/``neighbors`` read, the pair of an ``edge``.
 
-    Anything the scalar dispatch would reject (non-int vertex, self
-    loop) drops back to :meth:`ServiceHandler.execute` so error
-    responses stay bit-identical.
+    Raises :class:`_BadArgs` on a non-integer id or a self loop.
     """
-    if not isinstance(args, dict):
-        return None
-    try:
-        if op == "edge":
-            u, v = _int_arg(args, "u"), _int_arg(args, "v")
-            return None if u == v else (u, v)
-        return (_int_arg(args, "v"),)
-    except _BadArgs:
-        return None
+    if op == "edge":
+        u, v = _int_arg(args, "u"), _int_arg(args, "v")
+        if u == v:
+            raise _BadArgs(f"self loop ({u}, {v}) is not a valid edge")
+        return (u, v)
+    return _int_arg(args, "v")
 
 
 def _int_arg(args: Dict[str, Any], name: str) -> int:

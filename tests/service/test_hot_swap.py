@@ -214,7 +214,7 @@ class TestDrainBarrier:
         async def go():
             handler = _GatedHandler(PartitionStore.open(bundles[0]))
             server = PartitionServer(
-                handler=handler, request_timeout=30.0, batch_window=0.0
+                handler=handler, request_timeout=30.0
             )
             manager = server.manager
             async with server:

@@ -105,6 +105,98 @@ class TestAsyncStreamHelpers:
         asyncio.run(go())
 
 
+class TestFrameSplitter:
+    """The one synchronous splitter behind the server and the client."""
+
+    FRAMES = [
+        protocol.encode_frame(protocol.request(1, "ping"), protocol.WIRE_JSON),
+        protocol.encode_frame(
+            protocol.request(2, "neighbors", {"v": 7}), protocol.WIRE_BINARY
+        ),
+        protocol.encode_frame({"id": 3, "blob": "x" * 300}, protocol.WIRE_JSON),
+    ]
+
+    @staticmethod
+    def _expected(frames):
+        return [(protocol.detect_wire(f[4:]), f[4:]) for f in frames]
+
+    def test_one_frame_split_at_every_offset(self):
+        frame = self.FRAMES[1]
+        for cut in range(len(frame) + 1):
+            splitter = protocol.FrameSplitter()
+            got = list(splitter.feed(frame[:cut])) + list(splitter.feed(frame[cut:]))
+            assert got == self._expected([frame]), cut
+            splitter.eof()  # clean boundary: no error
+
+    def test_many_frames_in_one_chunk(self):
+        stream = b"".join(self.FRAMES * 3)
+        splitter = protocol.FrameSplitter()
+        got = list(splitter.feed(stream))
+        assert got == self._expected(self.FRAMES * 3)
+        assert all(type(body) is bytes for _, body in got)
+        splitter.eof()
+
+    def test_frames_spanning_chunk_boundaries(self):
+        stream = b"".join(self.FRAMES * 4)
+        splitter = protocol.FrameSplitter()
+        got = []
+        for i in range(0, len(stream), 7):
+            got += splitter.feed(stream[i : i + 7])
+        assert got == self._expected(self.FRAMES * 4)
+
+    def test_large_frame_in_small_chunks(self):
+        frame = protocol.encode_frame(
+            {"neighbors": list(range(200_000))}, protocol.WIRE_BINARY
+        )
+        splitter = protocol.FrameSplitter()
+        got = []
+        for i in range(0, len(frame), 1 << 16):
+            got += splitter.feed(frame[i : i + (1 << 16)])
+        assert got == self._expected([frame])
+        assert protocol.decode_body(got[0][1]) == {"neighbors": list(range(200_000))}
+
+    def test_oversized_length_header(self):
+        hostile = struct.pack(">I", protocol.MAX_FRAME_BYTES + 1) + b"x"
+        splitter = protocol.FrameSplitter()
+        frames = splitter.feed(self.FRAMES[0] + hostile)
+        # The frame before the bad header still comes out first.
+        assert next(frames) == self._expected(self.FRAMES[:1])[0]
+        with pytest.raises(protocol.ProtocolError) as excinfo:
+            next(frames)
+        assert str(excinfo.value) == (
+            f"frame of {protocol.MAX_FRAME_BYTES + 1} bytes exceeds "
+            f"{protocol.MAX_FRAME_BYTES}"
+        )
+
+    @pytest.mark.parametrize(
+        "cut, message",
+        [(2, "connection closed mid-header"), (-3, "connection closed mid-frame")],
+    )
+    def test_eof_inside_a_frame(self, cut, message):
+        splitter = protocol.FrameSplitter()
+        assert list(splitter.feed(self.FRAMES[0] + self.FRAMES[1][:cut])) == (
+            self._expected(self.FRAMES[:1])
+        )
+        with pytest.raises(protocol.ProtocolError, match=message):
+            splitter.eof()
+
+    @pytest.mark.parametrize(
+        "cut, message",
+        [(2, "connection closed mid-header"), (-3, "connection closed mid-frame")],
+    )
+    def test_buffered_reader_eof_messages(self, cut, message):
+        async def go():
+            reader = asyncio.StreamReader()
+            reader.feed_data(self.FRAMES[0] + self.FRAMES[1][:cut])
+            reader.feed_eof()
+            frames = protocol.BufferedFrameReader(reader)
+            assert await frames.read_frame() == protocol.request(1, "ping")
+            with pytest.raises(protocol.ProtocolError, match=message):
+                await frames.read_frame()
+
+        asyncio.run(go())
+
+
 class TestSyncSocketHelpers:
     def test_send_recv_over_socketpair(self):
         a, b = socket.socketpair()

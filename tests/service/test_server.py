@@ -105,7 +105,7 @@ class TestRoutedQueries:
 class TestBatching:
     def test_pipelined_burst_is_batched(self, store, small_social):
         async def go():
-            server = PartitionServer(store, batch_window=0.05, max_batch=64)
+            server = PartitionServer(store, max_batch=64)
             async with server:
                 async with ServiceClient(*server.address) as client:
                     vertices = list(small_social.vertices())[:80]
@@ -144,7 +144,6 @@ class TestOverloadAndTimeouts:
                 batch_handler=gated_handler(gate),
                 max_queue=2,
                 max_batch=1,
-                batch_window=0.0,
                 request_timeout=10.0,
             )
             async with server:
@@ -186,7 +185,6 @@ class TestOverloadAndTimeouts:
                 batch_handler=gated_handler(gate),
                 max_queue=1,
                 max_batch=1,
-                batch_window=0.0,
             )
             async with server:
                 host, port = server.address
