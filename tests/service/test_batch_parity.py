@@ -20,6 +20,7 @@ import pytest
 from repro.core.tlp import TLPPartitioner
 from repro.graph.graph import normalize_edge
 from repro.partitioning.refine import refine_partition
+from repro.service import protocol
 from repro.service.handler import ServiceHandler
 from repro.service.ingest import DeltaOverlay
 from repro.service.store import PartitionStore
@@ -167,6 +168,52 @@ def test_csr_batches_match_oracle(state, graph, partition, refined_partition):
     assert csr.stats() == oracle.stats()
 
 
+def _scalar_read(store, request, epoch):
+    """The response to a routing read with int args, from scalar store calls.
+
+    An independent reference for the handler's bulk read pass; ``None``
+    for any other request.
+    """
+    op, args, rid = request["op"], request["args"], request["id"]
+    if op not in ("master", "neighbors", "edge") or not all(
+        type(a) is int for a in args.values()
+    ):
+        return None
+    if op == "edge" and args["u"] == args["v"]:
+        return None  # a self loop is bad_request, not a read
+    try:
+        if op == "master":
+            v = args["v"]
+            result = {
+                "v": v,
+                "master": store.master_of(v),
+                "mirrors": list(store.mirrors_of(v)),
+                "replicas": list(store.replicas_of(v)),
+            }
+        elif op == "neighbors":
+            v = args["v"]
+            partitions = list(store.replicas_of(v))
+            if not partitions:
+                raise KeyError(v)
+            result = {
+                "v": v,
+                "neighbors": sorted(store.neighbors(v)),
+                "partitions": partitions,
+            }
+        else:
+            u, v = args["u"], args["v"]
+            try:
+                owner = store.owner_of_edge(u, v)
+            except KeyError:
+                raise KeyError(normalize_edge(u, v)) from None
+            result = {"u": u, "v": v, "partition": owner}
+    except KeyError as exc:
+        return protocol.error_response(
+            rid, protocol.NOT_FOUND, f"not in store: {exc.args[0]!r}", epoch=epoch
+        )
+    return protocol.ok_response(rid, result, epoch=epoch)
+
+
 class TestHandlerBatchParity:
     def _requests(self, graph, partition):
         vs = sorted(graph.vertices())
@@ -196,7 +243,13 @@ class TestHandlerBatchParity:
         batch_handler = ServiceHandler(store)
         batched = batch_handler.execute_batch(requests)
         scalar_handler = ServiceHandler(store)
-        scalar = [scalar_handler.execute(r) for r in requests]
+        epoch = scalar_handler.manager.epoch
+        # Routing reads are checked against responses built from the
+        # store's scalar methods, every other request against execute().
+        scalar = [
+            _scalar_read(store, r, epoch) or scalar_handler.execute(r)
+            for r in requests
+        ]
         for request, b, s in zip(requests, batched, scalar):
             if request["op"] == "stats":
                 # The stats payload embeds the answering handler's own
