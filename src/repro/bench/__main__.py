@@ -14,16 +14,10 @@ Experiments (paper artefact in parentheses):
 * ``window``  — TLP-W window-size sweep (the §V future-work feature)
 * ``seeds``   — RF stability across random seeds, per algorithm
 * ``slack``   — TLP's balance-slack vs RF trade-off
-* ``perf``    — TLP hot-path throughput benchmark; writes ``BENCH_perf.json``
-* ``refine``  — local-search RF refinement benchmark (rf-delta, moves/s,
-  time-to-convergence per bundle); merges a ``refine`` section into
-  ``BENCH_perf.json``
-* ``oocore``  — out-of-core streaming partitioner vs in-memory HDRF
-  (RF ratio, edges/s, peak RSS vs byte budget, each in its own
-  subprocess); merges an ``oocore`` section into ``BENCH_perf.json``
-* ``serve``   — partition-service load test; writes ``BENCH_serve.json``
-* ``all``    — everything above (except ``perf``/``refine``/``oocore``/
-  ``serve``, run explicitly)
+* ``all``    — everything above
+
+System performance (offline commands, read and write serving) is measured
+by ``perfbench/run.py`` at the repository root, not here.
 
 ``--scale`` overrides each dataset's default scale (see DESIGN.md §5);
 ``--quick`` uses the small bench scales the pytest suite uses.
@@ -32,7 +26,6 @@ Experiments (paper artefact in parentheses):
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import List, Optional
 
@@ -69,10 +62,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "window",
             "seeds",
             "slack",
-            "perf",
-            "refine",
-            "oocore",
-            "serve",
             "all",
         ],
     )
@@ -100,47 +89,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="FILE",
         help="also write the report to FILE",
-    )
-    parser.add_argument(
-        "--memory-budget",
-        default=None,
-        metavar="BYTES",
-        help="oocore only: byte budget for the streaming contender "
-        "(suffixes K/M/G; default 8M quick, 64M full)",
-    )
-    parser.add_argument(
-        "--mutate",
-        type=float,
-        default=0.0,
-        metavar="RATIO",
-        help="serve only: drive RATIO*requests insert/delete mutations "
-        "through the WAL write path alongside the readers",
-    )
-    parser.add_argument(
-        "--delete-ratio",
-        type=float,
-        default=0.3,
-        metavar="R",
-        help="serve only: fraction of mutations that are deletes",
-    )
-    parser.add_argument(
-        "--fsync",
-        choices=["always", "batch", "never"],
-        default="always",
-        help="serve only: WAL fsync policy for the mutate workload",
-    )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="serve only: run the load phase under cProfile and dump the "
-        "top-20 cumulative hotspots next to BENCH_serve.json",
-    )
-    parser.add_argument(
-        "--wire",
-        choices=["json", "binary", "both"],
-        default="binary",
-        help="serve only: client wire codec; 'both' drives the workload "
-        "once per codec (binary as the headline numbers)",
     )
     return parser
 
@@ -279,251 +227,6 @@ def _run_slack(args, graphs) -> None:
     )
 
 
-def _run_perf(args) -> None:
-    from repro.bench.perf import (
-        FULL_SCALE,
-        PROBE_DATASET,
-        QUICK_SCALE,
-        run_perf,
-        write_report,
-    )
-    from repro.datasets.cache import load_cached
-
-    scale = args.scale if args.scale is not None else (
-        QUICK_SCALE if args.quick else FULL_SCALE
-    )
-    dataset = (args.datasets or [PROBE_DATASET])[0]
-    print(render_banner("Throughput — TLP hot-path benchmark"))
-    print(f"graph: {dataset} scale={scale:g}, p=8\n")
-    graph = load_cached(dataset, scale=scale, seed=args.seed)
-    report = run_perf(
-        graph,
-        dataset=dataset,
-        seeds=(args.seed, args.seed + 1),
-        quick=args.quick,
-        progress=lambda r: print(
-            f"  done {r.algorithm:14s} seed={r.seed} "
-            f"{r.edges_per_s:>9.0f} edges/s RF={r.rf:.3f}",
-            file=sys.stderr,
-        ),
-    )
-    print(
-        render_table(
-            ["algorithm", "seed", "seconds", "edges/s", "RF"],
-            [
-                [r["algorithm"], r["seed"], r["seconds"], r["edges_per_s"],
-                 r["rf"]]
-                for r in report["results"]
-            ],
-        )
-    )
-    # The refine and oocore experiments own their sections; carry them
-    # over so a perf rerun never silently drops tracked numbers.
-    import json
-
-    from repro.bench.perf import DEFAULT_REPORT
-
-    try:
-        with open(DEFAULT_REPORT, "r", encoding="utf-8") as fh:
-            existing = json.load(fh)
-        if isinstance(existing, dict):
-            for section in ("refine", "oocore"):
-                if section in existing:
-                    report[section] = existing[section]
-    except (OSError, ValueError):
-        pass
-    path = write_report(report)
-    print(f"wrote {path}")
-
-
-def _run_refine(args) -> None:
-    from repro.bench.harness import load_paper_graphs
-    from repro.bench.refine import (
-        DEFAULT_DATASETS,
-        DEFAULT_P,
-        merge_refine_section,
-        run_refine,
-    )
-
-    datasets = args.datasets or list(DEFAULT_DATASETS)
-    print(render_banner("Refinement — local-search RF post-pass benchmark"))
-    print(f"datasets: {' '.join(datasets)}, p={DEFAULT_P}\n")
-    graphs = load_paper_graphs(
-        scale=args.scale, seed=args.seed, keys=datasets, bench=args.quick
-    )
-    section = run_refine(
-        graphs,
-        seed=args.seed,
-        quick=args.quick,
-        progress=lambda row: print(
-            f"  done {row['dataset']} {row['source']:4s} "
-            f"RF {row['rf_before']:.4f} -> {row['rf_after']:.4f} "
-            f"(-{row['rf_delta']:.4f}) {row['moves']}mv+{row['swaps']}sw "
-            f"in {row['seconds']:g}s [{row['converged']}]",
-            file=sys.stderr,
-        ),
-    )
-    print(
-        render_table(
-            ["dataset", "source", "RF before", "RF after", "delta",
-             "moves", "swaps", "seconds", "moves/s", "converged"],
-            [
-                [r["dataset"], r["source"], r["rf_before"], r["rf_after"],
-                 r["rf_delta"], r["moves"], r["swaps"], r["seconds"],
-                 r["moves_per_s"], r["converged"]]
-                for r in section["rows"]
-            ],
-        )
-    )
-    path = merge_refine_section(section)
-    print(f"\nmerged refine section into {path}")
-
-
-def _run_oocore(args) -> None:
-    from repro.__main__ import _parse_bytes
-    from repro.bench.oocore import (
-        PROBE_DATASET,
-        merge_oocore_section,
-        run_oocore,
-    )
-    from repro.bench.perf import FULL_SCALE, QUICK_SCALE
-    from repro.datasets.cache import load_cached
-
-    scale = args.scale if args.scale is not None else (
-        QUICK_SCALE if args.quick else FULL_SCALE
-    )
-    dataset = (args.datasets or [PROBE_DATASET])[0]
-    budget = (
-        _parse_bytes(args.memory_budget)
-        if args.memory_budget is not None
-        else None
-    )
-    print(render_banner("Out-of-core — streaming partitioner vs in-memory"))
-    print(f"graph: {dataset} scale={scale:g}, p=8\n")
-    graph = load_cached(dataset, scale=scale, seed=args.seed)
-    section = run_oocore(
-        graph,
-        dataset=dataset,
-        seed=args.seed,
-        quick=args.quick,
-        memory_budget=budget,
-        progress=lambda message: print(f"  {message}", file=sys.stderr),
-    )
-    streaming, in_memory = section["streaming"], section["in_memory"]
-    print(
-        render_table(
-            ["contender", "RF", "edges/s", "rss KiB"],
-            [
-                ["streaming", streaming["replication_factor"],
-                 streaming["edges_per_s"], streaming["rss_max_kib"]],
-                ["in-memory HDRF", in_memory["replication_factor"],
-                 in_memory["edges_per_s"], in_memory["rss_max_kib"]],
-            ],
-        )
-    )
-    print(
-        f"\nRF ratio (streaming / in-memory): {section['rf_ratio']:g}; "
-        f"budget {section['memory_budget_bytes']} B, streaming RSS = "
-        f"{section['rss_budget_ratio']:g}x budget"
-    )
-    path = merge_oocore_section(section)
-    print(f"merged oocore section into {path}")
-
-
-def _run_serve(args) -> None:
-    from repro.bench.serve import (
-        DEFAULT_DATASET,
-        FULL_REQUESTS,
-        FULL_SCALE,
-        QUICK_REQUESTS,
-        QUICK_SCALE,
-        run_serve,
-        write_report,
-    )
-    from repro.datasets.cache import load_cached
-
-    scale = args.scale if args.scale is not None else (
-        QUICK_SCALE if args.quick else FULL_SCALE
-    )
-    dataset = (args.datasets or [DEFAULT_DATASET])[0]
-    requests = QUICK_REQUESTS if args.quick else FULL_REQUESTS
-    print(render_banner("Serving — partition-service load test"))
-    print(f"graph: {dataset} scale={scale:g}, p=8, {requests} mixed queries\n")
-    graph = load_cached(dataset, scale=scale, seed=args.seed)
-    profile_path = None
-    if args.profile:
-        from repro.bench.serve import DEFAULT_REPORT
-
-        base = args.output if args.output else DEFAULT_REPORT
-        root, _ = os.path.splitext(base)
-        profile_path = f"{root}_profile.txt"
-    report = run_serve(
-        graph,
-        dataset=dataset,
-        num_requests=requests,
-        seed=args.seed,
-        quick=args.quick,
-        mutate_ratio=args.mutate,
-        delete_ratio=args.delete_ratio,
-        fsync=args.fsync,
-        profile_path=profile_path,
-        progress=lambda message: print(f"  {message}", file=sys.stderr),
-        wire=args.wire,
-    )
-    print(
-        render_table(
-            ["op", "count", "mean ms", "p50 ms", "p95 ms", "p99 ms"],
-            [
-                [op, row["count"], row["mean_ms"], row["p50_ms"],
-                 row["p95_ms"], row["p99_ms"]]
-                for op, row in sorted(report["ops"].items())
-            ],
-        )
-    )
-    open_times = report["store_open_seconds"]
-    print(
-        f"\nstore open: sidecar {open_times['sidecar']:g}s vs text rebuild "
-        f"{open_times['text']:g}s ({open_times['speedup']:g}x); "
-        f"peak RSS {report['rss_max_kib']} KiB"
-    )
-    print(
-        f"{report['num_requests']} requests in {report['elapsed_s']:g}s "
-        f"= {report['requests_per_s']} req/s [wire={report['wire']}]; "
-        f"verified {report['verified_neighbors']} neighbour fan-outs "
-        f"and {report['verified_edges']} edge routes"
-    )
-    modes = report.get("wire_modes") or {}
-    if len(modes) > 1:
-        per_codec = ", ".join(
-            f"{mode} {summary['requests_per_s']} req/s"
-            for mode, summary in sorted(modes.items())
-        )
-        print(f"wire modes: {per_codec}")
-    print(f"counter parity: {report['counter_parity']}")
-    batch = report["batch"]
-    print(
-        f"batching: {batch['batches']} batches, mean size "
-        f"{batch['mean_batch_size']:g}, {batch['vectorised_requests']} "
-        f"vectorised answers, {batch['dedup_hits']} dedup hits"
-    )
-    if profile_path:
-        print(f"profile: top-20 cumulative hotspots in {profile_path}")
-    ingest = report.get("ingest")
-    if ingest:
-        fsync_ms = ingest.get("wal_fsync_ms") or {}
-        fsync_note = (
-            f"fsync p99 {fsync_ms['p99_ms']:g}ms" if fsync_ms else "no fsyncs"
-        )
-        print(
-            f"ingest [{ingest['fsync']}]: {ingest['mutations']} mutations "
-            f"({ingest['deletes']} deletes) in {ingest['mutate_seconds']:g}s "
-            f"= {ingest['mutations_per_s']} mut/s; {fsync_note}; "
-            f"WAL {ingest['wal_bytes']} B; RF drift {ingest['overlay_rf_drift']:+g}"
-        )
-    path = write_report(report)
-    print(f"wrote {path}")
-
-
 def _run_scaling(args) -> None:
     print(render_banner("Scaling — TLP time/space vs graph size (§III-E)"))
     points = time_scaling_sweep(seed=args.seed)
@@ -618,14 +321,6 @@ def _dispatch(args) -> int:
             _run_seeds(args, graphs)
         elif want == "slack":
             _run_slack(args, graphs)
-        elif want == "perf":
-            _run_perf(args)
-        elif want == "refine":
-            _run_refine(args)
-        elif want == "oocore":
-            _run_oocore(args)
-        elif want == "serve":
-            _run_serve(args)
         elif want == "scaling":
             _run_scaling(args)
         print()

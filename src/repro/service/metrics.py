@@ -5,7 +5,8 @@ ready) into a per-operation :class:`LatencyHistogram`.  Histograms use
 geometric buckets (factor ~1.58, 10 buckets per decade) from 1 µs to
 ~100 s, so memory is O(1) regardless of traffic while quantile error is
 bounded by one bucket width (< 26 %).  ``snapshot()`` renders everything
-as plain JSON for the ``stats`` query and ``BENCH_serve.json``.
+as plain JSON for the ``stats`` query, which is where ``perfbench/``
+reads the server's batch counters and latencies.
 
 Everything here is synchronous and allocation-light: the hot path is one
 ``bisect`` plus two integer adds.  Single-threaded use only (the asyncio

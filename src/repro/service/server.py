@@ -43,7 +43,8 @@ Architecture (one event loop, no threads, no per-request tasks)::
 * **Graceful shutdown** — ``stop()`` closes the listener, pauses reading
   on every connection, answers everything already admitted (waiting for
   an in-flight async batch and admin tasks), writes those responses, then
-  closes the connections.
+  closes the connections.  A connection whose client has not taken its
+  answers ``STOP_GRACE_S`` seconds later is aborted.
 * **Hot re-partitioning** — a ``reload`` request is intercepted at
   admission and runs as its own task, bypassing the pending list (whose
   old-epoch leases its drain barrier waits on): the replacement
@@ -106,6 +107,11 @@ BatchHandler = Callable[
 ]
 
 _DEFAULT_HOST = "127.0.0.1"
+
+#: Seconds ``stop()`` waits for the connections to take their last
+#: answers before it aborts the ones still open: a client that pipelines
+#: and never reads would otherwise hold a graceful stop forever.
+STOP_GRACE_S = 5.0
 
 #: Expected ``reload``/``compact`` failures and their error codes, most
 #: specific first (``ReloadInProgress`` is a ``ReloadError``).
@@ -253,7 +259,8 @@ class PartitionServer:
         1. stop accepting connections and pause reading on every one;
         2. answer every admitted request (an in-flight async batch and
            admin tasks included);
-        3. write the pending responses, then close the connections.
+        3. write the pending responses, then close the connections;
+           abort those still open after ``STOP_GRACE_S`` seconds.
         """
         if self._server is None:
             return
@@ -274,7 +281,17 @@ class PartitionServer:
         for conn in list(self._conns):
             conn.close_when_written()
         if closed:
-            await asyncio.gather(*closed, return_exceptions=True)
+            await asyncio.wait(closed, timeout=STOP_GRACE_S)
+            stalled = list(self._conns)  # connection_lost drops the closed ones
+            if stalled:
+                logger.warning(
+                    "aborting %d connection(s) that did not take their answers "
+                    "within %g s", len(stalled), STOP_GRACE_S,
+                )
+                for conn in stalled:
+                    if conn.transport is not None:
+                        conn.transport.abort()
+                await asyncio.gather(*(conn.closed for conn in stalled), return_exceptions=True)
         await self._server.wait_closed()
         self._server = None
 

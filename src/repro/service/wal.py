@@ -25,7 +25,8 @@ Durability is a policy choice (the classic group-commit trade-off):
 
 ``fsync`` wall-time is recorded in the ``wal_fsync`` latency histogram
 when a :class:`~repro.service.metrics.ServiceMetrics` is attached, which
-is how ``python -m repro.bench serve --mutate`` reports it.
+is how the ``stats`` query reports it (``perfbench/`` reads its p99 as
+``server.fsync_p99_ms``).
 """
 
 from __future__ import annotations

@@ -9,6 +9,9 @@ order: a result or ``overload``.
 It also stops reading a connection that holds ``2 * max_queue`` response
 slots, so answers that wait behind a long admin operation (they are
 written in request order) cannot pile up without limit either.
+
+A graceful stop does not wait for such a client for ever: connections
+that have not taken their answers within ``STOP_GRACE_S`` are aborted.
 """
 
 import asyncio
@@ -17,6 +20,7 @@ import socket
 from repro.graph.graph import Graph
 from repro.partitioning.registry import make_partitioner
 from repro.service import protocol
+from repro.service import server as server_module
 from repro.service.client import ServiceClient
 from repro.service.server import PartitionServer
 from repro.service.store import PartitionStore
@@ -28,34 +32,50 @@ MAX_REQUESTS = 20_000
 HUB_DEGREE = 20_000
 
 
-def test_stalled_reader_is_pushed_back():
+def _star_store():
     # A star: every answer for the hub is a ~120 KB JSON frame, so the
     # server's transport buffer passes its high-water mark at once.
     star = Graph.from_edges((0, leaf) for leaf in range(1, HUB_DEGREE + 1))
-    store = PartitionStore.from_partition(make_partitioner("DBH", seed=0).partition(star, 4))
+    return PartitionStore.from_partition(make_partitioner("DBH", seed=0).partition(star, 4))
+
+
+async def _small_buffer_connection(host, port):
+    sock = socket.socket()
+    # Small client buffers so the stall shows after few requests.
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+    sock.setblocking(False)
+    await asyncio.get_running_loop().sock_connect(sock, (host, port))
+    return await asyncio.open_connection(sock=sock)
+
+
+def _hub_reads(first, count):
+    return b"".join(
+        protocol.encode_frame(protocol.request(first + i, "neighbors", {"v": 0}))
+        for i in range(count)
+    )
+
+
+async def _close(writer):
+    writer.close()
+    try:
+        await writer.wait_closed()
+    except (ConnectionError, OSError):
+        pass
+
+
+def test_stalled_reader_is_pushed_back():
+    store = _star_store()
 
     async def go():
         server = PartitionServer(store, max_queue=8)
         async with server:
             host, port = server.address
-            sock = socket.socket()
-            # Small client buffers so the stall shows after few requests.
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
-            sock.setblocking(False)
-            await asyncio.get_running_loop().sock_connect(sock, (host, port))
-            reader, writer = await asyncio.open_connection(sock=sock)
+            reader, writer = await _small_buffer_connection(host, port)
             try:
                 sent = 0
                 while True:
-                    writer.write(
-                        b"".join(
-                            protocol.encode_frame(
-                                protocol.request(sent + i, "neighbors", {"v": 0})
-                            )
-                            for i in range(STEP)
-                        )
-                    )
+                    writer.write(_hub_reads(sent, STEP))
                     sent += STEP
                     try:
                         await asyncio.wait_for(writer.drain(), 0.5)
@@ -83,11 +103,31 @@ def test_stalled_reader_is_pushed_back():
                 assert set(codes) <= {"ok", protocol.OVERLOAD}
                 assert "ok" in codes
             finally:
-                writer.close()
-                try:
-                    await writer.wait_closed()
-                except (ConnectionError, OSError):
-                    pass
+                await _close(writer)
+
+    asyncio.run(go())
+
+
+def test_stop_aborts_a_client_that_never_reads(monkeypatch):
+    monkeypatch.setattr(server_module, "STOP_GRACE_S", 0.5)
+    store = _star_store()
+
+    async def go():
+        server = PartitionServer(store)
+        host, port = await server.start()
+        _reader, writer = await _small_buffer_connection(host, port)
+        try:
+            writer.write(_hub_reads(0, 64))
+            await writer.drain()
+            await asyncio.sleep(0.3)
+            (conn,) = server._conns
+            assert conn.transport.get_write_buffer_size() > 0  # answers owed
+            # The answers can never be delivered; stop() gives up on them
+            # after the grace period instead of waiting for the client.
+            await asyncio.wait_for(server.stop(), 5.0)
+            assert not server._conns
+        finally:
+            await _close(writer)
 
     asyncio.run(go())
 

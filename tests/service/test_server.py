@@ -131,9 +131,34 @@ class TestBatching:
         assert handler.metrics.counters["batch_dedup_hits"] == 9
         # Dedup shares the computation, not the accounting: all ten
         # answered requests count, so server counters stay in parity
-        # with client-side op counts (the bench asserts this).
+        # with client-side op counts (checked over TCP below).
         assert handler.metrics.counters["op_neighbors"] == 10
         assert handler.metrics.counters["requests_ok"] == 10
+
+    def test_op_counters_match_client_requests(self, store, small_social):
+        """Server ``op_*`` counters equal what pipelining clients sent."""
+        vertices = list(small_social.vertices())[:40]
+        edges = list(small_social.edges())[:40]
+
+        async def go():
+            async with PartitionServer(store, max_batch=16) as server:
+                async with ServiceClient(
+                    *server.address, wire="binary"
+                ) as a, ServiceClient(*server.address) as b:
+                    calls = []
+                    for i, v in enumerate(vertices):
+                        client = a if i % 2 else b
+                        # The repeat is answered by dedup, and still counts.
+                        calls += [client.neighbors(v), client.neighbors(v), client.master(v)]
+                    calls += [a.edge(u, w) for u, w in edges]
+                    await asyncio.gather(*calls)
+                return server.metrics.counters
+
+        counters = asyncio.run(go())
+        assert counters["batch_dedup_hits"] > 0
+        sent = {"neighbors": 80, "master": 40, "edge": 40}
+        assert {op: counters[f"op_{op}"] for op in sent} == sent
+        assert not counters.get("requests_overload") and not counters.get("requests_timeout")
 
 
 class TestOverloadAndTimeouts:
