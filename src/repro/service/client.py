@@ -3,7 +3,7 @@
 :class:`ServiceClient` (asyncio) keeps one connection, pipelines any
 number of concurrent ``call()``s over it (matching responses by request
 ``id``), and transparently retries *retryable* failures — connection
-drops, ``overload``, ``timeout``, ``ingest_frozen`` — with exponentially
+drops, call timeouts, ``overload``, ``ingest_frozen`` — with exponentially
 capped **full-jitter** backoff (each sleep is drawn uniformly from
 ``[cap/8, cap]`` where ``cap = base * factor**attempt``; the floor keeps
 a fleet of clients from landing near-zero sleeps that hammer a
@@ -13,12 +13,9 @@ old deterministic delays when a test needs exact timing).  Semantic
 errors (``bad_request``, ``not_found``) raise :class:`ServiceError`
 immediately.
 
-Both clients can speak either wire codec.  ``wire="binary"`` negotiates
-at connect time: the client sends a binary ``ping`` before anything
-else; if the server answers OK the session stays binary, and on an
-error response (or a dropped/garbled connection — older servers) the
-client downgrades to JSON for the life of the client.  The default is
-JSON, the executable spec.
+Both clients can speak either wire codec.  A ``wire="binary"`` client
+sends binary from its first frame (the server detects the codec of each
+frame and answers in it).  The default is JSON, the executable spec.
 
 :class:`SyncServiceClient` is a minimal blocking counterpart over a plain
 socket (one request in flight), for shells and examples where an event
@@ -35,7 +32,7 @@ down and reconnects with the existing backoff policy.
 Mutations (``insert_edge`` / ``delete_edge``) are **idempotent under
 retry**: each client stamps every mutation with its ``client_tag`` plus
 a monotonically increasing client sequence number, and the retry loop
-reuses the exact same args dict — so when a ``timeout`` (or connection
+reuses the exact same args dict — so when a call timeout (or connection
 drop) hides whether the server applied the mutation, the retried request
 carries the same ``(client, cseq)`` and the server's dedup window
 returns the original result instead of double-applying.
@@ -117,13 +114,8 @@ class ServiceClient:
             raise ValueError(f"wire must be one of {sorted(protocol.WIRES)}")
         self.host = host
         self.port = port
-        #: Requested codec; ``wire_active`` is what negotiation settled on.
+        #: Codec every request frame is sent in.
         self.wire = wire
-        #: Codec in force after connect-time negotiation (None until the
-        #: first connect; stays JSON for ``wire="json"`` clients).
-        self.wire_active: Optional[str] = (
-            protocol.WIRE_JSON if wire == protocol.WIRE_JSON else None
-        )
         self.max_retries = max_retries
         self.backoff_base = backoff_base
         self.backoff_factor = backoff_factor
@@ -148,72 +140,15 @@ class ServiceClient:
     # -- lifecycle ---------------------------------------------------------
 
     async def connect(self) -> "ServiceClient":
-        """Open the connection (idempotent); returns ``self``.
-
-        A ``wire="binary"`` client negotiates the codec on its first
-        connect — one binary ``ping`` before the receive loop starts, so
-        the probe's response can be read inline.  The outcome sticks for
-        the life of the client: reconnects after a drop reuse it rather
-        than re-probing the same server.
-        """
+        """Open the connection (idempotent); returns ``self``."""
         if self._writer is None:
-            await self._open_transport()
-            if self.wire_active is None:
-                await self._negotiate_binary()
+            self._reader, self._writer = await asyncio.open_connection(
+                self.host, self.port
+            )
             self._recv_task = asyncio.create_task(
                 self._recv_loop(), name="repro-serve-client-recv"
             )
         return self
-
-    async def _open_transport(self) -> None:
-        self._reader, self._writer = await asyncio.open_connection(
-            self.host, self.port
-        )
-
-    async def _negotiate_binary(self) -> None:
-        """Probe with a binary ``ping``; downgrade to JSON on rejection.
-
-        Three outcomes: an OK response locks in binary; an error response
-        (a server with ``accept_binary=False``) downgrades on the same,
-        still-healthy connection; anything else — connection dropped,
-        garbage, timeout — downgrades *and* reopens the transport, since
-        a server that chokes on the probe may have lost framing.
-        """
-        assert self._reader is not None and self._writer is not None
-        response: Optional[Dict[str, Any]] = None
-        try:
-            self._writer.write(
-                protocol.encode_frame(
-                    protocol.request(0, "ping"), protocol.WIRE_BINARY
-                )
-            )
-            await self._writer.drain()
-            response = await asyncio.wait_for(
-                protocol.read_frame(self._reader), timeout=self.call_timeout
-            )
-        except (
-            ConnectionError,
-            OSError,
-            asyncio.TimeoutError,
-            asyncio.IncompleteReadError,
-            protocol.ProtocolError,
-        ):
-            response = None
-        if response is not None and response.get("ok"):
-            self.wire_active = protocol.WIRE_BINARY
-            self._observe_epoch(response.get("epoch"))
-            return
-        self.wire_active = protocol.WIRE_JSON
-        if response is None:
-            # Unknown connection state — start over on a clean transport.
-            writer, self._writer, self._reader = self._writer, None, None
-            if writer is not None:
-                writer.close()
-                try:
-                    await writer.wait_closed()
-                except (ConnectionError, OSError):
-                    pass
-            await self._open_transport()
 
     async def close(self) -> None:
         """Close the connection and fail any in-flight calls."""
@@ -296,8 +231,7 @@ class ServiceClient:
             # drain() is only awaited for transport back-pressure.
             self._writer.write(
                 protocol.encode_frame(
-                    protocol.request(request_id, op, args),
-                    self.wire_active or protocol.WIRE_JSON,
+                    protocol.request(request_id, op, args), self.wire
                 )
             )
             await self._writer.drain()
@@ -444,9 +378,6 @@ class SyncServiceClient:
         self.host = host
         self.port = port
         self.wire = wire
-        self.wire_active: Optional[str] = (
-            protocol.WIRE_JSON if wire == protocol.WIRE_JSON else None
-        )
         self.max_retries = max_retries
         self.backoff_base = backoff_base
         self.backoff_factor = backoff_factor
@@ -462,37 +393,10 @@ class SyncServiceClient:
 
     def connect(self) -> "SyncServiceClient":
         if self._sock is None:
-            self._open_socket()
-            if self.wire_active is None:
-                self._negotiate_binary()
-        return self
-
-    def _open_socket(self) -> None:
-        self._sock = socket.create_connection(
-            (self.host, self.port), timeout=self.timeout
-        )
-
-    def _negotiate_binary(self) -> None:
-        """Blocking counterpart of the async codec negotiation."""
-        assert self._sock is not None
-        response: Optional[Dict[str, Any]] = None
-        try:
-            protocol.send_frame_sync(
-                self._sock, protocol.request(0, "ping"), protocol.WIRE_BINARY
+            self._sock = socket.create_connection(
+                (self.host, self.port), timeout=self.timeout
             )
-            response = protocol.recv_frame_sync(self._sock)
-        except (ConnectionError, OSError, socket.timeout, protocol.ProtocolError):
-            response = None
-        if response is not None and response.get("ok"):
-            self.wire_active = protocol.WIRE_BINARY
-            epoch = response.get("epoch")
-            if isinstance(epoch, int):
-                self.last_epoch = epoch
-            return
-        self.wire_active = protocol.WIRE_JSON
-        if response is None:
-            self.close()
-            self._open_socket()
+        return self
 
     def close(self) -> None:
         sock, self._sock = self._sock, None
@@ -533,9 +437,7 @@ class SyncServiceClient:
         self._next_id += 1
         request_id = self._next_id
         protocol.send_frame_sync(
-            self._sock,
-            protocol.request(request_id, op, args),
-            self.wire_active or protocol.WIRE_JSON,
+            self._sock, protocol.request(request_id, op, args), self.wire
         )
         response = protocol.recv_frame_sync(self._sock)
         if response is None:

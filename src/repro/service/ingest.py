@@ -41,6 +41,7 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
+    Any,
     Dict,
     List,
     Optional,
@@ -73,6 +74,18 @@ WAL_NAME = "ingest.wal"
 
 #: Accepted values for the ``policy=`` option of :class:`Ingestor`.
 PLACEMENT_POLICIES = ("hdrf", "greedy")
+
+#: HDRF balance weight and tie epsilon of online placement (the
+#: :class:`~repro.partitioning.hdrf.HDRFPartitioner` defaults).
+HDRF_LAM = 1.1
+HDRF_EPSILON = 1.0
+
+#: Recent ``(client, cseq)`` mutation results kept for idempotent retries.
+DEDUP_SIZE = 4096
+
+#: Move-gain threshold and pass cap of the refine-on-compact local search.
+REFINE_EPSILON = 0.0
+REFINE_MAX_PASSES = 8
 
 #: Vertex ids a bundle can hold: the CSR sidecar stores them as int64.
 _ID_MIN, _ID_MAX = -(2**63), 2**63 - 1
@@ -548,8 +561,6 @@ def place_hdrf(
     v: int,
     *,
     capacity: Optional[int] = None,
-    lam: float = 1.1,
-    epsilon: float = 1.0,
     offsets: Optional[Sequence[int]] = None,
 ) -> int:
     """HDRF score over under-capacity partitions; ties to the lowest id.
@@ -573,8 +584,8 @@ def place_hdrf(
         set(store.replicas_of(v)),
         sizes,
         candidates=candidates,
-        lam=lam,
-        epsilon=epsilon,
+        lam=HDRF_LAM,
+        epsilon=HDRF_EPSILON,
         offsets=offsets,
     )
     return ties[0]  # candidates ascend, so [0] is the lowest id on ties
@@ -620,15 +631,9 @@ class Ingestor:
         *,
         policy: str = "hdrf",
         capacity: Optional[int] = None,
-        lam: float = 1.1,
-        epsilon: float = 1.0,
         metrics=None,
-        dedup_size: int = 4096,
         refine_on_compact: bool = False,
         refine_slack: float = 1.0,
-        refine_epsilon: float = 0.0,
-        refine_max_passes: int = 8,
-        refined_hints: bool = True,
     ) -> None:
         if policy not in PLACEMENT_POLICIES:
             raise ValueError(
@@ -641,10 +646,7 @@ class Ingestor:
         self.bundle_dir = Path(bundle_dir)
         self.policy = policy
         self.capacity = capacity
-        self.lam = lam
-        self.epsilon = epsilon
         self.metrics = metrics
-        self.dedup_size = dedup_size
         #: Local-search RF refinement run on every compaction fold
         #: (``refine_on_compact``), clawing back mutation-induced RF drift
         #: before the epoch swap.  Built here, not per fold, so a bad
@@ -656,12 +658,9 @@ class Ingestor:
 
             self.refiner = LocalSearchRefiner(
                 slack=refine_slack,
-                epsilon=refine_epsilon,
-                max_passes=refine_max_passes,
+                epsilon=REFINE_EPSILON,
+                max_passes=REFINE_MAX_PASSES,
             )
-        #: Consume a ``metadata["refined"]["partition_sizes"]`` profile
-        #: (when the bundle carries one) as HDRF balance priors.
-        self.refined_hints = refined_hints
         #: Per-partition additive size offsets derived from the refined
         #: profile (``None`` until a profile is seen; placement is
         #: bit-identical to the prior behaviour while ``None``).
@@ -694,49 +693,25 @@ class Ingestor:
         wal_path: Optional[PathLike] = None,
         fsync: str = "batch",
         batch_interval: float = 0.05,
-        policy: str = "hdrf",
-        capacity: Optional[int] = None,
-        lam: float = 1.1,
-        epsilon: float = 1.0,
-        metrics=None,
-        dedup_size: int = 4096,
-        refine_on_compact: bool = False,
-        refine_slack: float = 1.0,
-        refine_epsilon: float = 0.0,
-        refine_max_passes: int = 8,
-        refined_hints: bool = True,
+        **options: Any,
     ) -> "Ingestor":
         """Turn a read-only manager into a mutable one.
 
         Must run before the server starts admitting requests (the live
         store is re-wrapped under the same epoch).  Replays any WAL left
         by a previous process, so restarting after a crash converges to
-        the acknowledged state.
+        the acknowledged state.  ``options`` are the keywords of
+        :class:`Ingestor` (``policy``, ``capacity``, ``metrics``, ...).
         """
         bundle_dir = Path(bundle_dir)
         wal = WriteAheadLog(
             wal_path or bundle_dir / WAL_NAME,
             fsync=fsync,
             batch_interval=batch_interval,
-            metrics=metrics,
+            metrics=options.get("metrics"),
         )
         # Validate every setting before touching the WAL or the manager.
-        ingestor = cls(
-            manager,
-            wal,
-            bundle_dir,
-            policy=policy,
-            capacity=capacity,
-            lam=lam,
-            epsilon=epsilon,
-            metrics=metrics,
-            dedup_size=dedup_size,
-            refine_on_compact=refine_on_compact,
-            refine_slack=refine_slack,
-            refine_epsilon=refine_epsilon,
-            refine_max_passes=refine_max_passes,
-            refined_hints=refined_hints,
-        )
+        ingestor = cls(manager, wal, bundle_dir, **options)
         records = wal.open()
         manager.wrap_live(DeltaOverlay)
         ingestor._load_refined_hints()
@@ -915,20 +890,16 @@ class Ingestor:
         if self.policy == "greedy":
             return place_greedy(overlay, u, v, capacity=self.capacity)
         return place_hdrf(
-            overlay, u, v,
-            capacity=self.capacity, lam=self.lam, epsilon=self.epsilon,
-            offsets=self.balance_offsets,
+            overlay, u, v, capacity=self.capacity, offsets=self.balance_offsets,
         )
 
     def _load_refined_hints(self) -> None:
         """Adopt the bundle's refined size profile as balance priors.
 
-        No-op (placement bit-identical to before) unless hints are on
-        and the bundle's ``metadata["refined"]`` carries a
-        ``partition_sizes`` profile matching the partition count.
+        No-op (placement bit-identical to before) unless the bundle's
+        ``metadata["refined"]`` carries a ``partition_sizes`` profile
+        matching the partition count.
         """
-        if not self.refined_hints:
-            return
         refined = self.overlay.metadata.get("refined")
         if not isinstance(refined, dict):
             return
@@ -1040,7 +1011,7 @@ class Ingestor:
             return
         self._dedup[key] = result
         self._dedup.move_to_end(key)
-        while len(self._dedup) > self.dedup_size:
+        while len(self._dedup) > DEDUP_SIZE:
             self._dedup.popitem(last=False)
 
     def _compaction_precheck(self) -> Optional[Dict[str, object]]:
@@ -1082,10 +1053,9 @@ class Ingestor:
             metadata["refined"] = entry
             if "replication_factor" in metadata:
                 metadata["replication_factor"] = round(stats.rf_after, 6)
-            if self.refined_hints:
-                # Future placements lean toward the freshly refined
-                # layout instead of the stale pre-compaction profile.
-                self.balance_offsets = balance_offsets(sizes)
+            # Future placements lean toward the freshly refined layout
+            # instead of the stale pre-compaction profile.
+            self.balance_offsets = balance_offsets(sizes)
         # One thread: the save is a few array passes, and compaction CPU
         # is what a pool's start-up would add to.
         save_partition(partition, self.bundle_dir, metadata=metadata, workers=1)

@@ -24,9 +24,8 @@ first byte:
 
 A connection may carry both codecs: the server decodes each frame by its
 first byte and answers in the codec of the request that produced the
-response.  Clients that want binary negotiate at connect time by sending
-a binary ``ping`` and downgrade to JSON if the server rejects it or
-drops the connection.
+response.  A client that wants binary sends binary from its first frame;
+there is nothing to negotiate.
 
 Requests are ``{"id": <int>, "op": <str>, "args": {...}}``; responses are
 ``{"id": <int>, "ok": true, "result": {...}}`` or
@@ -59,7 +58,7 @@ MAX_FRAME_BYTES = 16 * 1024 * 1024
 
 _LEN = struct.Struct(">I")
 
-#: Wire codec names, as negotiated by clients and recorded in benches.
+#: Wire codec names, as chosen by clients and recorded in benches.
 WIRE_JSON = "json"
 WIRE_BINARY = "binary"
 WIRES = frozenset({WIRE_JSON, WIRE_BINARY})
@@ -78,8 +77,6 @@ BAD_REQUEST = "bad_request"
 NOT_FOUND = "not_found"
 #: The bounded request queue is full — back off and retry.
 OVERLOAD = "overload"
-#: The request sat in the server longer than the per-request timeout.
-TIMEOUT = "timeout"
 #: The server is draining for shutdown and accepts no new work.
 SHUTTING_DOWN = "shutting_down"
 #: A hot reload could not be applied; the old epoch keeps serving.
@@ -100,7 +97,6 @@ ERROR_CODES = frozenset(
         BAD_REQUEST,
         NOT_FOUND,
         OVERLOAD,
-        TIMEOUT,
         SHUTTING_DOWN,
         RELOAD_FAILED,
         RELOAD_IN_PROGRESS,
@@ -114,7 +110,7 @@ ERROR_CODES = frozenset(
 #: Error codes a client may transparently retry (with backoff).  A frozen
 #: ingest is retryable by construction: the mutation was *not* applied and
 #: the freeze lifts when the compaction's fold finishes.
-RETRYABLE_CODES = frozenset({OVERLOAD, TIMEOUT, INGEST_FROZEN})
+RETRYABLE_CODES = frozenset({OVERLOAD, INGEST_FROZEN})
 
 
 class ProtocolError(ValueError):

@@ -20,10 +20,11 @@ Architecture (one event loop, no threads, no per-request tasks)::
   iteration, across all connections, in ``execute_batch`` calls of at most
   ``max_batch`` requests.  Duplicate lookups in a batch are computed once
   and the routing reads are answered through the store's batch methods;
-  see ``ServiceHandler.execute_batch``.  A production batch is answered
+  see ``ServiceHandler.execute_batch``.  Every batch is answered
   synchronously inside the flush: mutations fsync inline, so no request
-  needs a future, a timer or a queue hop.  Each connection's answers go
-  out in request order in one ``transport.write`` per flush.
+  needs a future, a timer or a queue hop, and no request times out.  Each
+  connection's answers go out in request order in one ``transport.write``
+  per flush.
 * **Backpressure** — at most ``max_queue`` requests are admitted but
   unanswered at a time; a request over the bound is answered at once with
   an ``overload`` error instead of buffering without limit.  A
@@ -34,17 +35,11 @@ Architecture (one event loop, no threads, no per-request tasks)::
   buffer passes its high-water mark (``pause_writing``), the server also
   stops reading it until the buffer drains, so a client that stops
   reading is pushed back by TCP instead of growing server memory.
-* **Timeouts** — a production batch is answered synchronously and never
-  times out.  Only a batch handler that returns an awaitable (tests gate
-  batches that way) runs as a task; batches stay serial, and while one is
-  in flight a deadline timer answers every request still unanswered
-  ``request_timeout`` seconds after arrival with a ``timeout`` error (a
-  late real answer is dropped).
 * **Graceful shutdown** — ``stop()`` closes the listener, pauses reading
   on every connection, answers everything already admitted (waiting for
-  an in-flight async batch and admin tasks), writes those responses, then
-  closes the connections.  A connection whose client has not taken its
-  answers ``STOP_GRACE_S`` seconds later is aborted.
+  running admin tasks), writes those responses, then closes the
+  connections.  A connection whose client has not taken its answers
+  ``STOP_GRACE_S`` seconds later is aborted.
 * **Hot re-partitioning** — a ``reload`` request is intercepted at
   admission and runs as its own task, bypassing the pending list (whose
   old-epoch leases its drain barrier waits on): the replacement
@@ -67,8 +62,6 @@ guarantee is ever relaxed), each in the codec of its request frame.
 from __future__ import annotations
 
 import asyncio
-import inspect
-import itertools
 import logging
 from collections import deque
 from typing import (
@@ -98,13 +91,6 @@ from repro.service.store import (
 )
 
 logger = logging.getLogger(__name__)
-
-#: A handler is anything mapping a batch of requests to a list of
-#: responses, sync or async — tests inject slow/async fakes.
-BatchHandler = Callable[
-    [List[Dict[str, Any]]],
-    Union[List[Dict[str, Any]], Awaitable[List[Dict[str, Any]]]],
-]
 
 _DEFAULT_HOST = "127.0.0.1"
 
@@ -150,26 +136,21 @@ class _Request:
 
 
 class PartitionServer:
-    """Serve a :class:`PartitionStore` over length-prefixed TCP frames."""
+    """Serve a store (or a :class:`StoreManager`) over length-prefixed TCP
+    frames, answering every batch through its own :class:`ServiceHandler`."""
 
     def __init__(
         self,
-        store: Optional[Union[ServingStore, StoreManager]] = None,
+        store: Union[ServingStore, StoreManager],
         host: str = _DEFAULT_HOST,
         port: int = 0,
         *,
         max_queue: int = 1024,
         max_batch: int = 64,
-        request_timeout: float = 5.0,
         metrics: Optional[ServiceMetrics] = None,
-        batch_handler: Optional[BatchHandler] = None,
-        handler: Optional[Any] = None,
         allow_reload: bool = True,
         ingestor: Optional[Ingestor] = None,
-        accept_binary: bool = True,
     ) -> None:
-        if store is None and batch_handler is None and handler is None:
-            raise ValueError("need a store, a handler, or an explicit batch_handler")
         # A zero bound would refuse every request with overload.
         if max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {max_queue}")
@@ -177,39 +158,20 @@ class PartitionServer:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         self.host = host
         self.port = port
-        #: Whether binary-codec frames are accepted.  When off, a binary
-        #: request is answered with a JSON ``bad_request`` (the connection
-        #: stays up) — which is exactly the signal that makes a
-        #: binary-preferring client downgrade to JSON.
-        self.accept_binary = accept_binary
         self.max_queue = max_queue
         #: Response slots one connection may hold before it stops being
         #: read: as many again as may be unanswered, so a connection that
         #: pipelines past ``max_queue`` still gets its ``overload`` answers.
         self.max_slots = 2 * max_queue
         self.max_batch = max_batch
-        self.request_timeout = request_timeout
         self.allow_reload = allow_reload
-        if metrics is None and handler is not None:
-            metrics = handler.metrics  # share the injected handler's metrics
         self.metrics = metrics if metrics is not None else ServiceMetrics()
-        #: The epoch/lease authority, when serving a real store (None with
-        #: a custom ``batch_handler``: no epochs, no pinning, no reload).
-        self.manager: Optional[StoreManager] = None
-        #: ServiceHandler-compatible duck type: needs ``metrics``,
-        #: ``manager``, and ``execute_batch(requests, leases=)`` (which may
-        #: return an awaitable — tests gate batches that way).
-        self._handler: Optional[Any] = None
-        if batch_handler is None:
-            if handler is None:
-                handler = ServiceHandler(store, self.metrics)
-            self._handler = handler
-            self.manager = handler.manager
-            batch_handler = handler.execute_batch
-        self._batch_handler = batch_handler
+        self._handler = ServiceHandler(store, self.metrics)
+        #: The epoch/lease authority every request is pinned through.
+        self.manager: StoreManager = self._handler.manager
         #: Mutation subsystem (``serve --wal``); None = read-only service.
         self.ingestor = ingestor
-        if ingestor is not None and self._handler is not None:
+        if ingestor is not None:
             self._handler.attach_ingestor(ingestor)
 
         self._server: Optional[asyncio.AbstractServer] = None
@@ -217,17 +179,12 @@ class PartitionServer:
         self._conns: Set[_Connection] = set()
         self._admin_tasks: Set["asyncio.Task[None]"] = set()
         self._closing = False
-        #: Admitted requests not yet handed to the batch handler.
+        #: Admitted requests not yet answered (``reload``/``compact``
+        #: aside); every flush empties it.
         self._pending: List[_Request] = []
-        #: Admitted requests not yet answered (pending + in flight).
-        self._unanswered = 0
         self._flush_handle: Optional[asyncio.Handle] = None
         #: Connections with answers to write at the end of this flush.
         self._dirty: Dict[_Connection, None] = {}
-        #: The awaitable batch in flight, its task and its deadline timer.
-        self._inflight: List[_Request] = []
-        self._inflight_task: Optional["asyncio.Task[None]"] = None
-        self._deadline: Optional[asyncio.TimerHandle] = None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -257,8 +214,7 @@ class PartitionServer:
         """Graceful shutdown: answer everything already admitted, then close.
 
         1. stop accepting connections and pause reading on every one;
-        2. answer every admitted request (an in-flight async batch and
-           admin tasks included);
+        2. answer every admitted request (running admin tasks included);
         3. write the pending responses, then close the connections;
            abort those still open after ``STOP_GRACE_S`` seconds.
         """
@@ -269,10 +225,6 @@ class PartitionServer:
         for conn in list(self._conns):
             conn.pause()
         self._flush()
-        # A finished awaitable batch flushes what queued behind it, which
-        # may start the next one.
-        while self._inflight_task is not None:
-            await self._inflight_task
         # Let any in-flight reload/compact finish so its response gets written.
         if self._admin_tasks:
             await asyncio.gather(*list(self._admin_tasks), return_exceptions=True)
@@ -309,25 +261,10 @@ class PartitionServer:
         request = protocol.decode_body(body)
         conn.last_wire = wire
         self.metrics.inc("requests_received")
-        if wire == protocol.WIRE_BINARY and not self.accept_binary:
-            # Refuse in JSON but keep the connection — the frame itself
-            # decoded fine, only the codec is unwelcome.  Binary-preferring
-            # clients downgrade on this error.
-            self.metrics.inc("requests_bad")
-            self._answer_now(
-                conn,
-                request.get("id"),
-                protocol.BAD_REQUEST,
-                "binary wire codec not accepted here",
-                protocol.WIRE_JSON,
-            )
-            return
         loop = self._loop
         assert loop is not None
         op = request.get("op")
-        if self.manager is not None and (
-            op == "reload" or (op == "compact" and self.ingestor is not None)
-        ):
+        if op == "reload" or (op == "compact" and self.ingestor is not None):
             # Admin plane: reload and compact run as their own tasks and
             # bypass the pending list — their epoch swap waits for the
             # old-epoch leases that list holds.  (Without an ingestor
@@ -339,7 +276,7 @@ class PartitionServer:
             self._admin_tasks.add(task)
             task.add_done_callback(self._admin_tasks.discard)
             return
-        if self._unanswered >= self.max_queue:
+        if len(self._pending) >= self.max_queue:
             self.metrics.inc("requests_overload")
             self._answer_now(
                 conn, request.get("id"), protocol.OVERLOAD,
@@ -349,11 +286,9 @@ class PartitionServer:
         # Pin the request to the live epoch *now*: if a hot swap lands
         # before it is answered, it still reads the store it was admitted
         # under.
-        lease = self.manager.acquire() if self.manager is not None else None
-        slot = _Request(conn, request, wire, lease, loop.time())
+        slot = _Request(conn, request, wire, self.manager.acquire(), loop.time())
         conn.slots.append(slot)
         self._pending.append(slot)
-        self._unanswered += 1
         if self._flush_handle is None:
             self._flush_handle = loop.call_soon(self._flush)
 
@@ -367,7 +302,7 @@ class PartitionServer:
     ) -> None:
         """Answer at admission with an error (kept in request order)."""
         response = protocol.error_response(
-            request_id, code, message, epoch=self._live_epoch()
+            request_id, code, message, epoch=self.manager.epoch
         )
         slot = _Request(conn, {}, wire, None, 0.0)
         slot.frame = self._encode(response, wire)
@@ -387,7 +322,7 @@ class PartitionServer:
         # nothing to do; it is not cancelled, to keep the common path short.
         self._flush_handle = None
         pending = self._pending
-        while pending and self._inflight_task is None:
+        while pending:
             batch = pending[: self.max_batch]
             del pending[: self.max_batch]
             self._run_batch(batch)
@@ -401,49 +336,14 @@ class PartitionServer:
                 conn.write_ready()
 
     def _run_batch(self, batch: List[_Request]) -> None:
-        live = []
-        for slot in batch:
-            if not slot.frame:
-                live.append(slot)
-            else:  # timed out while pending: no handler work, lease back
-                self._release(slot)
-        if not live:
-            return
-        requests = [slot.request for slot in live]
         try:
-            if self._handler is not None:
-                responses = self._handler.execute_batch(
-                    requests, leases=[slot.lease for slot in live]
-                )
-            else:
-                responses = self._batch_handler(requests)
-            if type(responses) is not list and inspect.isawaitable(responses):
-                loop = self._loop
-                assert loop is not None
-                self._inflight = live
-                self._inflight_task = loop.create_task(
-                    self._await_batch(live, responses)
-                )
-                self._arm_deadline()
-                return
-            self._finish_batch(live, responses)
-        except Exception as exc:  # noqa: BLE001 — keep serving after a bad batch
-            self._fail_batch(live, exc)
-
-    async def _await_batch(
-        self, batch: List[_Request], responses: Awaitable[List[Dict[str, Any]]]
-    ) -> None:
-        try:
-            self._finish_batch(batch, await responses)
+            responses = self._handler.execute_batch(
+                [slot.request for slot in batch],
+                leases=[slot.lease for slot in batch],
+            )
+            self._finish_batch(batch, responses)
         except Exception as exc:  # noqa: BLE001 — keep serving after a bad batch
             self._fail_batch(batch, exc)
-        finally:
-            if self._deadline is not None:
-                self._deadline.cancel()
-                self._deadline = None
-            self._inflight = []
-            self._inflight_task = None
-            self._flush()
 
     def _finish_batch(
         self, batch: List[_Request], responses: List[Dict[str, Any]]
@@ -459,35 +359,24 @@ class PartitionServer:
         dirty = self._dirty
         for slot, response in zip(batch, responses):
             self._release(slot)
-            if not slot.frame:  # not timed out meanwhile
-                op = slot.request.get("op")
-                if isinstance(op, str):
-                    observe(op, now - slot.arrived)
-                slot.frame = self._encode(response, slot.wire)
-                self._unanswered -= 1
-                dirty[slot.conn] = None
+            op = slot.request.get("op")
+            if isinstance(op, str):
+                observe(op, now - slot.arrived)
+            slot.frame = self._encode(response, slot.wire)
+            dirty[slot.conn] = None
 
     def _fail_batch(self, batch: List[_Request], exc: Exception) -> None:
-        logger.error("batch handler failed", exc_info=exc)
+        logger.error("batch failed", exc_info=exc)
+        message = f"{type(exc).__name__}: {exc}"
         for slot in batch:
             self._release(slot)
             if not slot.frame:
-                self._answer_error(
-                    slot,
-                    protocol.INTERNAL,
-                    f"{type(exc).__name__}: {exc}",
-                    self._live_epoch(),
+                response = protocol.error_response(
+                    slot.request.get("id"), protocol.INTERNAL, message,
+                    epoch=self.manager.epoch,
                 )
-
-    def _answer_error(
-        self, slot: _Request, code: str, message: str, epoch: Optional[int]
-    ) -> None:
-        response = protocol.error_response(
-            slot.request.get("id"), code, message, epoch=epoch
-        )
-        slot.frame = self._encode(response, slot.wire)
-        self._unanswered -= 1
-        self._dirty[slot.conn] = None
+                slot.frame = self._encode(response, slot.wire)
+                self._dirty[slot.conn] = None
 
     def _encode(self, response: Dict[str, Any], wire: str) -> bytes:
         try:
@@ -502,48 +391,15 @@ class PartitionServer:
                     response.get("id"),
                     protocol.INTERNAL,
                     f"response exceeded frame limit: {exc}",
-                    epoch=self._live_epoch(),
+                    epoch=self.manager.epoch,
                 ),
                 wire,
             )
 
-    # -- deadlines (awaitable batches only) --------------------------------
-
-    def _arm_deadline(self) -> None:
-        oldest = next(
-            (s for s in itertools.chain(self._inflight, self._pending) if not s.frame),
-            None,
-        )
-        if oldest is None or self._loop is None:
-            return
-        delay = oldest.arrived + self.request_timeout - self._loop.time()
-        self._deadline = self._loop.call_later(max(0.0, delay), self._expire)
-
-    def _expire(self) -> None:
-        """Answer every overdue request with ``timeout`` while a batch hangs."""
-        self._deadline = None
-        if self._inflight_task is None or self._loop is None:
-            return
-        overdue = self._loop.time() - self.request_timeout
-        for slot in itertools.chain(self._inflight, self._pending):
-            if not slot.frame and slot.arrived <= overdue:
-                self.metrics.inc("requests_timeout")
-                self._answer_error(
-                    slot,
-                    protocol.TIMEOUT,
-                    f"no result within {self.request_timeout:g}s",
-                    slot.lease[1] if slot.lease else self._live_epoch(),
-                )
-        self._write_dirty()
-        self._arm_deadline()
-
     # -- hot reload / compaction -------------------------------------------
 
-    def _live_epoch(self) -> Optional[int]:
-        return self.manager.epoch if self.manager is not None else None
-
     def _release(self, slot: _Request) -> None:
-        if slot.lease is not None and self.manager is not None:
+        if slot.lease is not None:
             self.manager.release(slot.lease[1])
             slot.lease = None
 
@@ -553,7 +409,7 @@ class PartitionServer:
         run: Callable[[Any, Dict[str, Any]], Awaitable[Dict[str, Any]]],
     ) -> None:
         """Run one admin request and answer it in its connection's order."""
-        assert self.manager is not None and self._loop is not None
+        assert self._loop is not None
         request_id = slot.request.get("id")
         args = slot.request.get("args") or {}
         try:
@@ -587,7 +443,7 @@ class PartitionServer:
         frozen meanwhile (they fail fast with the retryable
         ``ingest_frozen``), reads keep serving throughout.
         """
-        assert self.manager is not None and self.ingestor is not None
+        assert self.ingestor is not None
         info = await self.ingestor.compact(verify=bool(args.get("verify", True)))
         self.metrics.inc("requests_ok")
         self.metrics.inc("op_compact")
@@ -606,7 +462,6 @@ class PartitionServer:
         self, request_id: Any, args: Dict[str, Any]
     ) -> Dict[str, Any]:
         """Execution of one ``reload`` admin request."""
-        assert self.manager is not None
         directory = args.get("directory")
         pending_mutations = (
             self.ingestor.overlay.pending_mutations

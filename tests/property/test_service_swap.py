@@ -100,7 +100,7 @@ def test_swap_state_machine(swap_world, actions, pick):
 
     async def go():
         store = PartitionStore.open(world["bundles"][0])
-        async with PartitionServer(store, request_timeout=30.0) as server:
+        async with PartitionServer(store) as server:
             manager = server.manager
             # Model state: the live epoch and which bundle produced it.
             expected_epoch = manager.epoch

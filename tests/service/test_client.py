@@ -62,7 +62,7 @@ class TestBackoffPolicy:
 
     def test_error_retryability(self):
         assert ServiceError(protocol.OVERLOAD, "x").retryable
-        assert ServiceError(protocol.TIMEOUT, "x").retryable
+        assert ServiceError(protocol.INGEST_FROZEN, "x").retryable
         assert not ServiceError(protocol.NOT_FOUND, "x").retryable
         assert not ServiceError(protocol.BAD_REQUEST, "x").retryable
 

@@ -27,7 +27,6 @@ from repro.partitioning.registry import make_partitioner
 from repro.partitioning.serialization import save_partition
 from repro.service import protocol
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.handler import ServiceHandler
 from repro.service.server import PartitionServer
 from repro.service.store import PartitionStore, StoreManager
 
@@ -110,7 +109,7 @@ class TestSwapUnderLoad:
 
         async def go():
             store = PartitionStore.open(bundles[0])
-            server = PartitionServer(store, request_timeout=30.0)
+            server = PartitionServer(store)
             # epoch -> reference store (epoch 1 is the bundle the server
             # started on; each successful reload maps the next epoch).
             epoch_stores = {server.manager.epoch: reference_stores[0]}
@@ -192,68 +191,55 @@ class TestSwapUnderLoad:
         asyncio.run(go())
 
 
-class _GatedHandler(ServiceHandler):
-    """Holds every query batch (and its epoch leases) until the gate opens."""
-
-    def __init__(self, store, metrics=None):
-        super().__init__(store, metrics)
-        self.gate = asyncio.Event()
-
-    async def execute_batch(self, requests, leases=None):
-        await self.gate.wait()
-        return super().execute_batch(requests, leases=leases)
-
-
 class TestDrainBarrier:
     def test_reload_waits_for_pinned_requests_and_reports_drain_count(
         self, graph, bundles
     ):
-        """The flip is atomic; the old store drains exactly the in-flight set."""
+        """The flip is atomic; the old store drains exactly the pinned set."""
         pinned = 5
+        vertices = list(graph.vertices())[:pinned]
 
         async def go():
-            handler = _GatedHandler(PartitionStore.open(bundles[0]))
-            server = PartitionServer(
-                handler=handler, request_timeout=30.0
-            )
+            server = PartitionServer(PartitionStore.open(bundles[0]))
             manager = server.manager
             async with server:
-                vertices = list(graph.vertices())[:pinned]
-                async with ServiceClient(*server.address) as client:
-                    queries = [
-                        asyncio.create_task(client.neighbors(v)) for v in vertices
-                    ]
-                    await asyncio.sleep(0.1)  # all pinned to epoch 1, gated
+                # Leases as admission takes them: each pins the live store.
+                leases = [manager.acquire() for _ in range(pinned)]
+                assert manager.active_leases(1) == pinned
+
+                async with ServiceClient(
+                    *server.address, max_retries=0, call_timeout=60.0
+                ) as admin:
+                    reload_task = asyncio.create_task(admin.reload(str(bundles[1])))
+                    await asyncio.sleep(0.3)
+                    # The flip already landed (new admissions see epoch 2)
+                    # but the reload response is held at the drain barrier
+                    # while 5 leases still read the old store.
+                    assert manager.epoch == 2
+                    assert not reload_task.done()
                     assert manager.active_leases(1) == pinned
+                    assert manager.retired_epochs() == (1,)
+                    # Requests pinned before the flip are answered by the
+                    # *old* epoch.
+                    answers = server._handler.execute_batch(
+                        [protocol.request(i, "neighbors", {"v": v})
+                         for i, v in enumerate(vertices)],
+                        leases=leases,
+                    )
 
-                    async with ServiceClient(
-                        *server.address, max_retries=0, call_timeout=60.0
-                    ) as admin:
-                        reload_task = asyncio.create_task(
-                            admin.reload(str(bundles[1]))
-                        )
-                        await asyncio.sleep(0.3)
-                        # The flip already landed (new admissions see epoch
-                        # 2) but the reload response is held at the drain
-                        # barrier while 5 requests still read the old store.
-                        assert manager.epoch == 2
-                        assert not reload_task.done()
-                        assert manager.active_leases(1) == pinned
-                        assert manager.retired_epochs() == (1,)
+                    for _store, epoch in leases:
+                        manager.release(epoch)
+                    info = await reload_task
 
-                        handler.gate.set()
-                        results = await asyncio.gather(*queries)
-                        info = await reload_task
-
-                    assert info["drained"] == pinned
-                    assert "drain_timed_out" not in info
-                    # The gated queries were answered by the *old* epoch.
-                    old = PartitionStore.open(bundles[0])
-                    for v, result in zip(vertices, results):
-                        assert result["partitions"] == list(old.replicas_of(v))
-                    assert manager.active_leases() == 0
-                    assert manager.retired_epochs() == ()
-                    assert server.metrics.counters["queries_drained"] == pinned
+                assert info["drained"] == pinned
+                assert "drain_timed_out" not in info
+                assert manager.active_leases() == 0
+                assert manager.retired_epochs() == ()
+                assert server.metrics.counters["queries_drained"] == pinned
+                old = PartitionStore.open(bundles[0])
+                for v, answer in zip(vertices, answers):
+                    assert answer["epoch"] == 1
+                    assert answer["result"]["partitions"] == list(old.replicas_of(v))
 
         asyncio.run(go())
 
@@ -264,7 +250,7 @@ class TestSwapPolicy:
 
         async def go():
             store = PartitionStore.open(bundles[0])
-            server = PartitionServer(store, request_timeout=30.0)
+            server = PartitionServer(store)
             # Make the build step slow enough to overlap deterministically.
             real_build = server.manager._build
             release = asyncio.Event()
@@ -481,9 +467,7 @@ class TestRefinedCompactionUnderLoad:
                 refine_on_compact=True,
                 refine_slack=1.05,
             )
-            server = PartitionServer(
-                manager, request_timeout=30.0, ingestor=ingestor
-            )
+            server = PartitionServer(manager, ingestor=ingestor)
             stop = asyncio.Event()
             issued = [0] * num_workers
             answered = [0] * num_workers

@@ -444,9 +444,7 @@ class TestCompaction:
         async def go():
             manager = StoreManager(PartitionStore.open(bundle))
             ingestor = Ingestor.enable(manager, bundle, fsync="never")
-            server = PartitionServer(
-                manager, request_timeout=30.0, ingestor=ingestor
-            )
+            server = PartitionServer(manager, ingestor=ingestor)
             stop = asyncio.Event()
             issued = [0] * num_workers
             answered = [0] * num_workers
@@ -500,9 +498,7 @@ class TestCompaction:
         async def go():
             manager = StoreManager(PartitionStore.open(bundle))
             ingestor = Ingestor.enable(manager, bundle, fsync="never")
-            server = PartitionServer(
-                manager, request_timeout=30.0, ingestor=ingestor
-            )
+            server = PartitionServer(manager, ingestor=ingestor)
             async with server:
                 async with ServiceClient(*server.address) as client:
                     await client.insert_edge(10_001, 10_002)
@@ -552,9 +548,6 @@ class TestRefinedHints:
         # prior's balance term decides — partition 2 is the one the
         # profile leaves headroom for.
         assert ingestor.insert_edge(50_001, 50_002)["partition"] == 2
-
-        _, opted_out = self._enable(directory, refined_hints=False)
-        assert opted_out.balance_offsets is None
 
     def test_malformed_profile_ignored(self, partition, tmp_path):
         directory = self._hinted_bundle(partition, tmp_path, [1, 2])  # wrong p

@@ -8,7 +8,7 @@ import socket
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.service import protocol
@@ -246,7 +246,7 @@ def live_server(small_social):
     store = PartitionStore.from_partition(
         TLPPartitioner(seed=0).partition(small_social, 3)
     )
-    return PartitionServer(store, request_timeout=5.0)
+    return PartitionServer(store)
 
 
 async def _send_raw(address, payload: bytes, close_after: bool = True):
@@ -382,17 +382,18 @@ class TestServerFuzz:
 
         asyncio.run(go())
 
-    @settings(max_examples=25, deadline=None)
+    # Every example starts and stops the fixture's server afresh.
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
     @given(payload=st.binary(min_size=0, max_size=80))
-    def test_random_bytes_never_hang_or_crash(self, payload):
+    def test_random_bytes_never_hang_or_crash(self, live_server, payload):
         """Pure fuzz: arbitrary bytes get error frames or a clean close."""
-        from repro.service.server import PartitionServer
-
-        def echo_handler(requests):
-            return [protocol.ok_response(r.get("id"), {"ok": 1}) for r in requests]
 
         async def go():
-            async with PartitionServer(batch_handler=echo_handler) as server:
+            async with live_server as server:
                 responses = await _send_raw(server.address, payload)
                 for r in responses:
                     # Every answered frame is a well-formed response.
@@ -565,19 +566,21 @@ class TestCrossCodecFuzz:
 
         asyncio.run(go())
 
-    @settings(max_examples=25, deadline=None)
+    # Every example starts and stops the fixture's server afresh.
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
     @given(payload=st.binary(min_size=0, max_size=80))
-    def test_random_bytes_with_binary_magic_never_hang_or_crash(self, payload):
-        from repro.service.server import PartitionServer
-
-        def echo_handler(requests):
-            return [protocol.ok_response(r.get("id"), {"ok": 1}) for r in requests]
-
+    def test_random_bytes_with_binary_magic_never_hang_or_crash(
+        self, live_server, payload
+    ):
         body = bytes((protocol.BINARY_MAGIC,)) + payload
         frame = struct.pack(">I", len(body)) + body
 
         async def go():
-            async with PartitionServer(batch_handler=echo_handler) as server:
+            async with live_server as server:
                 responses = await _send_raw(server.address, frame)
                 for r in responses:
                     assert isinstance(r, dict) and "ok" in r
@@ -597,8 +600,6 @@ class TestMixedCodecSessions:
                 jc = ServiceClient(host, port, wire=protocol.WIRE_JSON)
                 bc = ServiceClient(host, port, wire=protocol.WIRE_BINARY)
                 async with jc, bc:
-                    assert bc.wire_active == protocol.WIRE_BINARY
-                    assert jc.wire_active == protocol.WIRE_JSON
                     for v in range(0, 40, 3):
                         a = await jc.call("neighbors", v=v)
                         b = await bc.call("neighbors", v=v)
@@ -637,36 +638,9 @@ class TestMixedCodecSessions:
 
         asyncio.run(go())
 
-    def test_binary_client_downgrades_against_refusing_server(self, small_social):
-        """accept_binary=False answers the probe with a JSON error; the
-        client downgrades and keeps working on the same server."""
-        from repro.core.tlp import TLPPartitioner
-        from repro.service.client import ServiceClient
-        from repro.service.server import PartitionServer
-        from repro.service.store import PartitionStore
-
-        store = PartitionStore.from_partition(
-            TLPPartitioner(seed=0).partition(small_social, 3)
-        )
-        server = PartitionServer(store, accept_binary=False)
-
-        async def go():
-            async with server:
-                host, port = server.address
-                client = ServiceClient(host, port, wire=protocol.WIRE_BINARY)
-                async with client:
-                    assert client.wire_active == protocol.WIRE_JSON
-                    result = await client.call("ping")
-                    assert result["pong"] is True
-                    v = next(iter(small_social.vertices()))
-                    result = await client.call("neighbors", v=v)
-                    assert set(result["neighbors"]) == small_social.neighbors(v)
-
-        asyncio.run(go())
-
-    def test_sync_client_negotiates_and_downgrades(self, small_social):
-        """Blocking client: binary against a normal server, JSON downgrade
-        against a refusing one."""
+    def test_sync_client_speaks_binary(self, small_social):
+        """Blocking client: a ``wire="binary"`` client's first frame is its
+        first request, in binary — no probe precedes it."""
         import threading
 
         from repro.core.tlp import TLPPartitioner
@@ -678,35 +652,35 @@ class TestMixedCodecSessions:
             TLPPartitioner(seed=0).partition(small_social, 3)
         )
         v = next(iter(small_social.vertices()))
+        server = PartitionServer(store)
+        loop = asyncio.new_event_loop()
+        started = threading.Event()
+        shared = {}
 
-        for accept, expected_wire in ((True, "binary"), (False, "json")):
-            server = PartitionServer(store, accept_binary=accept)
-            loop = asyncio.new_event_loop()
-            started = threading.Event()
-            shared = {}
+        def serve():
+            async def run():
+                await server.start()
+                shared["addr"] = server.address
+                shared["stop"] = asyncio.Event()
+                started.set()
+                await shared["stop"].wait()
+                await server.stop()
 
-            def serve():
-                async def run():
-                    await server.start()
-                    shared["addr"] = server.address
-                    shared["stop"] = asyncio.Event()
-                    started.set()
-                    await shared["stop"].wait()
-                    await server.stop()
+            loop.run_until_complete(run())
+            loop.close()
 
-                loop.run_until_complete(run())
-                loop.close()
-
-            thread = threading.Thread(target=serve, daemon=True)
-            thread.start()
-            assert started.wait(10)
-            try:
-                with SyncServiceClient(
-                    *shared["addr"], wire=protocol.WIRE_BINARY
-                ) as client:
-                    assert client.wire_active == expected_wire
-                    result = client.call("neighbors", v=v)
-                    assert set(result["neighbors"]) == small_social.neighbors(v)
-            finally:
-                loop.call_soon_threadsafe(shared["stop"].set)
-                thread.join(timeout=10)
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        assert started.wait(10)
+        try:
+            with SyncServiceClient(
+                *shared["addr"], wire=protocol.WIRE_BINARY
+            ) as client:
+                result = client.call("neighbors", v=v)
+                assert set(result["neighbors"]) == small_social.neighbors(v)
+                (conn,) = server._conns
+                assert conn.last_wire == protocol.WIRE_BINARY
+                assert server.metrics.counters["requests_received"] == 1
+        finally:
+            loop.call_soon_threadsafe(shared["stop"].set)
+            thread.join(timeout=10)

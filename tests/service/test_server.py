@@ -24,16 +24,6 @@ def store(small_social):
     )
 
 
-def gated_handler(gate: "asyncio.Event"):
-    """A batch handler that blocks until ``gate`` is set (overload/drain tests)."""
-
-    async def handler(requests):
-        await gate.wait()
-        return [protocol.ok_response(r.get("id"), {"done": True}) for r in requests]
-
-    return handler
-
-
 class TestRoutedQueries:
     def test_neighbors_set_equal_over_tcp_tlp(self, store, small_social):
         async def go():
@@ -158,40 +148,60 @@ class TestBatching:
         assert counters["batch_dedup_hits"] > 0
         sent = {"neighbors": 80, "master": 40, "edge": 40}
         assert {op: counters[f"op_{op}"] for op in sent} == sent
-        assert not counters.get("requests_overload") and not counters.get("requests_timeout")
+        # The binary client sends binary from its first frame: no probe.
+        assert not counters.get("op_ping")
+        assert not counters.get("requests_overload")
+
+
+async def _close(writer):
+    writer.close()
+    try:
+        await writer.wait_closed()
+    except (ConnectionError, OSError):
+        pass
 
 
 class TestOverloadAndTimeouts:
-    def test_overload_is_explicit_and_survivable(self):
-        async def go():
-            gate = asyncio.Event()
-            server = PartitionServer(
-                batch_handler=gated_handler(gate),
-                max_queue=2,
-                max_batch=1,
-                request_timeout=10.0,
-            )
-            async with server:
-                host, port = server.address
-                async with ServiceClient(host, port, max_retries=0) as client:
-                    tasks = [
-                        asyncio.create_task(client.call("ping")) for _ in range(12)
-                    ]
-                    await asyncio.sleep(0.2)
-                    gate.set()
-                    results = await asyncio.gather(*tasks, return_exceptions=True)
-            ok = [r for r in results if isinstance(r, dict)]
-            overload = [
-                r
-                for r in results
-                if isinstance(r, ServiceError) and r.code == protocol.OVERLOAD
-            ]
-            # Every request gets exactly one answer: success or explicit overload.
-            assert len(ok) + len(overload) == 12
-            assert overload, "bounded queue never reported overload"
-            assert server.metrics.counters["requests_overload"] == len(overload)
+    def test_overload_is_explicit_and_survivable(self, store):
+        """A pipelined burst past ``max_queue``, sent in one write, is
+        admitted before one flush: the requests over the bound are answered
+        ``overload`` at once, and every request gets exactly one answer."""
+        burst = 12
 
-        asyncio.run(go())
+        async def go():
+            server = PartitionServer(store, max_queue=2, max_batch=1)
+            async with server:
+                reader, writer = await asyncio.open_connection(*server.address)
+                frames = protocol.BufferedFrameReader(reader)
+                try:
+                    writer.write(
+                        b"".join(
+                            protocol.encode_frame(protocol.request(i, "ping"))
+                            for i in range(burst)
+                        )
+                    )
+                    await writer.drain()
+                    responses = [
+                        await asyncio.wait_for(frames.read_frame(), 5.0)
+                        for _ in range(burst)
+                    ]
+                    # The connection survives its overloads.
+                    writer.write(
+                        protocol.encode_frame(protocol.request(burst, "ping"))
+                    )
+                    after = await asyncio.wait_for(frames.read_frame(), 5.0)
+                finally:
+                    await _close(writer)
+            return responses, after, server.metrics.counters
+
+        responses, after, counters = asyncio.run(go())
+        assert [r["id"] for r in responses] == list(range(burst))
+        overload = [r for r in responses if not r["ok"]]
+        assert overload, "bounded queue never reported overload"
+        assert {r["error"]["code"] for r in overload} == {protocol.OVERLOAD}
+        assert any(r["ok"] for r in responses)
+        assert counters["requests_overload"] == len(overload)
+        assert after["ok"] is True
 
     @pytest.mark.parametrize(
         "limits", [{"max_queue": 0}, {"max_queue": -1}, {"max_batch": 0}]
@@ -203,70 +213,60 @@ class TestOverloadAndTimeouts:
         with pytest.raises(ValueError, match=name):
             PartitionServer(store, **limits)
 
-    def test_client_retries_through_overload(self):
+    def test_client_retries_through_overload(self, store):
         async def go():
-            gate = asyncio.Event()
-            server = PartitionServer(
-                batch_handler=gated_handler(gate),
-                max_queue=1,
-                max_batch=1,
-            )
+            server = PartitionServer(store, max_queue=1, max_batch=1)
             async with server:
-                host, port = server.address
                 client = ServiceClient(
-                    host, port, max_retries=10, backoff_base=0.02
+                    *server.address, max_retries=10, backoff_base=0.02
                 )
                 async with client:
-                    tasks = [
-                        asyncio.create_task(client.call("ping")) for _ in range(6)
-                    ]
-                    await asyncio.sleep(0.1)
-                    gate.set()
-                    results = await asyncio.gather(*tasks)
-            assert all(r == {"done": True} for r in results)
-
-        asyncio.run(go())
-
-    def test_slow_handler_times_out(self):
-        async def go():
-            gate = asyncio.Event()  # never set: the handler hangs
-            server = PartitionServer(
-                batch_handler=gated_handler(gate), request_timeout=0.05
-            )
-            async with server:
-                async with ServiceClient(
-                    *server.address, max_retries=0
-                ) as client:
-                    with pytest.raises(ServiceError) as excinfo:
-                        await client.call("ping")
-                    assert excinfo.value.code == protocol.TIMEOUT
-                gate.set()  # release the dispatcher so shutdown drains
+                    # The six calls write in one loop iteration, so the
+                    # server reads them in one go, past its bound of one.
+                    results = await asyncio.gather(
+                        *(client.call("ping") for _ in range(6))
+                    )
+            assert all(r == {"pong": True} for r in results)
+            assert server.metrics.counters["requests_overload"] > 0
 
         asyncio.run(go())
 
 
 class TestGracefulShutdown:
-    def test_stop_drains_in_flight_requests(self):
+    def test_stop_drains_in_flight_requests(self, store, small_social):
+        """``stop()`` waits for a running reload, then writes its answer and
+        the reads answered behind it on the same connection."""
+        vertices = list(small_social.vertices())[:5]
+
         async def go():
+            server = PartitionServer(store)
             gate = asyncio.Event()
-            server = PartitionServer(
-                batch_handler=gated_handler(gate), request_timeout=10.0
-            )
+
+            async def gated_reload(request_id, args):
+                await gate.wait()
+                return protocol.ok_response(request_id, {"gated": True})
+
+            server._reload_request = gated_reload  # a reload that runs until set
             host, port = await server.start()
             client = await ServiceClient(host, port, max_retries=0).connect()
-            tasks = [asyncio.create_task(client.call("ping")) for _ in range(5)]
-            await asyncio.sleep(0.1)  # all five are in flight
+            tasks = [asyncio.create_task(client.call("reload"))]
+            tasks += [asyncio.create_task(client.neighbors(v)) for v in vertices]
+            await asyncio.sleep(0.1)  # all admitted; the reads wait behind the reload
 
             stop_task = asyncio.create_task(server.stop())
             await asyncio.sleep(0.1)
-            assert not stop_task.done()  # still draining: handler is blocked
+            assert not stop_task.done()  # still draining: the reload is running
+            assert not any(task.done() for task in tasks)
             gate.set()
-            results = await asyncio.gather(*tasks, return_exceptions=True)
+            results = await asyncio.gather(*tasks)
             await stop_task
-            assert all(r == {"done": True} for r in results)
             await client.close()
+            return results
 
-        asyncio.run(go())
+        reload_result, *reads = asyncio.run(go())
+        assert reload_result == {"gated": True}
+        for v, result in zip(vertices, reads):
+            assert set(result["neighbors"]) == small_social.neighbors(v)
 
     def test_stopped_server_refuses_connections(self, store):
         async def go():

@@ -71,7 +71,6 @@ async def _collect(address, wire, probes):
     client = ServiceClient(*address, max_retries=0, wire=wire)
     bodies = []
     async with client:
-        assert client.wire_active == wire
         for op, args in probes:
             try:
                 result, epoch = await client.call_with_epoch(op, **args)
