@@ -12,7 +12,13 @@ SNAP-style files in fixed-size binary chunks and exposes three views:
 * :meth:`ChunkedEdgeStream.edges` — lazily parsed ``(u, v)`` pairs with
   the exact skip/error semantics of ``iter_edge_list``;
 * :meth:`ChunkedEdgeStream.edge_chunks` — batches of edges paired with a
-  :class:`Checkpoint` that resumes the stream *after* the batch.
+  :class:`Checkpoint` that resumes the stream *after* the batch;
+* :meth:`ChunkedEdgeStream.edge_arrays` — the same edges as bounded
+  ``(m, 2)`` ``int64`` arrays, for the out-of-core passes.  A block of
+  canonical ``u<ws>v`` lines parses in one NumPy call; any other block
+  (comments, blank lines, extra columns, malformed lines, ids too long
+  for the fast path) goes through the line parser, so the skip rules and
+  ``path:lineno`` errors are the same as :meth:`~ChunkedEdgeStream.edges`.
 
 Offsets are measured in the **decompressed** byte stream, so a
 checkpoint taken on a ``.gz`` file is still valid: ``seek`` on a gzip
@@ -26,9 +32,12 @@ resume) never share state.
 from __future__ import annotations
 
 import gzip
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterator, List, Optional, Tuple, Union
+
+import numpy as np
 
 PathLike = Union[str, Path]
 
@@ -41,6 +50,21 @@ DEFAULT_CHUNK_BYTES = 1 << 20
 #: batch — small enough that a batch is a bounded buffer, large enough to
 #: amortise the per-batch bookkeeping.
 DEFAULT_CHUNK_EDGES = 1 << 16
+
+#: Text bytes parsed per :meth:`ChunkedEdgeStream.edge_arrays` block: about
+#: a thousand edges, enough to amortise the per-block NumPy calls, while
+#: a block's transient arrays stay small (parsing whole 1 MiB chunks at
+#: once raised the streaming pipeline's peak RSS by about 11 %).
+ARRAY_BLOCK_BYTES = 1 << 14
+
+#: Whole lines of exactly two decimal ids separated by spaces or tabs.
+#: At most 18 digits, so every id fits ``int64``; anything else takes the
+#: line parser.
+_CANONICAL_LINES = re.compile(
+    rb"(?:[ \t]*-?[0-9]{1,18}[ \t]+-?[0-9]{1,18}[ \t\r]*\n)*"
+)
+
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 
 @dataclass(frozen=True)
@@ -167,11 +191,78 @@ class ChunkedEdgeStream(ChunkedLineStream):
         if batch:
             yield batch, Checkpoint(offset, next_lineno)
 
+    def edge_arrays(self, batch_edges: int = DEFAULT_CHUNK_EDGES) -> Iterator[np.ndarray]:
+        """Every edge in file order, as ``(m, 2)`` ``int64`` arrays.
+
+        Each array holds at most ``batch_edges`` rows and at most one
+        block (:data:`ARRAY_BLOCK_BYTES` of text) worth of edges, so the
+        transient memory per array is bounded whatever the file size.
+        The rows equal :meth:`edges`; an id outside ``int64`` raises
+        ``OverflowError`` naming ``path:lineno``.
+        """
+        if batch_edges < 1:
+            raise ValueError(f"batch_edges must be >= 1, got {batch_edges}")
+        for lineno, block in self._blocks():
+            rows = self._parse_block(block, lineno)
+            for start in range(0, len(rows), batch_edges):
+                yield rows[start : start + batch_edges]
+
     def count_edges(self) -> int:
         """Number of parseable edge lines (one full streaming pass)."""
         return sum(1 for _ in self.edges())
 
     # -- parsing -----------------------------------------------------------
+
+    def _blocks(self) -> Iterator[Tuple[int, bytes]]:
+        """Yield ``(first lineno, block)`` runs of whole lines.
+
+        Every block but a final unterminated line ends in a newline and
+        spans at most :data:`ARRAY_BLOCK_BYTES` (or one longer line).
+        """
+        lineno = 1
+        with open_binary(self.path) as fh:
+            tail = b""
+            while True:
+                chunk = fh.read(self.chunk_bytes)
+                if not chunk:
+                    break
+                data = tail + chunk
+                end = data.rfind(b"\n") + 1
+                start = 0
+                while start < end:
+                    cut = data.rfind(b"\n", start, start + ARRAY_BLOCK_BYTES) + 1
+                    if cut <= start:  # one line longer than a block
+                        cut = data.index(b"\n", start) + 1
+                    block = data[start:cut]
+                    yield lineno, block
+                    lineno += block.count(b"\n")
+                    start = cut
+                tail = data[end:]
+            if tail:
+                yield lineno, tail
+
+    def _parse_block(self, block: bytes, lineno: int) -> np.ndarray:
+        """The edges of ``block`` (starting at line ``lineno``) as rows."""
+        text = block if block.endswith(b"\n") else block + b"\n"
+        if _CANONICAL_LINES.fullmatch(text):
+            return np.fromstring(text, dtype=np.int64, sep=" ").reshape(-1, 2)
+        lines = block.split(b"\n")
+        last = lines.pop()  # b"" unless the block is an unterminated last line
+        raws = [line + b"\n" for line in lines]
+        if last:
+            raws.append(last)
+        rows: List[Edge] = []
+        for at, raw in enumerate(raws, start=lineno):
+            edge = self._parse(raw, at)
+            if edge is None:
+                continue
+            if not all(_INT64_MIN <= x <= _INT64_MAX for x in edge):
+                raise OverflowError(
+                    f"{self.path}:{at}: endpoint outside int64 in "
+                    f"{raw.decode('utf-8', 'replace')!r}"
+                )
+            rows.append(edge)
+        return np.array(rows, dtype=np.int64).reshape(-1, 2)
 
     def _parse(self, raw: bytes, lineno: int) -> Optional[Edge]:
         stripped = raw.strip()

@@ -31,7 +31,6 @@ compares answers.  The difference is purely how much lives in memory:
 from __future__ import annotations
 
 import hashlib
-import json
 import shutil
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -44,10 +43,10 @@ from repro.partitioning.csr_bundle import SIDECAR_NAME, SIDECAR_VERSION
 from repro.partitioning.oocore import spill as spill_mod
 from repro.partitioning.serialization import (
     FORMAT_VERSION,
-    MANIFEST_NAME,
     _edge_file,
     _write_atomic,
     format_edges,
+    write_manifest,
 )
 
 _DTYPE = np.int64
@@ -194,7 +193,4 @@ def write_streaming_bundle(
         "bytes": sidecar_path.stat().st_size,
         "checksum": csr_bundle.sidecar_checksum(sidecar_path),
     }
-    manifest_path = directory / MANIFEST_NAME
-    payload = json.dumps(manifest, indent=2)
-    _write_atomic(manifest_path, lambda tmp: tmp.write_text(payload, encoding="utf-8"))
-    return manifest_path
+    return write_manifest(directory, manifest)

@@ -23,7 +23,7 @@ partition), giving pass 2 its cluster -> partition affinity targets.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 from repro.partitioning.oocore.sketch import DegreeSketch
 
@@ -56,63 +56,74 @@ class StreamingClustering:
         self.total_volume = 0
         self._next_cluster = 0
 
-    def _cap(self) -> float:
-        """Max volume a cluster may reach, from the stream so far."""
-        return max(
-            2.0, self.volume_slack * self.total_volume / self.target_clusters
-        )
-
-    def _ensure(self, vertex: int, degree: int) -> int:
-        """Cluster of ``vertex``, folding its degree growth into the volume."""
-        cluster = self.cluster_of.get(vertex)
-        if cluster is None:
-            cluster = self._next_cluster
-            self._next_cluster += 1
-            self.cluster_of[vertex] = cluster
-            self.volume[cluster] = degree
-        else:
-            # The arriving edge grew this member's degree by one.
-            try:
-                self.volume[cluster] += 1
-            except KeyError:
-                # A count-min over-estimate of an earlier mover's degree
-                # drained the cluster while members remained; it lives on
-                # with this member's growth.
-                self.volume[cluster] = 1
-        return cluster
-
     def add_edge(self, u: int, v: int) -> None:
         """Fold one edge into the sketch and the clustering."""
-        self.observe(u, v, self.sketch.add(u), self.sketch.add(v))
+        self.observe_many([(u, v)], [self.sketch.add(u), self.sketch.add(v)])
 
-    def observe(self, u: int, v: int, du: int, dv: int) -> None:
-        """Fold one edge whose endpoints' new degrees are ``du``/``dv``.
+    def observe_many(
+        self, edges: Sequence[Sequence[int]], degrees: Sequence[int]
+    ) -> None:
+        """Fold ``edges`` whose endpoints' new degrees are ``degrees``.
 
-        The degree sketch must already count the edge.  :meth:`add_edge`
-        does both; the pipeline updates the sketch itself (hashing a
-        batch at a time once it is count-min) and then calls this.
+        ``degrees`` interleaves the two endpoints' degrees, edge by edge
+        (``u0, v0, u1, v1, ...``), each as the sketch returned it when
+        that endpoint was counted.  The sketch must already count the
+        edges; the clustering only reads those answers, so the pipeline
+        counts a whole batch first (in one hashing call when the sketch
+        is count-min) and then hands the batch over.
         """
-        self.total_volume += 2
-        cu = self._ensure(u, du)
-        cv = self._ensure(v, dv)
-        if cu == cv:
-            return
-        # The lower-degree endpoint moves (ties: the first endpoint) — its
-        # replicas are the cheaper ones to avoid, per the HDRF intuition.
-        if du <= dv:
-            mover, md, source, target = u, du, cu, cv
-        else:
-            mover, md, source, target = v, dv, cv, cu
-        if self.volume[target] + md <= self._cap():
-            self.cluster_of[mover] = target
-            self.volume[source] -= md
-            self.volume[target] += md
-            if self.volume[source] <= 0:
-                del self.volume[source]
+        cluster_of = self.cluster_of
+        volume = self.volume
+        slack = self.volume_slack
+        target_clusters = self.target_clusters
+        total = self.total_volume
+        fresh = self._next_cluster
+        for (u, v), du, dv in zip(edges, degrees[0::2], degrees[1::2]):
+            total += 2
+            # Each endpoint's cluster, folding its degree growth into the
+            # volume: a new vertex opens a cluster with its degree, a
+            # known one adds the arriving edge's unit.  (A count-min
+            # over-estimate of an earlier mover's degree can drain a
+            # cluster while members remain; it lives on with their
+            # growth.)
+            cu = cluster_of.get(u)
+            if cu is None:
+                cu = cluster_of[u] = fresh
+                fresh += 1
+                volume[cu] = du
+            else:
+                volume[cu] = volume.get(cu, 0) + 1
+            cv = cluster_of.get(v)
+            if cv is None:
+                cv = cluster_of[v] = fresh
+                fresh += 1
+                volume[cv] = dv
+            else:
+                volume[cv] = volume.get(cv, 0) + 1
+            if cu == cv:
+                continue
+            # The lower-degree endpoint moves (ties: the first endpoint) —
+            # its replicas are the cheaper ones to avoid, per the HDRF
+            # intuition — while the target stays under the volume cap
+            # derived from the stream so far.
+            if du <= dv:
+                mover, md, source, target = u, du, cu, cv
+            else:
+                mover, md, source, target = v, dv, cv, cu
+            if volume[target] + md <= max(2.0, slack * total / target_clusters):
+                cluster_of[mover] = target
+                volume[source] -= md
+                volume[target] += md
+                if volume[source] <= 0:
+                    del volume[source]
+        self.total_volume = total
+        self._next_cluster = fresh
 
     def consume(self, edges: Iterable[Tuple[int, int]]) -> None:
-        for u, v in edges:
-            self.add_edge(u, v)
+        """Fold every edge of ``edges`` into the sketch and the clustering."""
+        pairs = list(edges)
+        add = self.sketch.add
+        self.observe_many(pairs, [add(x) for edge in pairs for x in edge])
 
     @property
     def num_clusters(self) -> int:

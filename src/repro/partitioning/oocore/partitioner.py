@@ -5,7 +5,8 @@ pipeline over an in-memory edge sequence, so the 2PS heuristic slots
 into the experiment harness (``"2PS"`` in the registry) and its RF can
 sit in the same comparison tables as TLP/HDRF/DBH — and so the parity
 suite can pin streamed placements against this adapter edge-for-edge.
-The only difference from :func:`~repro.partitioning.oocore.pipeline.
+Placement goes through the same :meth:`StreamingPlacer.place_batch`,
+with the whole stream as one batch.  The only difference from :func:`~repro.partitioning.oocore.pipeline.
 partition_stream` is that edges come from a list instead of a file and
 the result is an :class:`~repro.partitioning.assignment.EdgePartition`
 instead of a bundle on disk.
@@ -23,7 +24,11 @@ from repro.partitioning.oocore.cluster import (
     StreamingClustering,
     map_clusters,
 )
-from repro.partitioning.oocore.place import DEFAULT_GAMMA, StreamingPlacer
+from repro.partitioning.oocore.place import (
+    DEFAULT_GAMMA,
+    StreamingPlacer,
+    affinity_targets,
+)
 from repro.partitioning.oocore.sketch import DegreeSketch
 from repro.utils.rng import Seed
 
@@ -67,8 +72,7 @@ class TwoPhaseStreamingPartitioner(StreamingEdgePartitioner):
             (u, v) for u, v in edges if u != v
         ]  # the pipeline needs two passes; self loops are skipped there too
         sketch = DegreeSketch(max_exact_vertices=1 << 62, cm_width=1)
-        cluster_of = {}
-        cluster_partition = {}
+        affinity = {}
         if self.cluster:
             clustering = StreamingClustering(
                 sketch,
@@ -76,8 +80,9 @@ class TwoPhaseStreamingPartitioner(StreamingEdgePartitioner):
                 clusters_per_partition=self.clusters_per_partition,
             )
             clustering.consume(stream)
-            cluster_of = clustering.cluster_of
-            cluster_partition = map_clusters(clustering.volume, num_partitions)
+            affinity = affinity_targets(
+                clustering.cluster_of, map_clusters(clustering.volume, num_partitions)
+            )
         else:
             for u, v in stream:
                 sketch.add(u)
@@ -89,11 +94,11 @@ class TwoPhaseStreamingPartitioner(StreamingEdgePartitioner):
             lam=self.lam,
             epsilon=self.epsilon,
             gamma=self.gamma,
-            cluster_of=cluster_of,
-            cluster_partition=cluster_partition,
+            affinity=affinity,
             offsets=self.offsets,
         )
-        assignment = [placer.place(*normalize_edge(u, v)) for u, v in stream]
-        return EdgePartition.from_assignment(
-            (normalize_edge(u, v) for u, v in stream), assignment, num_partitions
+        placed = [normalize_edge(u, v) for u, v in stream]
+        assignment = placer.place_batch(
+            [u for u, _ in placed], [v for _, v in placed]
         )
+        return EdgePartition.from_assignment(placed, assignment, num_partitions)

@@ -10,20 +10,24 @@ budget that **does not grow with the edge count**:
 stage                        peak memory
 ===========================  =========================================
 pass 1 (cluster + sketch)    O(vertices) dicts, or fixed count-min
-                             + one hashing batch
-pass 2 (placement)           O(vertices) bitmask dicts + spill buffers
-                             + one hashing batch (count-min only)
+                             + one edge batch
+pass 2 (placement)           O(vertices) bitmask and affinity dicts
+                             + spill buffers + one edge batch
 bundle (sort + CSR)          O(edges / partitions) per shard + O(vertices)
 ===========================  =========================================
 
+Both passes read the file through :meth:`ChunkedEdgeStream.edge_arrays`
+and work on ``int64`` arrays of at most ``hash_batch_edges`` edges.
+
 ``memory_budget`` (bytes) sizes the knobs: the exact-degree vertex cap
-(past it the sketch degrades to count-min), the count-min hashing batch,
-the spill append buffers, and the external-sort run length.  The budget
-is advisory for the O(vertices) terms — the paper-standard 2PS state —
-and binding for every per-edge term; the bench records measured
-``rss_max_kib`` against it, and the acceptance tests hold the whole
-pipeline under 2x budget on a graph whose in-memory partitioning is
-several times larger.
+(past it the sketch degrades to count-min), the edge batch, the spill
+append buffers, and the external-sort run length.  The budget is
+advisory for the O(vertices) terms — the paper-standard 2PS state — and
+binding for every per-edge term.  ``tests/partitioning/test_oocore_rss.py``
+holds the whole pipeline under 2x budget (subprocess ``VmHWM``) on a
+graph whose in-memory partitioning is several times larger, and
+perfbench's offline workload reports the command's peak RSS as
+``stream_rss_mib``.
 """
 
 from __future__ import annotations
@@ -32,11 +36,11 @@ import shutil
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from itertools import islice
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Dict, List, Optional, Union
 
-from repro.graph.chunked import DEFAULT_CHUNK_BYTES, ChunkedEdgeStream, Edge
-from repro.graph.graph import normalize_edge
+import numpy as np
+
+from repro.graph.chunked import DEFAULT_CHUNK_BYTES, ChunkedEdgeStream
 from repro.partitioning.oocore import spill as spill_mod
 from repro.partitioning.oocore.bundle import write_streaming_bundle
 from repro.partitioning.oocore.cluster import (
@@ -44,7 +48,11 @@ from repro.partitioning.oocore.cluster import (
     StreamingClustering,
     map_clusters,
 )
-from repro.partitioning.oocore.place import DEFAULT_GAMMA, StreamingPlacer
+from repro.partitioning.oocore.place import (
+    DEFAULT_GAMMA,
+    StreamingPlacer,
+    affinity_targets,
+)
 from repro.partitioning.oocore.sketch import DegreeSketch
 from repro.partitioning.scoring import balance_offsets
 from repro.partitioning.serialization import partition_metadata
@@ -62,9 +70,10 @@ _BYTES_PER_VERTEX = 400
 #: Rough peak bytes per edge while sorting a run (record + index + copy).
 _BYTES_PER_RUN_EDGE = 48
 
-#: Rough transient bytes per edge of a count-min hashing batch: the edge
-#: tuples, the id array and its hash temporaries, and pass 1's
-#: per-endpoint position lists (~640 B measured with ``tracemalloc``).
+#: Rough transient bytes per edge of a batch: its rows and their
+#: Python-int lists, the id array and its hash temporaries, and pass 1's
+#: per-endpoint position lists (~640 B measured with ``tracemalloc``
+#: when batches were tuple lists; an upper bound for arrays).
 _BYTES_PER_HASHED_EDGE = 640
 
 #: Cap on a hashing batch: beyond a few thousand edges the per-batch
@@ -81,7 +90,8 @@ class BudgetPlan:
     cm_width: int
     spill_buffer_bytes: int
     run_edges: int
-    #: Edges hashed per vectorised count-min batch (unused while exact).
+    #: Edges per array batch of both passes (one vectorised count-min
+    #: hash per batch once the sketch degrades).
     hash_batch_edges: int
 
     @classmethod
@@ -192,9 +202,10 @@ def load_refined_offsets(
     return balance_offsets([int(s) for s in sizes])
 
 
-def _batches(edges: Iterator[Edge], size: int) -> Iterator[List[Edge]]:
-    """Consecutive lists of up to ``size`` edges from ``edges``."""
-    return iter(lambda: list(islice(edges, size)), [])
+def _without_loops(rows: np.ndarray) -> np.ndarray:
+    """``rows`` minus its self loops."""
+    keep = rows[:, 0] != rows[:, 1]
+    return rows if keep.all() else rows[keep]
 
 
 def _sketch_pass(
@@ -205,36 +216,29 @@ def _sketch_pass(
 ) -> int:
     """Pass 1: count every edge into ``sketch`` (and ``clustering``).
 
-    Edges go one at a time through the scalar sketch while it is exact.
-    Once it degrades to count-min, the rest of the stream is hashed in
-    batches of ``batch_edges``: one vectorised :meth:`positions` call per
-    batch, then the conservative updates in stream order, so every
-    estimate equals the scalar path's.  Returns the self loops skipped.
+    Edges arrive as arrays of up to ``batch_edges`` rows.  A batch is
+    counted first, endpoint by endpoint in stream order: through the
+    sketch's dict while it is exact (a batch that trips the exact-vertex
+    cap finishes on the scalar count-min path), or, once it is count-min,
+    hashed in one vectorised :meth:`positions` call with the conservative
+    updates following in order (:meth:`add_each`).  Every estimate
+    therefore equals the scalar path's.  The clustering then observes the
+    batch with those degrees.  Returns the self loops skipped.
     """
     skipped = 0
-    edges = stream.edges()
-    for u, v in edges:
-        if u == v:
-            skipped += 1
+    for rows in stream.edge_arrays(batch_edges):
+        edges = _without_loops(rows)
+        skipped += len(rows) - len(edges)
+        if not len(edges):
             continue
-        du = sketch.add(u)
-        dv = sketch.add(v)
+        cm = sketch.count_min
+        if cm is None:
+            add = sketch.add
+            degrees = [add(x) for x in edges.ravel().tolist()]
+        else:
+            degrees = cm.add_each(cm.positions(edges.ravel()).tolist())
         if clustering is not None:
-            clustering.observe(u, v, du, dv)
-        if not sketch.exact:
-            break
-    cm = sketch.count_min
-    if cm is None:
-        return skipped
-    for chunk in _batches(edges, batch_edges):
-        batch = [edge for edge in chunk if edge[0] != edge[1]]
-        skipped += len(chunk) - len(batch)
-        rows = cm.positions([x for edge in batch for x in edge]).tolist()
-        for (u, v), at_u, at_v in zip(batch, rows[0::2], rows[1::2]):
-            du = cm.add_at(at_u)
-            dv = cm.add_at(at_v)
-            if clustering is not None:
-                clustering.observe(u, v, du, dv)
+            clustering.observe_many(edges.tolist(), degrees)
     return skipped
 
 
@@ -244,27 +248,31 @@ def _placement_pass(
     writer: spill_mod.SpillWriter,
     batch_edges: int,
 ) -> None:
-    """Pass 2: place every edge into ``writer``'s spills.
+    """Pass 2: place every edge into ``writer``'s spills, a batch at a time.
 
-    Degrees are final after pass 1, so with a count-min sketch (and an
-    HDRF policy, the one that reads degrees) each batch of
-    ``batch_edges`` is looked up in one vectorised gather-and-min and
-    the degrees are handed to :meth:`StreamingPlacer.place`.  The exact
-    sketch keeps the plain per-edge dict lookups.
+    Each array of up to ``batch_edges`` edges loses its self loops, is
+    oriented ``(min, max)``, placed by :meth:`StreamingPlacer.place_batch`
+    and appended to the spills in one call.  Degrees are final after pass
+    1, so with a count-min sketch (and an HDRF policy, the one that reads
+    degrees) a batch's degrees come from one vectorised gather-and-min;
+    the exact sketch is a dict lookup per endpoint inside the placer.
     """
     cm = placer.degrees.count_min if placer.policy == "hdrf" else None
-    if cm is None:
-        for u, v in stream.edges():
-            if u == v:
-                continue
-            a, b = normalize_edge(u, v)
-            writer.append(placer.place(a, b), a, b)
-        return
-    for chunk in _batches(stream.edges(), batch_edges):
-        batch = [normalize_edge(u, v) for u, v in chunk if u != v]
-        degrees = cm.get_many([x for edge in batch for x in edge]).tolist()
-        for (a, b), da, db in zip(batch, degrees[0::2], degrees[1::2]):
-            writer.append(placer.place(a, b, da, db), a, b)
+    for rows in stream.edge_arrays(batch_edges):
+        edges = _without_loops(rows)
+        if not len(edges):
+            continue
+        edges = np.sort(edges, axis=1)
+        us, vs = edges[:, 0], edges[:, 1]
+        if cm is None:
+            parts = placer.place_batch(us.tolist(), vs.tolist())
+        else:
+            degrees = cm.get_many(edges.T.ravel()).tolist()
+            n = len(edges)
+            parts = placer.place_batch(
+                us.tolist(), vs.tolist(), degrees[:n], degrees[n:]
+            )
+        writer.append_batch(np.array(parts, dtype=np.intp), edges)
 
 
 def partition_stream(
@@ -317,14 +325,14 @@ def partition_stream(
             clusters_per_partition=clusters_per_partition,
         )
     skipped = _sketch_pass(stream, sketch, clustering, plan.hash_batch_edges)
+    affinity: Dict[int, int] = {}
+    num_clusters = 0
     if clustering is not None:
-        cluster_of = clustering.cluster_of
-        cluster_partition = map_clusters(clustering.volume, num_partitions)
+        affinity = affinity_targets(
+            clustering.cluster_of, map_clusters(clustering.volume, num_partitions)
+        )
         num_clusters = clustering.num_clusters
-    else:
-        cluster_of = {}
-        cluster_partition = {}
-        num_clusters = 0
+        clustering = None  # drop the per-vertex cluster ids before pass 2
     pass1_seconds = time.perf_counter() - t0
 
     # -- pass 2: placement into spills -------------------------------------
@@ -336,8 +344,7 @@ def partition_stream(
         lam=lam,
         epsilon=epsilon,
         gamma=gamma,
-        cluster_of=cluster_of,
-        cluster_partition=cluster_partition,
+        affinity=affinity,
         offsets=offsets,
     )
     directory.mkdir(parents=True, exist_ok=True)

@@ -17,8 +17,10 @@ replaying the counts it has — callers never have to branch on the mode,
 they just read (possibly estimated) degrees.  The pipeline does branch,
 for speed only: once degraded, it hashes each bounded batch of edges in
 one vectorised call (:meth:`CountMinDegrees.positions` /
-:meth:`CountMinDegrees.get_many`), with results identical to the scalar
-:meth:`DegreeSketch.add` / :meth:`DegreeSketch.get` path.
+:meth:`CountMinDegrees.get_many`) and folds the batch's conservative
+updates in one loop (:meth:`CountMinDegrees.add_each`), with results
+identical to the scalar :meth:`DegreeSketch.add` / :meth:`DegreeSketch.get`
+path.
 """
 
 from __future__ import annotations
@@ -110,6 +112,18 @@ class CountMinDegrees:
             if cells[i] < new:
                 cells[i] = new
         return new
+
+    def add_each(self, rows: Sequence[Sequence[int]]) -> List[int]:
+        """:meth:`add_at` of one degree for every row of positions, in order."""
+        cells = self._cells
+        estimates = []
+        for positions in rows:
+            new = min([cells[i] for i in positions]) + 1
+            for i in positions:
+                if cells[i] < new:
+                    cells[i] = new
+            estimates.append(new)
+        return estimates
 
     def add(self, vertex: int, count: int = 1) -> int:
         """Fold ``count`` degree into ``vertex``; returns the new estimate."""

@@ -1,7 +1,7 @@
 """Per-partition placement spill files and their external sort.
 
-Pass 2 appends each placed edge to its partition's spill file as a
-16-byte ``<qq`` record (little-endian int64 pair — the same width as
+Pass 2 appends each placed batch of edges to the partitions' spill files
+as 16-byte ``<qq`` records (little-endian int64 pair — the same width as
 the CSR sidecar arrays, so a spill chunk loads straight into numpy).
 Appends go through bounded per-partition byte buffers; total buffered
 memory is capped by the pipeline's budget, never by the edge count.
@@ -64,13 +64,25 @@ class SpillWriter:
             path.unlink(missing_ok=True)
         self.counts = [0] * num_partitions
 
-    def append(self, k: int, u: int, v: int) -> None:
-        buf = self._buffers[k]
-        buf += u.to_bytes(8, "little", signed=True)
-        buf += v.to_bytes(8, "little", signed=True)
-        self.counts[k] += 1
-        if len(buf) >= self._flush_bytes:
-            self._flush(k)
+    def append_batch(self, parts: np.ndarray, rows: np.ndarray) -> None:
+        """Append edge ``rows[i]`` (an ``(m, 2)`` array) to spill ``parts[i]``.
+
+        Each partition's rows keep their batch order and go into its
+        buffer as one ``tobytes`` — the same bytes as one record per edge.
+        """
+        order = np.argsort(parts, kind="stable")
+        grouped = rows[order].astype(_DTYPE, copy=False)
+        counts = np.bincount(parts, minlength=self.num_partitions).tolist()
+        start = 0
+        for k, count in enumerate(counts):
+            if not count:
+                continue
+            buf = self._buffers[k]
+            buf += grouped[start : start + count].tobytes()
+            start += count
+            self.counts[k] += count
+            if len(buf) >= self._flush_bytes:
+                self._flush(k)
 
     def _flush(self, k: int) -> None:
         if self._buffers[k]:

@@ -9,9 +9,11 @@ Two durability properties matter because the serving layer
 (:mod:`repro.service`) opens these directories:
 
 * **Atomicity** — every file (edge lists and manifest) is written to a
-  temp file and ``os.replace``-d into place, and the manifest is written
-  *last*, so a killed writer never leaves a directory that parses as a
-  valid partition but holds torn edge files.
+  temp file, fsynced and ``os.replace``-d into place, and the manifest
+  is written *last*, followed by an fsync of the directory, so neither a
+  killed writer nor a power loss leaves a directory that parses as a
+  valid partition but holds torn edge files, and a bundle is durable
+  when :func:`save_partition` returns.
 * **Compression** — ``compress=True`` writes ``part_*.edges.gz`` instead
   of plain text; loading is transparent (the manifest records the file
   name, and the ``.gz`` suffix selects the gzip text reader).  Checksums
@@ -196,8 +198,21 @@ def _read_bytes(path: Path) -> bytes:
     return path.read_bytes()
 
 
+def _fsync_path(path: Path) -> None:
+    """``fsync`` the file or directory at ``path``."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def _write_atomic(path: Path, write) -> None:
-    """Run ``write(tmp_path)`` against a temp file, then rename into place."""
+    """Run ``write(tmp_path)`` against a temp file, then rename into place.
+
+    The temp file is fsynced before the rename, so the name never points
+    at data that a power loss could still drop.
+    """
     # The temp name keeps the real suffix (".gz" selects the gzip codec
     # in open_text), with a ".tmp-" marker in front of it.
     fd, tmp_name = tempfile.mkstemp(
@@ -207,10 +222,26 @@ def _write_atomic(path: Path, write) -> None:
     tmp = Path(tmp_name)
     try:
         write(tmp)
+        _fsync_path(tmp)
         os.replace(tmp, path)
     finally:
         if tmp.exists():
             tmp.unlink()
+
+
+def write_manifest(directory: Path, manifest: Dict[str, object]) -> Path:
+    """Land ``manifest`` atomically, then fsync ``directory``.
+
+    The manifest is a bundle's last write; the directory fsync makes its
+    rename, and every rename before it, durable too.  Only then may a
+    caller discard what the bundle replaces (compaction resets its WAL).
+    """
+    manifest_path = directory / MANIFEST_NAME
+    payload = json.dumps(manifest, indent=2)
+    _write_atomic(manifest_path, lambda tmp: tmp.write_text(payload, encoding="utf-8"))
+    if os.name == "posix":  # a directory cannot be opened for fsync elsewhere
+        _fsync_path(directory)
+    return manifest_path
 
 
 def save_partition(
@@ -283,10 +314,7 @@ def save_partition(
             "checksum": csr_bundle.sidecar_checksum(sidecar_path),
         },
     }
-    manifest_path = directory / MANIFEST_NAME
-    payload = json.dumps(manifest, indent=2)
-    _write_atomic(manifest_path, lambda tmp: tmp.write_text(payload, encoding="utf-8"))
-    return manifest_path
+    return write_manifest(directory, manifest)
 
 
 def load_partition(directory: PathLike, verify: bool = True) -> EdgePartition:

@@ -77,8 +77,6 @@ BAD_REQUEST = "bad_request"
 NOT_FOUND = "not_found"
 #: The bounded request queue is full — back off and retry.
 OVERLOAD = "overload"
-#: The server is draining for shutdown and accepts no new work.
-SHUTTING_DOWN = "shutting_down"
 #: A hot reload could not be applied; the old epoch keeps serving.
 RELOAD_FAILED = "reload_failed"
 #: A reload arrived while another bundle build was in flight.
@@ -97,7 +95,6 @@ ERROR_CODES = frozenset(
         BAD_REQUEST,
         NOT_FOUND,
         OVERLOAD,
-        SHUTTING_DOWN,
         RELOAD_FAILED,
         RELOAD_IN_PROGRESS,
         CONFLICT,

@@ -249,8 +249,12 @@ def _spills(directory, parts_edges, seed):
     writer = SpillWriter(directory, num_partitions=len(parts_edges), buffer_bytes=256)
     stream = [(k, e) for k, edges in enumerate(parts_edges) for e in edges]
     rng.shuffle(stream)  # interleaved keys within every run
-    for k, (u, v) in stream:
-        writer.append(k, u, v)
+    for start in range(0, len(stream), 5):  # small batches, several flushes
+        batch = stream[start : start + 5]
+        writer.append_batch(
+            np.array([k for k, _ in batch], dtype=np.intp),
+            np.array([edge for _, edge in batch], dtype=np.int64),
+        )
     return writer.close(), list(writer.counts)
 
 
@@ -319,8 +323,7 @@ class TestFoldParity:
         monkeypatch.setattr(spill_mod, "_MERGE_CHUNK_EDGES", chunk_edges)
         spill_dir = tmp_path / "spill"
         writer = SpillWriter(spill_dir, num_partitions=1)
-        for u, v in records:
-            writer.append(0, u, v)
+        writer.append_batch(np.zeros(len(records), dtype=np.intp), np.array(records))
         spills = writer.close()
         with pytest.raises(ValueError, match=r"duplicate edge \(1, 2\) in partition spill"):
             write_streaming_bundle(

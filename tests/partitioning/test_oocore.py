@@ -18,6 +18,7 @@ Pins the subsystem's three load-bearing contracts:
 
 import gzip
 
+import numpy as np
 import pytest
 
 from repro.graph.generators import erdos_renyi_gnm, holme_kim
@@ -40,6 +41,7 @@ from repro.partitioning.serialization import (
 from repro.service.store import PartitionStore
 
 from tests.partitioning.bundle_oracle import external_sort_check, sorted_edges
+from tests.partitioning.placer_oracle import OracleStreamingPlacer
 
 
 @pytest.fixture(scope="module")
@@ -142,8 +144,9 @@ class TestSpill:
     def test_roundtrip_sorted_and_checked(self, tmp_path):
         writer = SpillWriter(tmp_path, num_partitions=2, buffer_bytes=64)
         pairs = [(5, 9), (1, 2), (3, 7), (1, 3), (0, 8)]
-        for i, (u, v) in enumerate(pairs):
-            writer.append(i % 2, u, v)
+        parts = np.arange(len(pairs)) % 2
+        writer.append_batch(parts[:3], np.array(pairs[:3]))
+        writer.append_batch(parts[3:], np.array(pairs[3:]))
         paths = writer.close()
         assert writer.counts == [3, 2]
         got = list(
@@ -156,8 +159,7 @@ class TestSpill:
 
     def test_duplicate_edges_rejected(self, tmp_path):
         writer = SpillWriter(tmp_path, num_partitions=1)
-        writer.append(0, 1, 2)
-        writer.append(0, 1, 2)
+        writer.append_batch(np.zeros(2, dtype=np.intp), np.array([(1, 2), (1, 2)]))
         (path,) = writer.close()
         with pytest.raises(ValueError, match="duplicate"):
             list(
@@ -165,6 +167,22 @@ class TestSpill:
                     sorted_edges(path, writer.counts[0]), path
                 )
             )
+
+    def test_batch_bytes_equal_per_edge_records(self, tmp_path):
+        writer = SpillWriter(tmp_path, num_partitions=3, buffer_bytes=48)
+        rows = np.array([(4, -7), (0, 2**62), (-(2**63), 5), (8, 9), (1, 3), (2, 6)])
+        parts = np.array([2, 0, 2, 2, 0, 1])
+        writer.append_batch(parts[:4], rows[:4])
+        writer.append_batch(parts[4:], rows[4:])
+        paths = writer.close()
+        for k, path in enumerate(paths):
+            expected = b"".join(
+                u.to_bytes(8, "little", signed=True) + v.to_bytes(8, "little", signed=True)
+                for (u, v), part in zip(rows.tolist(), parts.tolist())
+                if part == k
+            )
+            assert path.read_bytes() == expected
+        assert writer.counts == [2, 1, 3]
 
     def test_spill_path_layout(self, tmp_path):
         assert spill_path(tmp_path, 3).name == "spill_0003.bin"
@@ -210,6 +228,32 @@ class TestHDRFParity:
         )
         rf = replication_factor(clustered, graph)
         assert rf <= 1.15 * replication_factor(baseline, graph)
+
+    @pytest.mark.parametrize("num_partitions", [5, 64, 70])
+    @pytest.mark.parametrize("policy,offsets", [
+        ("hdrf", False), ("hdrf", True), ("greedy", False),
+    ])
+    def test_batch_placer_matches_all_partition_oracle(
+        self, graph, edges, num_partitions, policy, offsets
+    ):
+        """The pruned batch placer == the per-edge all-p reference, edge for edge."""
+        priors = [(7 * k) % 11 for k in range(num_partitions)] if offsets else None
+        batched = TwoPhaseStreamingPartitioner(
+            policy=policy, offsets=priors
+        ).assign_stream(edges, num_partitions)
+        sketch = DegreeSketch(max_exact_vertices=1 << 62, cm_width=1)
+        clustering = StreamingClustering(sketch, num_partitions)
+        clustering.consume(edges)
+        oracle = OracleStreamingPlacer(
+            num_partitions,
+            sketch,
+            policy=policy,
+            cluster_of=clustering.cluster_of,
+            cluster_partition=map_clusters(clustering.volume, num_partitions),
+            offsets=priors,
+        )
+        expected = [oracle.place(u, v) for u, v in edges]
+        assert [batched.partition_of(u, v) for u, v in edges] == expected
 
     def test_greedy_policy_runs(self, graph, edges):
         partition = TwoPhaseStreamingPartitioner(policy="greedy").assign_stream(

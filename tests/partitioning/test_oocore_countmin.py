@@ -9,7 +9,8 @@ that this is a pure speed change:
   produce, including negative ids and ids outside ``int64``.
 * **Pipeline oracle** — ``partition_stream`` writes the same bundle
   bytes as a plain loop over the scalar ``DegreeSketch.add``/``get``
-  and ``StreamingPlacer.place(u, v)``, including streams that degrade
+  and the all-partition reference placer's ``place(u, v)``
+  (``placer_oracle.py``), on the exact path and on streams that degrade
   to count-min part-way between batch boundaries.
 * **Over-estimate regression** — a count-min estimate larger than a
   mover's true degree can drain its source cluster while members
@@ -26,9 +27,10 @@ from repro.graph.graph import normalize_edge
 from repro.partitioning.assignment import EdgePartition
 from repro.partitioning.oocore import BudgetPlan, partition_stream, pipeline
 from repro.partitioning.oocore.cluster import StreamingClustering, map_clusters
-from repro.partitioning.oocore.place import StreamingPlacer
 from repro.partitioning.oocore.sketch import CountMinDegrees, DegreeSketch, _mix
 from repro.partitioning.serialization import load_partition, save_partition
+
+from tests.partitioning.placer_oracle import OracleStreamingPlacer
 
 EDGE_IDS = [0, 1, 2**63 - 1, 2**63 + 5, 2**64 - 1, -3, -1, -(2**63), 2**64 + 7, -(2**70)]
 
@@ -62,7 +64,7 @@ def _oracle(edges, num_partitions, plan, policy="hdrf", cluster=True):
         for u, v in stream:
             sketch.add(u)
             sketch.add(v)
-    placer = StreamingPlacer(
+    placer = OracleStreamingPlacer(
         num_partitions,
         sketch,
         policy=policy,
@@ -143,6 +145,18 @@ class TestPipelineOracle:
         save_partition(oracle, tmp_path / "oracle", compress=compress)
         assert _snapshot(tmp_path / "streamed") == _snapshot(tmp_path / "oracle")
         load_partition(tmp_path / "streamed", verify=True)
+
+    @pytest.mark.parametrize("num_partitions", [3, 64, 70])
+    def test_exact_sketch_matches_scalar_oracle(self, tmp_path, num_partitions):
+        graph = holme_kim(600, 3, 0.5, seed=6)
+        edges = _shuffled_edges(graph, seed=6)
+        plan = BudgetPlan.from_budget(None)
+        source = _write_edges(tmp_path / "edges.txt", edges)
+        result = partition_stream(source, tmp_path / "streamed", num_partitions=num_partitions)
+        assert result.sketch_kind == "exact"
+        oracle, _ = _oracle(edges, num_partitions, plan)
+        save_partition(oracle, tmp_path / "oracle")
+        assert _snapshot(tmp_path / "streamed") == _snapshot(tmp_path / "oracle")
 
     @pytest.mark.parametrize("policy,cluster", [
         ("hdrf", True), ("hdrf", False), ("greedy", True),

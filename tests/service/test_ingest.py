@@ -18,6 +18,7 @@ via ``asyncio.run``.
 """
 
 import asyncio
+import os
 import random
 
 import pytest
@@ -402,6 +403,41 @@ class TestCompaction:
         # And mutations keep flowing on the new epoch.
         ingestor.insert_edge(20_001, 20_002)
         assert ingestor.overlay.pending_mutations == 1
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="names fsynced fds via /proc/self/fd"
+    )
+    def test_bundle_durable_before_wal_reset(self, bundle, monkeypatch):
+        """Every renamed file, then the directory, is fsynced before the WAL empties."""
+        manager, ingestor = self._enable(bundle)
+        for i in range(5):
+            ingestor.insert_edge(10_001 + i, 10_002 + i)
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            events.append(("fsync", os.path.realpath(os.readlink(f"/proc/self/fd/{fd}"))))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace", os.path.realpath(src), os.path.realpath(dst)))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        ingestor.compact_sync()
+        monkeypatch.undo()
+
+        directory = os.path.realpath(bundle)
+        wal = os.path.join(directory, WAL_NAME)
+        reset = max(i for i, e in enumerate(events) if e == ("fsync", wal))
+        renames = [(i, e) for i, e in enumerate(events) if e[0] == "replace"]
+        assert renames and all(os.path.dirname(e[2]) == directory for _, e in renames)
+        for i, (_, src, _dst) in renames:
+            assert ("fsync", src) in events[:i], f"{src} renamed before its fsync"
+        manifest = max(i for i, e in renames if e[2].endswith("partition.json"))
+        assert manifest == renames[-1][0]  # the manifest lands last
+        assert ("fsync", directory) in events[manifest + 1 : reset]
 
     def test_crash_between_save_and_wal_reset_replays_nothing_twice(
         self, graph, bundle
