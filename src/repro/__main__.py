@@ -59,7 +59,8 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.analysis.partition_stats import describe_partition
-from repro.graph.io import read_edge_list
+from repro.core.local import LocalEdgePartitioner
+from repro.graph.io import read_edge_array, read_edge_list
 from repro.partitioning.assignment import EdgePartition
 from repro.partitioning.metrics import PartitionReport
 from repro.partitioning.registry import available_partitioners, make_partitioner
@@ -171,6 +172,9 @@ def partition_stream_main(argv: List[str]) -> int:
                 "memory_budget_bytes": args.memory_budget,
             },
         )
+    except OverflowError as exc:  # an id outside int64, named by its line
+        print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
+        return 2
     except (OSError, ValueError) as exc:
         print(f"error: cannot partition {args.input}: {exc}", file=sys.stderr)
         return 2
@@ -713,24 +717,38 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("error: --partitions must be >= 1", file=sys.stderr)
         return 2
     try:
-        graph = read_edge_list(args.input)
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
-        return 2
-    try:
         partitioner = make_partitioner(args.algorithm, seed=args.seed)
     except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        partitioner, unknown = None, exc
+    # The local (TLP-family) partitioners run from file to bundle on edge
+    # arrays; every other algorithm, and --detail, works on a Graph.
+    arrays = isinstance(partitioner, LocalEdgePartitioner) and not args.detail
+    try:
+        if arrays:
+            edges, vertices = read_edge_array(args.input)
+            num_vertices, num_edges = len(vertices), len(edges)
+        else:
+            graph = read_edge_list(args.input)
+            num_vertices, num_edges = graph.num_vertices, graph.num_edges
+    except (OSError, ValueError, OverflowError) as exc:
+        print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
+        return 2
+    if partitioner is None:
+        print(f"error: {unknown}", file=sys.stderr)
         return 2
 
     print(
-        f"partitioning {graph.num_vertices} vertices / {graph.num_edges} edges "
+        f"partitioning {num_vertices} vertices / {num_edges} edges "
         f"into p={args.partitions} with {args.algorithm} (seed {args.seed})"
     )
-    partition = partitioner.partition(graph, args.partitions)
-    partition.validate_against(graph)
-
-    report = PartitionReport.evaluate(partition, graph)
+    if arrays:
+        partition = partitioner.partition_edges(edges, vertices, args.partitions)
+        partition.validate_edges(edges)
+        report = PartitionReport.evaluate_edges(partition, edges)
+    else:
+        partition = partitioner.partition(graph, args.partitions)
+        partition.validate_against(graph)
+        report = PartitionReport.evaluate(partition, graph)
     print(f"replication factor : {report.replication_factor:.4f}")
     print(f"edge balance       : {report.edge_balance:.4f}")
     print(f"spanned vertices   : {report.spanned_vertices}")

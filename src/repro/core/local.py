@@ -19,6 +19,8 @@ job; ``last_telemetry`` is recorded on the instance.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.stages import STAGE_ONE, StagePolicy
 from repro.core.state import SIMILARITY_SCOPES, CSRPartitionState
 from repro.core.telemetry import StageTelemetry
@@ -28,6 +30,7 @@ from repro.partitioning.assignment import EdgePartition
 from repro.partitioning.base import EdgePartitioner, default_capacity
 from repro.utils.rng import Seed, make_rng
 from repro.utils.validation import check_positive
+
 
 class LocalEdgePartitioner(EdgePartitioner):
     """Round-based local edge partitioning with a pluggable stage policy.
@@ -108,12 +111,28 @@ class LocalEdgePartitioner(EdgePartitioner):
 
     def partition(self, graph: Graph, num_partitions: int) -> EdgePartition:
         """Partition ``graph`` into ``num_partitions`` edge sets."""
+        return self._partition(CSRResidual(graph), num_partitions)
+
+    def partition_edges(
+        self, edges: np.ndarray, vertices: np.ndarray, num_partitions: int
+    ) -> EdgePartition:
+        """Partition the graph whose edges are the rows of ``edges``.
+
+        ``edges`` holds each undirected edge once, with no self loops, and
+        ``vertices`` every vertex id in the order :meth:`Graph.vertices`
+        would list them, which fixes the seed draws
+        (:func:`repro.graph.io.read_edge_array` reads a file into both).
+        The result equals :meth:`partition` of that graph, without
+        building it.
+        """
+        return self._partition(CSRResidual.from_edges(edges, vertices), num_partitions)
+
+    def _partition(self, residual: CSRResidual, num_partitions: int) -> EdgePartition:
         check_positive("num_partitions", num_partitions)
         rng = make_rng(self.seed)
         telemetry = StageTelemetry()
-        residual = CSRResidual(graph)
         runner = self._make_native_runner(residual)
-        capacity = default_capacity(graph.num_edges, num_partitions, self.slack)
+        capacity = default_capacity(residual.num_edges, num_partitions, self.slack)
         parts = []
         for k in range(num_partitions):
             is_last = k == num_partitions - 1
@@ -130,12 +149,9 @@ class LocalEdgePartitioner(EdgePartitioner):
                     )
                 )
             else:
-                parts.append(
-                    self._grow_round(graph, residual, cap, k, rng, telemetry)
-                )
+                parts.append(self._grow_round(residual, cap, k, rng, telemetry))
         self.last_telemetry = telemetry
-        partition = EdgePartition(parts)
-        return partition
+        return EdgePartition.from_arrays(parts)
 
     # -- kernel dispatch -------------------------------------------------------
 
@@ -164,16 +180,16 @@ class LocalEdgePartitioner(EdgePartitioner):
 
     def _grow_round(
         self,
-        graph: Graph,
         residual: CSRResidual,
         capacity: int,
         k: int,
         rng,
         telemetry: StageTelemetry,
-    ) -> list:
+    ) -> np.ndarray:
         if capacity <= 0 or residual.is_exhausted():
-            return []
+            return np.empty((0, 2), dtype=np.int64)
         state = CSRPartitionState(residual, self.similarity_scope)
+        static_degree = np.diff(residual.indptr)
         state.seed(self._pick_seed(residual, rng))
         while state.internal < capacity:
             if state.frontier_empty():
@@ -189,11 +205,12 @@ class LocalEdgePartitioner(EdgePartitioner):
                 break
             max_edges = capacity - state.internal if self.strict_capacity else None
             allocated, truncated = state.add_vertex(v, max_edges)
-            telemetry.record(k, stage, v, graph.degree(v), allocated)
+            degree = int(static_degree[residual.index_of[v]])
+            telemetry.record(k, stage, v, degree, allocated)
             telemetry.record_local_state(state.internal + len(state.frontier))
             if truncated:
                 break
-        return state.edges
+        return state.edge_array()
 
     def _pick_seed(self, residual, rng) -> int:
         """Apply the configured seed strategy to the residual graph."""

@@ -3,7 +3,7 @@
 :class:`NativeRunner` owns the per-round scratch buffers (frontier
 arrays, Stage-I snapshot buffer, edge/telemetry outputs), hands them to
 ``tlp_grow_episode`` via a :class:`~repro._native.GrowState` struct, and
-converts the raw index-space outputs back into the id-space edges and
+converts the raw index-space outputs back into the id-space edge rows and
 :class:`~repro.core.telemetry.StageTelemetry` records the numpy
 :class:`~repro.core.state.CSRPartitionState` path produces — bit-for-bit.
 
@@ -21,7 +21,7 @@ independent ``partition()`` jobs grow concurrently on real cores via
 from __future__ import annotations
 
 import ctypes
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from repro.core.stages import (
     StagePolicy,
 )
 from repro.core.telemetry import StageTelemetry
-from repro.graph.graph import Edge
 from repro.graph.residual_csr import CSRResidual
 
 _I64P = ctypes.POINTER(ctypes.c_int64)
@@ -163,11 +162,14 @@ class NativeRunner:
         telemetry: StageTelemetry,
         pick_seed: Callable,
         reseed_on_break: bool,
-    ) -> List[Edge]:
-        """Grow partition ``k``; mirrors ``LocalEdgePartitioner._grow_round``."""
+    ) -> np.ndarray:
+        """Grow partition ``k``; mirrors ``LocalEdgePartitioner._grow_round``.
+
+        Returns the partition's edges as ``(m_k, 2)`` id rows.
+        """
         res = self._residual
         if capacity <= 0 or res.is_exhausted():
-            return []
+            return np.empty((0, 2), dtype=np.int64)
         st = self._st
         self._member[:] = 0
         self._f_pos[:] = -1
@@ -208,6 +210,6 @@ class NativeRunner:
             )
             telemetry.record_local_state(int(self._sel_state[:cnt].max()))
         ec = int(st.edge_count)
-        eu = res.ids[self._edge_u[:ec]]
-        ev = res.ids[self._edge_v[:ec]]
-        return list(zip(eu.tolist(), ev.tolist()))
+        return np.column_stack(
+            (res.ids[self._edge_u[:ec]], res.ids[self._edge_v[:ec]])
+        )

@@ -3,7 +3,7 @@
 :class:`CSRPartitionState` owns all invariants of Algorithm 1's inner loop
 over a :class:`~repro.graph.residual_csr.CSRResidual`:
 
-* ``members`` = ``V(P_k)`` so far; ``edges`` = ``E(P_k)`` so far;
+* ``members`` = ``V(P_k)`` so far; ``edge_array()`` = ``E(P_k)`` so far;
 * ``internal`` = ``|E(P_k)|``; ``external`` = ``|E_out(P_k)|`` — residual
   edges with exactly one endpoint in ``members``;
 * the :class:`~repro.core.frontier.DenseFrontier` is exactly the set of
@@ -67,7 +67,9 @@ class CSRPartitionState:
         self._similarity_scope = similarity_scope
         n = residual.num_vertices
         self._member_mask = np.zeros(n, dtype=bool)
-        self.edges: List[Edge] = []
+        #: ``E(P_k)`` so far: one ``(k, 2)`` array of canonical id rows
+        #: per allocating :meth:`add_vertex`, in allocation order.
+        self.edge_blocks: List[np.ndarray] = []
         self.internal = 0
         self.external = 0
         self.frontier = DenseFrontier(n)
@@ -82,6 +84,18 @@ class CSRPartitionState:
         """Current member *ids* (materialised on demand; not a hot path)."""
         idx = np.flatnonzero(self._member_mask)
         return set(self._residual.ids[idx].tolist())
+
+    def edge_array(self) -> np.ndarray:
+        """``E(P_k)`` so far as one ``(m_k, 2)`` int64 array."""
+        if not self.edge_blocks:
+            return np.empty((0, 2), dtype=np.int64)
+        return np.concatenate(self.edge_blocks)
+
+    @property
+    def edges(self) -> List[Edge]:
+        """``E(P_k)`` so far as ``(u, v)`` tuples (not a hot path)."""
+        rows = self.edge_array()
+        return list(zip(rows[:, 0].tolist(), rows[:, 1].tolist()))
 
     @property
     def modularity(self) -> float:
@@ -136,9 +150,9 @@ class CSRPartitionState:
         if k:
             uids = res.ids[member_nbrs]
             vid = int(res.ids[i])
-            lo = np.minimum(uids, vid)
-            hi = np.maximum(uids, vid)
-            self.edges.extend(zip(lo.tolist(), hi.tolist()))
+            self.edge_blocks.append(
+                np.column_stack((np.minimum(uids, vid), np.maximum(uids, vid)))
+            )
         self.internal += k
         self.external -= k
         if truncated:

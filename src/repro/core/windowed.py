@@ -175,9 +175,10 @@ class WindowedLocalPartitioner(StreamingEdgePartitioner):
             stage = self.stage_policy.stage(state, cap)
             v = state.select_stage1() if stage == STAGE_ONE else state.select_stage2()
             allocated, truncated = state.add_vertex(v, cap - state.internal)
-            for a, b in state.edges[synced:]:
-                buffer.remove_edge(a, b)
-            synced = len(state.edges)
+            for block in state.edge_blocks[synced:]:
+                for a, b in block.tolist():
+                    buffer.remove_edge(a, b)
+            synced = len(state.edge_blocks)
             degree = graph.degree(v) if graph is not None and v in graph else buffer.degree(v)
             telemetry.record(k, stage, v, degree, allocated)
             telemetry.record_local_state(state.internal + len(state.frontier))

@@ -3,7 +3,8 @@
 SNAP datasets (the paper's G1-G8) are whitespace-separated ``u v`` lines with
 ``#`` comment headers, optionally gzip-compressed.  These helpers read and
 write that format, either eagerly into a :class:`~repro.graph.graph.Graph`
-or lazily as an edge iterator for the streaming partitioners.
+or into edge arrays (:func:`read_edge_array`), or lazily as an edge
+iterator for the streaming partitioners.
 """
 
 from __future__ import annotations
@@ -14,9 +15,12 @@ import os
 from pathlib import Path
 from typing import IO, Dict, Iterable, Iterator, Tuple, Union
 
+import numpy as np
+
 from repro.graph.builder import GraphBuilder
 from repro.graph.chunked import ChunkedEdgeStream, ChunkedLineStream
 from repro.graph.graph import Graph
+from repro.utils.arrays import distinct
 
 PathLike = Union[str, "os.PathLike[str]"]
 
@@ -88,6 +92,28 @@ def read_edge_list(path: PathLike, relabel: bool = False) -> Graph:
     builder = GraphBuilder(relabel=relabel)
     builder.add_edges(iter_edge_list(path))
     return builder.build()
+
+
+def read_edge_array(path: PathLike) -> Tuple[np.ndarray, np.ndarray]:
+    """The graph :func:`read_edge_list` builds, as arrays, without a Graph.
+
+    Returns ``(edges, vertices)``: ``edges`` holds every edge once as a
+    canonical ``(u, v), u < v`` int64 row, sorted; ``vertices`` lists
+    every vertex in the order ``read_edge_list(path).vertices()`` does,
+    first appearance first, vertices seen only in self loops included.
+    An id outside int64 raises ``OverflowError`` naming ``path:lineno``.
+    """
+    blocks = list(ChunkedEdgeStream(path).edge_arrays())
+    rows = np.concatenate(blocks) if blocks else np.empty((0, 2), dtype=np.int64)
+    ids, first = np.unique(rows, return_index=True)
+    vertices = ids[np.argsort(first)]
+    rows = rows[rows[:, 0] != rows[:, 1]]
+    # Deduplicate in index space, where (lo, hi) packs into one int64.
+    n = len(ids)
+    lo = np.searchsorted(ids, np.minimum(rows[:, 0], rows[:, 1]))
+    hi = np.searchsorted(ids, np.maximum(rows[:, 0], rows[:, 1]))
+    keys = distinct(lo * n + hi)
+    return np.column_stack((ids[keys // n], ids[keys % n])), vertices
 
 
 def write_edge_list(

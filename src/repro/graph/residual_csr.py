@@ -9,7 +9,9 @@ array.  The two directed slots of an undirected edge are linked by the
 ``twin`` permutation, so removing an edge flips two mask bytes and
 decrements two counters: O(1), no hashing, no pointer chasing.  This is
 the compact-adjacency layout production edge partitioners (HEP, 2PS) use
-to reach linear run-time.
+to reach linear run-time.  It is built from a :class:`Graph`, or from an
+edge array without one (:meth:`CSRResidual.from_edges`); both go through
+the same numpy builder.
 
 Determinism contract: seed sampling consumes the random stream *exactly*
 like the dict-of-sets ``ResidualGraph`` (same initial candidate order —
@@ -35,8 +37,8 @@ from repro.graph.graph import Edge, Graph
 class CSRResidual:
     """The not-yet-partitioned remainder of a graph, as flat arrays.
 
-    Construction is O(n + m log d) (row sorting); every residual mutation
-    is O(1) per edge.
+    Construction is one O(m log m) sort of the directed slots; every
+    residual mutation is O(1) per edge.
 
     Attributes
     ----------
@@ -70,7 +72,30 @@ class CSRResidual:
     )
 
     def __init__(self, graph: Graph) -> None:
-        self._build(list(graph.vertices()), graph.neighbors, graph.num_edges)
+        edges = np.fromiter(
+            (x for edge in graph.edges() for x in edge),
+            dtype=np.int64,
+            count=2 * graph.num_edges,
+        )
+        self._build(np.asarray(graph.vertex_list(), dtype=np.int64), edges)
+
+    @classmethod
+    def from_edges(cls, edges: np.ndarray, vertices: np.ndarray) -> "CSRResidual":
+        """Build from an edge array, without a :class:`Graph`.
+
+        ``edges`` is ``(m, 2)`` integer rows holding each undirected edge
+        once, in either orientation, with no self loops; ``vertices``
+        lists every vertex id once, in the order a :class:`Graph` of the
+        same input would iterate them (it fixes the seed-pool order).
+        Raises ``ValueError`` on a self loop, a repeated edge or an
+        endpoint missing from ``vertices``.
+        """
+        self = cls.__new__(cls)
+        self._build(
+            np.asarray(vertices, dtype=np.int64),
+            np.asarray(edges, dtype=np.int64),
+        )
+        return self
 
     @classmethod
     def from_adjacency(
@@ -82,56 +107,53 @@ class CSRResidual:
         order the reference residual would use); ``neighbors_of(v)``
         returns an iterable of neighbour ids.
         """
-        self = cls.__new__(cls)
-        self._build(list(vertex_order), neighbors_of, num_edges)
-        return self
-
-    def _build(self, order: List[int], neighbors_of, num_edges: int) -> None:
-        ids = np.asarray(sorted(order), dtype=np.int64)
-        index_of: Dict[int, int] = {int(v): i for i, v in enumerate(ids)}
-        n = len(ids)
-        id_list = ids.tolist()
-        degrees = np.fromiter(
-            (len(neighbors_of(v)) for v in id_list), dtype=np.int64, count=n
+        order = list(vertex_order)
+        edges = np.fromiter(
+            (x for v in order for u in neighbors_of(v) if v < u for x in (v, u)),
+            dtype=np.int64,
+            count=2 * num_edges,
         )
+        return cls.from_edges(edges, order)
+
+    def _build(self, order: np.ndarray, edges: np.ndarray) -> None:
+        """The one construction: vertex order and edge rows to flat arrays."""
+        ids = np.sort(order)
+        n = len(ids)
+        edges = edges.reshape(-1, 2)
+        m = len(edges)
+        # ids is sorted, so searchsorted *is* the id -> index map.
+        ends = np.searchsorted(ids, edges.reshape(-1)).reshape(-1, 2)
+        if m and (n == 0 or not np.array_equal(ids[np.minimum(ends, n - 1)], edges)):
+            missing = np.setdiff1d(edges, ids)
+            raise ValueError(f"edge endpoint {missing[0]} is not among the vertices")
+        # Directed entry e < m runs ends[e, 0] -> ends[e, 1], entry e + m
+        # the reverse copy.  Sorting by (tail, head) lays the rows out; the
+        # twin of a slot is where its partner entry landed.  A repeated
+        # edge or a self loop gives two equal keys.
+        tail = np.concatenate((ends[:, 0], ends[:, 1]))
+        head = np.concatenate((ends[:, 1], ends[:, 0]))
+        key = tail * n + head
+        entry_at = np.argsort(key)
+        key = key[entry_at]
+        if np.any(key[1:] == key[:-1]):
+            raise ValueError("edges must be distinct and free of self loops")
+        slot_of = np.empty(2 * m, dtype=np.int64)
+        slot_of[entry_at] = np.arange(2 * m, dtype=np.int64)
+        degrees = np.bincount(tail, minlength=n).astype(np.int64)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(degrees, out=indptr[1:])
-        total = int(indptr[-1])
-        # One flat pass over the adjacency; id -> index mapping and row
-        # sorting happen vectorised afterwards (ids is sorted, so
-        # searchsorted *is* the index map).
-        flat = np.fromiter(
-            (u for v in id_list for u in neighbors_of(v)),
-            dtype=np.int64,
-            count=total,
-        )
-        col = np.searchsorted(ids, flat)
-        src = np.repeat(np.arange(n, dtype=np.int64), degrees)
-        indices = col[np.lexsort((col, src))]
-        # Twin slots: sort all directed slots by their canonical (min, max)
-        # key; the two copies of each undirected edge land adjacent.
-        lo = np.minimum(src, indices)
-        hi = np.maximum(src, indices)
-        by_key = np.argsort(lo * n + hi, kind="stable")
-        twin = np.empty_like(indices)
-        twin[by_key[0::2]] = by_key[1::2]
-        twin[by_key[1::2]] = by_key[0::2]
         self.indptr = indptr
-        self.indices = indices
-        self.twin = twin
-        self.alive = np.ones(len(indices), dtype=np.uint8)
+        self.indices = head[entry_at]
+        self.twin = slot_of[np.where(entry_at < m, entry_at + m, entry_at - m)]
+        self.alive = np.ones(2 * m, dtype=np.uint8)
         self.live_deg = degrees.copy()
         self.ids = ids
-        self.index_of = index_of
-        self._num_live = num_edges
+        self.index_of: Dict[int, int] = dict(zip(ids.tolist(), range(n)))
+        self._num_live = m
         # Seed pool mirrors the reference ResidualGraph exactly: candidate
         # vertices in *input* order, lazily pruned by swap-and-pop.
-        deg_list = degrees.tolist()
-        self._seed_pool = [
-            i
-            for i in (index_of[int(v)] for v in order)
-            if deg_list[i] > 0
-        ]
+        pool = np.searchsorted(ids, order)
+        self._seed_pool: List[int] = pool[degrees[pool] > 0].tolist()
 
     # -- queries -----------------------------------------------------------
 

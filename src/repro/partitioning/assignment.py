@@ -196,6 +196,36 @@ class EdgePartition:
             if not graph.has_edge(u, v):
                 raise ValueError(f"partitioned edge ({u}, {v}) is not in the graph")
 
+    def validate_edges(self, edges: np.ndarray) -> None:
+        """:meth:`validate_against` for the graph whose edges are ``edges``.
+
+        ``edges`` holds each edge of the graph once as a canonical
+        ``(u, v), u < v`` int64 row (:func:`repro.graph.io.read_edge_array`).
+        Checked with two sorts instead of a dict of tuples; raises
+        ``ValueError`` on duplicate, missing or foreign edges.
+        """
+        arrays = [self.edge_array(k) for k in range(self.num_partitions)]
+        placed = np.concatenate(arrays) if arrays else edges[:0]
+        owner = np.repeat(np.arange(self.num_partitions), self._sizes)
+        order = np.lexsort((placed[:, 1], placed[:, 0]))
+        placed, owner = placed[order], owner[order]
+        repeats = np.flatnonzero(np.all(placed[1:] == placed[:-1], axis=1))
+        if len(repeats):
+            i = int(repeats[0])
+            u, v = placed[i].tolist()
+            raise ValueError(
+                f"edge {(u, v)} assigned to partitions {owner[i]} and {owner[i + 1]}"
+            )
+        if len(placed) != len(edges):
+            raise ValueError(
+                f"partition covers {len(placed)} edges, graph has {len(edges)}"
+            )
+        expected = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+        if not np.array_equal(placed, expected):
+            known = set(map(tuple, expected.tolist()))
+            u, v = next(e for e in map(tuple, placed.tolist()) if e not in known)
+            raise ValueError(f"partitioned edge ({u}, {v}) is not in the graph")
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         sizes = self.partition_sizes()
         return f"EdgePartition(p={self.num_partitions}, sizes={sizes})"

@@ -14,8 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
+import numpy as np
+
 from repro.graph.graph import Graph
 from repro.partitioning.assignment import EdgePartition
+from repro.utils.arrays import distinct
 
 
 def replication_factor(partition: EdgePartition, graph: Graph) -> float:
@@ -132,4 +135,29 @@ class PartitionReport:
             spanned_vertices=spanned_vertex_count(partition),
             partition_sizes=partition.partition_sizes(),
             vertex_counts=partition.vertex_counts(),
+        )
+
+    @classmethod
+    def evaluate_edges(
+        cls, partition: EdgePartition, edges: np.ndarray
+    ) -> "PartitionReport":
+        """:meth:`evaluate` against the graph whose edges are ``edges``.
+
+        ``edges`` is an ``(m, 2)`` int64 array of the graph's edges; the
+        vertex sets are sorted arrays instead of Python sets, and every
+        figure equals :meth:`evaluate`'s on the same graph.
+        """
+        vertex_sets = [
+            distinct(partition.edge_array(k)) for k in range(partition.num_partitions)
+        ]
+        vertex_counts = [len(vs) for vs in vertex_sets]
+        n = len(distinct(edges))
+        flat = np.sort(np.concatenate(vertex_sets)) if vertex_sets else edges[:0]
+        spanned = len(distinct(flat[1:][flat[1:] == flat[:-1]]))
+        return cls(
+            replication_factor=sum(vertex_counts) / n if n else 1.0,
+            edge_balance=edge_balance(partition),
+            spanned_vertices=spanned,
+            partition_sizes=partition.partition_sizes(),
+            vertex_counts=vertex_counts,
         )

@@ -670,9 +670,21 @@ def _save_refined_atomically(
       removal of stale other-compression counterparts, mirroring
       ``save_partition``'s own crash discipline.
 
-    A failure before publication leaves ``destination`` byte-untouched.
+    Publication is then made durable by fsyncing the directory whose
+    entries changed: ``destination``'s parent after the rename, or
+    ``destination`` after the per-file replaces.  A failure before
+    publication leaves ``destination`` byte-untouched.
     """
-    from repro.partitioning.serialization import MANIFEST_NAME, save_partition
+    from repro.partitioning.serialization import (
+        MANIFEST_NAME,
+        fsync_path,
+        save_partition,
+    )
+
+    def publish(directory: Path) -> Path:
+        if os.name == "posix":  # a directory cannot be opened for fsync elsewhere
+            fsync_path(directory)
+        return destination / MANIFEST_NAME
 
     destination = Path(destination)
     destination.parent.mkdir(parents=True, exist_ok=True)
@@ -683,7 +695,7 @@ def _save_refined_atomically(
         save_partition(partition, stage, metadata=metadata, workers=workers)
         if not destination.exists():
             os.rename(stage, destination)
-            return destination / MANIFEST_NAME
+            return publish(destination.parent)
         names = sorted(os.listdir(stage))
         names.remove(MANIFEST_NAME)
         for name in names:
@@ -695,6 +707,6 @@ def _save_refined_atomically(
             elif name.endswith(".edges.gz"):
                 (destination / name[: -len(".gz")]).unlink(missing_ok=True)
         os.replace(stage / MANIFEST_NAME, destination / MANIFEST_NAME)
-        return destination / MANIFEST_NAME
+        return publish(destination)
     finally:
         shutil.rmtree(stage, ignore_errors=True)

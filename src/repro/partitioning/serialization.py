@@ -198,7 +198,7 @@ def _read_bytes(path: Path) -> bytes:
     return path.read_bytes()
 
 
-def _fsync_path(path: Path) -> None:
+def fsync_path(path: Path) -> None:
     """``fsync`` the file or directory at ``path``."""
     fd = os.open(path, os.O_RDONLY)
     try:
@@ -222,7 +222,7 @@ def _write_atomic(path: Path, write) -> None:
     tmp = Path(tmp_name)
     try:
         write(tmp)
-        _fsync_path(tmp)
+        fsync_path(tmp)
         os.replace(tmp, path)
     finally:
         if tmp.exists():
@@ -240,7 +240,7 @@ def write_manifest(directory: Path, manifest: Dict[str, object]) -> Path:
     payload = json.dumps(manifest, indent=2)
     _write_atomic(manifest_path, lambda tmp: tmp.write_text(payload, encoding="utf-8"))
     if os.name == "posix":  # a directory cannot be opened for fsync elsewhere
-        _fsync_path(directory)
+        fsync_path(directory)
     return manifest_path
 
 

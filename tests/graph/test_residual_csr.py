@@ -57,6 +57,35 @@ class TestBuild:
         assert np.array_equal(direct.twin, built.twin)
         assert direct._seed_pool == built._seed_pool
 
+    def test_from_edges_matches_constructor(self):
+        g = Graph.from_edges([(100, 5), (42, 5), (42, 100), (7, 100)], vertices=[3])
+        built = CSRResidual.from_edges(
+            np.array([[5, 100], [42, 5], [100, 42], [100, 7]]), [100, 5, 42, 7, 3]
+        )
+        direct = CSRResidual(g)
+        for name in ("indptr", "indices", "twin", "ids", "live_deg"):
+            assert np.array_equal(getattr(built, name), getattr(direct, name)), name
+        assert built._seed_pool == direct._seed_pool
+        assert built.num_edges == 4 and built.degree(3) == 0
+
+    @pytest.mark.parametrize(
+        "edges, vertices, message",
+        [
+            ([[1, 2], [2, 2]], [1, 2], "self loops"),
+            ([[1, 2], [2, 1]], [1, 2], "distinct"),
+            ([[1, 2], [2, 3]], [1, 2], "endpoint 3"),
+            ([[1, 2]], [], "endpoint 1"),
+        ],
+    )
+    def test_from_edges_rejects_bad_input(self, edges, vertices, message):
+        with pytest.raises(ValueError, match=message):
+            CSRResidual.from_edges(np.array(edges), np.array(vertices, dtype=np.int64))
+
+    def test_empty(self):
+        res = CSRResidual.from_edges(np.empty((0, 2), dtype=np.int64), [])
+        assert res.num_vertices == 0 and res.is_exhausted()
+        assert len(res.indices) == len(res.twin) == 0
+
 
 class TestMutation:
     def test_kill_slots_updates_both_directions(self):

@@ -120,3 +120,32 @@ class TestValidation:
         part = EdgePartition([[(0, 1), (0, 2)], [(1, 2), (2, 3)]])
         with pytest.raises(ValueError):
             part.validate_against(square)
+
+
+class TestValidateEdges:
+    """``validate_edges`` checks against an edge array what ``validate_against`` does."""
+
+    @staticmethod
+    def edges_of(graph):
+        return np.array(sorted(graph.edges()), dtype=np.int64)
+
+    def test_valid_partition_passes(self, square, square_partition):
+        square_partition.validate_edges(self.edges_of(square))
+        EdgePartition.from_arrays(
+            [square_partition.edge_array(1), square_partition.edge_array(0)]
+        ).validate_edges(self.edges_of(square)[::-1])
+
+    def test_duplicate_edge_detected(self, square):
+        part = EdgePartition([[(0, 1), (1, 2)], [(2, 3), (0, 3), (1, 0)]])
+        with pytest.raises(ValueError, match=r"edge \(0, 1\) assigned to partitions 0 and 1"):
+            part.validate_edges(self.edges_of(square))
+
+    def test_missing_edge_detected(self, square):
+        part = EdgePartition([[(0, 1)], [(1, 2), (2, 3)]])
+        with pytest.raises(ValueError, match="covers 3 edges, graph has 4"):
+            part.validate_edges(self.edges_of(square))
+
+    def test_foreign_edge_detected(self, square):
+        part = EdgePartition([[(0, 1), (0, 2)], [(1, 2), (2, 3)]])
+        with pytest.raises(ValueError, match=r"\(0, 2\) is not in the graph"):
+            part.validate_edges(self.edges_of(square))

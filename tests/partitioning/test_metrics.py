@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.graph.generators import complete_graph, path_graph
@@ -170,3 +171,20 @@ class TestPartitionReport:
         assert report.spanned_vertices == 2
         assert report.partition_sizes == [2, 2]
         assert report.vertex_counts == [3, 3]
+
+    def test_evaluate_edges_equals_evaluate(self):
+        """The array form gives every figure the Graph form does."""
+        from repro.graph.generators import holme_kim
+        from repro.partitioning.random_edge import RandomPartitioner
+
+        graph = Graph.from_edges(holme_kim(200, 3, 0.4, seed=2).edges(), vertices=[999])
+        edges = np.array(list(graph.edges()), dtype=np.int64)
+        for p in (1, 3, 7):
+            part = RandomPartitioner(seed=p).partition(graph, p)
+            assert PartitionReport.evaluate_edges(part, edges) == PartitionReport.evaluate(
+                part, graph
+            )
+        empty = EdgePartition([[], []])
+        assert PartitionReport.evaluate_edges(
+            empty, np.empty((0, 2), dtype=np.int64)
+        ) == PartitionReport.evaluate(empty, Graph.empty())

@@ -9,6 +9,7 @@ entry point with its WAL guard, and the manifest round trip.
 
 import json
 import math
+import os
 from pathlib import Path
 
 import pytest
@@ -369,6 +370,49 @@ class TestAtomicPublish:
         load_partition(dbh_bundle)  # verify=True: checksums still hold
         refined = load_partition(out)
         assert replication_factor(refined, refine_graph) == stats.rf_after
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="names fsynced fds via /proc/self/fd"
+    )
+    @pytest.mark.parametrize("fresh", [True, False])
+    def test_publication_is_fsynced(self, dbh_bundle, monkeypatch, fresh):
+        """The directory whose entries the publication changed is fsynced last."""
+        output = dbh_bundle.parent / "refined"
+        if not fresh:
+            refine_bundle(dbh_bundle, output=output)  # an older bundle to overwrite
+        events = []
+        real_fsync, real_rename, real_replace = os.fsync, os.rename, os.replace
+
+        def fsync(fd):
+            events.append(("fsync", os.path.realpath(os.readlink(f"/proc/self/fd/{fd}"))))
+            real_fsync(fd)
+
+        def rename(src, dst):
+            events.append(("rename", os.path.realpath(dst)))
+            real_rename(src, dst)
+
+        def replace(src, dst):
+            events.append(("rename", os.path.realpath(dst)))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "rename", rename)
+        monkeypatch.setattr(os, "replace", replace)
+        refine_bundle(dbh_bundle, output=output)
+        monkeypatch.undo()
+
+        out = os.path.realpath(output)
+        published = [
+            i for i, e in enumerate(events)
+            if e[0] == "rename" and (e[1] == out or os.path.dirname(e[1]) == out)
+        ]
+        synced = os.path.dirname(out) if fresh else out
+        assert published
+        assert ("fsync", synced) in events[published[-1] + 1 :]
+        if fresh:  # one rename of the whole staged directory
+            assert [events[i] for i in published] == [("rename", out)]
+        else:  # per-file replaces, the manifest last
+            assert events[published[-1]] == ("rename", os.path.join(out, "partition.json"))
 
     @pytest.mark.parametrize("in_place", [True, False])
     def test_crash_mid_save_leaves_destination_untouched(

@@ -1,5 +1,10 @@
 """Tests for the top-level ``python -m repro`` partitioning CLI."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.__main__ import main, write_assignments, write_partition_files
@@ -87,6 +92,58 @@ class TestSaveBundle:
         assert meta["algorithm"] == "TLP"
         assert meta["num_partitions"] == 4
         assert meta["replication_factor"] >= 1.0
+
+    def test_tlp_command_leaves_numpy_ma_unimported(self, edge_file, tmp_path):
+        """The array path sorts instead of taking np.unique's numpy.ma import."""
+        path, _ = edge_file
+        child = (
+            "import sys, numpy\n"
+            "if 'numpy.ma' in sys.modules: print('preloaded'); raise SystemExit\n"
+            "from repro.__main__ import main\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "print('loaded' if 'numpy.ma' in sys.modules else 'clean')\n"
+        )
+        env = dict(os.environ)
+        src_root = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src_root, env.get("PYTHONPATH")) if p
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", child, str(path), "-p", "4",
+             "--save-dir", str(tmp_path / "bundle")],
+            capture_output=True, text=True, env=env, check=True,
+        ).stdout.strip().splitlines()[-1]
+        if out == "preloaded":
+            pytest.skip("this numpy imports numpy.ma with numpy itself")
+        assert out == "clean"
+
+
+class TestIdsOutsideInt64:
+    """An id outside int64 is a named input error, not a traceback."""
+
+    @pytest.fixture
+    def huge_id_file(self, tmp_path):
+        path = tmp_path / "huge.txt"
+        path.write_text("1 2\n2 3\n1 18446744073709551616\n")
+        return path
+
+    def test_partition_names_the_line(self, huge_id_file, tmp_path, capsys):
+        bundle = tmp_path / "bundle"
+        assert main([str(huge_id_file), "-p", "2", "--save-dir", str(bundle)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"error: cannot read {huge_id_file}: {huge_id_file}:3: "
+        )
+        assert "18446744073709551616" in captured.err
+        assert captured.out == "" and not bundle.exists()
+
+    def test_partition_stream_names_the_line(self, huge_id_file, tmp_path, capsys):
+        bundle = tmp_path / "bundle"
+        argv = ["partition-stream", str(huge_id_file), str(bundle), "-p", "2"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {huge_id_file}: {huge_id_file}:3: ")
+        assert not bundle.exists()
 
 
 class TestWriters:
