@@ -59,8 +59,8 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.analysis.partition_stats import describe_partition
-from repro.core.local import LocalEdgePartitioner
-from repro.graph.io import read_edge_array, read_edge_list
+from repro.graph.graph import Graph
+from repro.graph.io import read_edge_array
 from repro.partitioning.assignment import EdgePartition
 from repro.partitioning.metrics import PartitionReport
 from repro.partitioning.registry import available_partitioners, make_partitioner
@@ -720,16 +720,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         partitioner = make_partitioner(args.algorithm, seed=args.seed)
     except KeyError as exc:
         partitioner, unknown = None, exc
-    # The local (TLP-family) partitioners run from file to bundle on edge
-    # arrays; every other algorithm, and --detail, works on a Graph.
-    arrays = isinstance(partitioner, LocalEdgePartitioner) and not args.detail
     try:
-        if arrays:
-            edges, vertices = read_edge_array(args.input)
-            num_vertices, num_edges = len(vertices), len(edges)
-        else:
-            graph = read_edge_list(args.input)
-            num_vertices, num_edges = graph.num_vertices, graph.num_edges
+        edges, vertices = read_edge_array(args.input)
     except (OSError, ValueError, OverflowError) as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return 2
@@ -738,23 +730,22 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
 
     print(
-        f"partitioning {num_vertices} vertices / {num_edges} edges "
+        f"partitioning {len(vertices)} vertices / {len(edges)} edges "
         f"into p={args.partitions} with {args.algorithm} (seed {args.seed})"
     )
-    if arrays:
+    try:
         partition = partitioner.partition_edges(edges, vertices, args.partitions)
-        partition.validate_edges(edges)
-        report = PartitionReport.evaluate_edges(partition, edges)
-    else:
-        partition = partitioner.partition(graph, args.partitions)
-        partition.validate_against(graph)
-        report = PartitionReport.evaluate(partition, graph)
+    except ValueError as exc:  # e.g. a TLP-W window below the capacity
+        print(f"error: cannot partition {args.input}: {exc}", file=sys.stderr)
+        return 2
+    partition.validate_edges(edges)
+    report = PartitionReport.evaluate_edges(partition, edges)
     print(f"replication factor : {report.replication_factor:.4f}")
     print(f"edge balance       : {report.edge_balance:.4f}")
     print(f"spanned vertices   : {report.spanned_vertices}")
     if args.detail:
         print()
-        print(describe_partition(partition, graph))
+        print(describe_partition(partition, Graph.from_edge_array(edges, vertices)))
 
     if args.assignments is not None:
         write_assignments(partition, args.assignments)

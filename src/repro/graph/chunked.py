@@ -1,39 +1,32 @@
-"""Chunked, offset-resumable streaming over edge-list text files.
+"""Chunked streaming over edge-list text files.
 
 The out-of-core partitioner (:mod:`repro.partitioning.oocore`) streams
 the same edge file **twice** — once to cluster and sketch degrees, once
 to place edges — so the reader has to be cheap to restart and must never
 hold the file in memory.  This module reads plain or gzip-compressed
-SNAP-style files in fixed-size binary chunks and exposes three views:
+SNAP-style files in fixed-size binary chunks and exposes two views:
 
 * :meth:`ChunkedLineStream.lines` — decoded text lines (with their
   trailing newline, like file iteration), for format parsers such as
   :func:`repro.graph.io.read_metis_graph`;
-* :meth:`ChunkedEdgeStream.edges` — lazily parsed ``(u, v)`` pairs with
-  the exact skip/error semantics of ``iter_edge_list``;
-* :meth:`ChunkedEdgeStream.edge_chunks` — batches of edges paired with a
-  :class:`Checkpoint` that resumes the stream *after* the batch;
-* :meth:`ChunkedEdgeStream.edge_arrays` — the same edges as bounded
-  ``(m, 2)`` ``int64`` arrays, for the out-of-core passes.  A block of
+* :meth:`ChunkedEdgeStream.edge_arrays` — every edge as bounded
+  ``(m, 2)`` ``int64`` arrays.  This is the one edge-list parser: the
+  out-of-core passes, :func:`repro.graph.io.read_edge_array` (and so
+  every :class:`~repro.graph.graph.Graph` read from a file) and
+  :func:`repro.graph.io.iter_edge_list` all go through it.  A block of
   canonical ``u<ws>v`` lines parses in one NumPy call; any other block
   (comments, blank lines, extra columns, malformed lines, ids too long
   for the fast path) goes through the line parser, so the skip rules and
-  ``path:lineno`` errors are the same as :meth:`~ChunkedEdgeStream.edges`.
+  ``path:lineno`` errors are the same for every block.
 
-Offsets are measured in the **decompressed** byte stream, so a
-checkpoint taken on a ``.gz`` file is still valid: ``seek`` on a gzip
-member re-decompresses up to the offset (linear in the offset, constant
-in memory), while a plain file seeks in O(1).  Restarting a pass from
-the beginning is just calling the iterator again — every iteration opens
-its own file handle, so two passes (or a pass and a half-finished
-resume) never share state.
+Restarting a pass is just calling the iterator again — every iteration
+opens its own file handle, so two passes never share state.
 """
 
 from __future__ import annotations
 
 import gzip
 import re
-from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterator, List, Optional, Tuple, Union
 
@@ -46,9 +39,8 @@ Edge = Tuple[int, int]
 #: Default binary read size; one syscall (or one gzip inflate call) per chunk.
 DEFAULT_CHUNK_BYTES = 1 << 20
 
-#: Default number of parsed edges per :meth:`ChunkedEdgeStream.edge_chunks`
-#: batch — small enough that a batch is a bounded buffer, large enough to
-#: amortise the per-batch bookkeeping.
+#: Default bound on the rows of one :meth:`ChunkedEdgeStream.edge_arrays`
+#: array.
 DEFAULT_CHUNK_EDGES = 1 << 16
 
 #: Text bytes parsed per :meth:`ChunkedEdgeStream.edge_arrays` block: about
@@ -67,25 +59,19 @@ _CANONICAL_LINES = re.compile(
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 
-@dataclass(frozen=True)
-class Checkpoint:
-    """A resume point in the decompressed stream.
-
-    ``offset`` is the decompressed byte position of the next unread
-    line, ``lineno`` its 1-based line number (so resumed error messages
-    still name the true line).  ``Checkpoint()`` is the start of file.
-    """
-
-    offset: int = 0
-    lineno: int = 1
-
-
 def open_binary(path: PathLike) -> IO[bytes]:
     """Open ``path`` for binary reads, transparently gunzipping ``.gz``."""
     path = Path(path)
     if path.suffix == ".gz":
         return gzip.open(path, "rb")  # type: ignore[return-value]
     return open(path, "rb")
+
+
+def _split_lines(block: bytes) -> List[bytes]:
+    """The lines of ``block``, each keeping its newline (a last one may lack it)."""
+    lines = block.split(b"\n")
+    last = lines.pop()  # b"" unless the block ends in an unterminated line
+    return [line + b"\n" for line in lines] + ([last] if last else [])
 
 
 class ChunkedLineStream:
@@ -105,113 +91,16 @@ class ChunkedLineStream:
         self.path = Path(path)
         self.chunk_bytes = chunk_bytes
 
-    # -- raw lines ---------------------------------------------------------
-
-    def lines(
-        self, start: Optional[Checkpoint] = None
-    ) -> Iterator[Tuple[int, str]]:
+    def lines(self) -> Iterator[Tuple[int, str]]:
         """Yield ``(lineno, line)``; lines keep their trailing newline.
 
         Matches ``for line in open(path)`` exactly (including a final
         line without a newline), but reads in ``chunk_bytes`` binary
-        chunks and can start from a :class:`Checkpoint`.
+        chunks.
         """
-        for lineno, _offset, raw in self._raw_lines(start):
-            yield lineno, raw.decode("utf-8")
-
-    def _raw_lines(
-        self, start: Optional[Checkpoint] = None
-    ) -> Iterator[Tuple[int, int, bytes]]:
-        """Yield ``(lineno, end_offset, raw_line_bytes_with_newline)``."""
-        start = start or Checkpoint()
-        offset = start.offset
-        lineno = start.lineno
-        with open_binary(self.path) as fh:
-            if offset:
-                fh.seek(offset)
-            tail = b""
-            while True:
-                chunk = fh.read(self.chunk_bytes)
-                if not chunk:
-                    break
-                pieces = (tail + chunk).split(b"\n")
-                tail = pieces.pop()
-                for piece in pieces:
-                    offset += len(piece) + 1
-                    yield lineno, offset, piece + b"\n"
-                    lineno += 1
-            if tail:
-                offset += len(tail)
-                yield lineno, offset, tail
-
-
-class ChunkedEdgeStream(ChunkedLineStream):
-    """SNAP edge-list parsing over the chunked reader.
-
-    Skip/error semantics are the canonical ``iter_edge_list`` contract:
-    blank lines and ``#``/``%`` comments are skipped, a line with fewer
-    than two tokens raises ``ValueError`` naming ``path:lineno``, extra
-    columns are ignored, non-integer endpoints raise ``ValueError``.
-    """
-
-    def edges(self, start: Optional[Checkpoint] = None) -> Iterator[Edge]:
-        """Lazily yield every ``(u, v)`` pair from ``start`` onwards."""
-        for _lineno, _offset, raw in self._raw_lines(start):
-            edge = self._parse(raw, _lineno)
-            if edge is not None:
-                yield edge
-
-    def edge_chunks(
-        self,
-        chunk_edges: int = DEFAULT_CHUNK_EDGES,
-        start: Optional[Checkpoint] = None,
-    ) -> Iterator[Tuple[List[Edge], Checkpoint]]:
-        """Yield ``(edges, checkpoint)`` batches of up to ``chunk_edges``.
-
-        The checkpoint resumes the stream *after* the batch it is paired
-        with, so a consumer that persists the checkpoint once a batch is
-        durably processed can crash and restart without re-reading (or
-        double-counting) anything before it.
-        """
-        if chunk_edges < 1:
-            raise ValueError(f"chunk_edges must be >= 1, got {chunk_edges}")
-        batch: List[Edge] = []
-        start = start or Checkpoint()
-        # The resume point is built only when a batch is yielded.
-        offset, next_lineno = start.offset, start.lineno
-        for lineno, offset, raw in self._raw_lines(start):
-            next_lineno = lineno + 1
-            edge = self._parse(raw, lineno)
-            if edge is None:
-                continue
-            batch.append(edge)
-            if len(batch) >= chunk_edges:
-                yield batch, Checkpoint(offset, next_lineno)
-                batch = []
-        if batch:
-            yield batch, Checkpoint(offset, next_lineno)
-
-    def edge_arrays(self, batch_edges: int = DEFAULT_CHUNK_EDGES) -> Iterator[np.ndarray]:
-        """Every edge in file order, as ``(m, 2)`` ``int64`` arrays.
-
-        Each array holds at most ``batch_edges`` rows and at most one
-        block (:data:`ARRAY_BLOCK_BYTES` of text) worth of edges, so the
-        transient memory per array is bounded whatever the file size.
-        The rows equal :meth:`edges`; an id outside ``int64`` raises
-        ``OverflowError`` naming ``path:lineno``.
-        """
-        if batch_edges < 1:
-            raise ValueError(f"batch_edges must be >= 1, got {batch_edges}")
         for lineno, block in self._blocks():
-            rows = self._parse_block(block, lineno)
-            for start in range(0, len(rows), batch_edges):
-                yield rows[start : start + batch_edges]
-
-    def count_edges(self) -> int:
-        """Number of parseable edge lines (one full streaming pass)."""
-        return sum(1 for _ in self.edges())
-
-    # -- parsing -----------------------------------------------------------
+            for at, raw in enumerate(_split_lines(block), start=lineno):
+                yield at, raw.decode("utf-8")
 
     def _blocks(self) -> Iterator[Tuple[int, bytes]]:
         """Yield ``(first lineno, block)`` runs of whole lines.
@@ -241,18 +130,41 @@ class ChunkedEdgeStream(ChunkedLineStream):
             if tail:
                 yield lineno, tail
 
+
+class ChunkedEdgeStream(ChunkedLineStream):
+    """SNAP edge-list parsing over the chunked reader.
+
+    Skip/error semantics are the canonical ``iter_edge_list`` contract:
+    blank lines and ``#``/``%`` comments are skipped, a line with fewer
+    than two tokens raises ``ValueError`` naming ``path:lineno``, extra
+    columns are ignored, non-integer endpoints raise ``ValueError``.
+    """
+
+    def edge_arrays(self, batch_edges: int = DEFAULT_CHUNK_EDGES) -> Iterator[np.ndarray]:
+        """Every edge in file order, as ``(m, 2)`` ``int64`` arrays.
+
+        Each array holds at most ``batch_edges`` rows and at most one
+        block (:data:`ARRAY_BLOCK_BYTES` of text) worth of edges, so the
+        transient memory per array is bounded whatever the file size.
+        An id outside ``int64`` raises ``OverflowError`` naming
+        ``path:lineno``.
+        """
+        if batch_edges < 1:
+            raise ValueError(f"batch_edges must be >= 1, got {batch_edges}")
+        for lineno, block in self._blocks():
+            rows = self._parse_block(block, lineno)
+            for start in range(0, len(rows), batch_edges):
+                yield rows[start : start + batch_edges]
+
+    # -- parsing -----------------------------------------------------------
+
     def _parse_block(self, block: bytes, lineno: int) -> np.ndarray:
         """The edges of ``block`` (starting at line ``lineno``) as rows."""
         text = block if block.endswith(b"\n") else block + b"\n"
         if _CANONICAL_LINES.fullmatch(text):
             return np.fromstring(text, dtype=np.int64, sep=" ").reshape(-1, 2)
-        lines = block.split(b"\n")
-        last = lines.pop()  # b"" unless the block is an unterminated last line
-        raws = [line + b"\n" for line in lines]
-        if last:
-            raws.append(last)
         rows: List[Edge] = []
-        for at, raw in enumerate(raws, start=lineno):
+        for at, raw in enumerate(_split_lines(block), start=lineno):
             edge = self._parse(raw, at)
             if edge is None:
                 continue

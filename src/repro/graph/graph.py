@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Set, Tuple
 
+import numpy as np
+
 Edge = Tuple[int, int]
 
 
@@ -28,7 +30,8 @@ def normalize_edge(u: int, v: int) -> Edge:
 class Graph:
     """An immutable undirected simple graph backed by adjacency sets.
 
-    Construct via :meth:`from_edges` or :class:`repro.graph.builder.GraphBuilder`.
+    Construct via :meth:`from_edges`, :meth:`from_edge_array` or
+    :class:`repro.graph.builder.GraphBuilder`.
     Mutating the returned neighbour sets is undefined behaviour; use
     :meth:`repro.graph.residual.ResidualGraph` for algorithms that remove
     edges.
@@ -64,6 +67,34 @@ class Graph:
         for v in vertices:
             adj.setdefault(v, set())
         return cls(adj, num_edges)
+
+    @classmethod
+    def from_edge_array(cls, edges: np.ndarray, vertices: np.ndarray) -> "Graph":
+        """Build a graph from ``(m, 2)`` edge rows and a vertex order.
+
+        ``edges`` holds each undirected edge once, with no self loops;
+        ``vertices`` lists every vertex id once, endpoints and isolated
+        vertices alike (:func:`repro.graph.io.read_edge_array` reads a
+        file into both).  The graph iterates its vertices in ``vertices``
+        order, and each neighbour set is filled in row order: the
+        insertion sequence, and so the set iteration order, of adding the
+        rows one by one.
+        """
+        adj: Dict[int, Set[int]] = {v: set() for v in vertices.tolist()}
+        # Both directions of every row, in row order; a stable sort by
+        # tail keeps that order within each vertex's run.
+        slots = np.stack((edges, edges[:, ::-1]), axis=1).reshape(-1, 2)
+        slots = slots[np.argsort(slots[:, 0], kind="stable")]
+        tails = slots[:, 0]
+        new = np.ones(len(tails), dtype=bool)
+        new[1:] = tails[1:] != tails[:-1]
+        starts = np.flatnonzero(new).tolist()
+        heads = slots[:, 1].tolist()
+        for v, a, b in zip(tails[starts].tolist(), starts, starts[1:] + [len(heads)]):
+            adj[v] = set(heads[a:b])
+        if len(adj) != len(vertices):
+            raise ValueError("edge endpoints must all be among the vertices, once each")
+        return cls(adj, len(edges))
 
     @classmethod
     def empty(cls) -> "Graph":

@@ -2,9 +2,12 @@
 
 SNAP datasets (the paper's G1-G8) are whitespace-separated ``u v`` lines with
 ``#`` comment headers, optionally gzip-compressed.  These helpers read and
-write that format, either eagerly into a :class:`~repro.graph.graph.Graph`
-or into edge arrays (:func:`read_edge_array`), or lazily as an edge
-iterator for the streaming partitioners.
+write that format.  Every read goes through one parser,
+:meth:`~repro.graph.chunked.ChunkedEdgeStream.edge_arrays`:
+:func:`read_edge_array` normalises the file into edge arrays,
+:func:`read_edge_list` builds a :class:`~repro.graph.graph.Graph` from
+those arrays, and :func:`iter_edge_list` yields the parsed rows lazily for
+the streaming partitioners.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import numpy as np
 from repro.graph.builder import GraphBuilder
 from repro.graph.chunked import ChunkedEdgeStream, ChunkedLineStream
 from repro.graph.graph import Graph
-from repro.utils.arrays import distinct
 
 PathLike = Union[str, "os.PathLike[str]"]
 
@@ -75,45 +77,51 @@ def iter_edge_list(path: PathLike) -> Iterator[Tuple[int, int]]:
     """Lazily yield ``(u, v)`` pairs from a SNAP-style edge list.
 
     Lines starting with ``#`` or ``%`` and blank lines are skipped; raises
-    ``ValueError`` on malformed lines (naming the line number).
+    ``ValueError`` on malformed lines and ``OverflowError`` on an id
+    outside int64 (both naming ``path:lineno``).
 
-    Reads through :class:`~repro.graph.chunked.ChunkedEdgeStream`, so the
-    file is never held in memory and gzip input is decompressed a chunk
-    at a time.
+    Yields the rows of :meth:`~repro.graph.chunked.ChunkedEdgeStream.edge_arrays`,
+    so the file is never held in memory and gzip input is decompressed a
+    chunk at a time.
     """
-    return ChunkedEdgeStream(path).edges()
+    for rows in ChunkedEdgeStream(path).edge_arrays():
+        yield from zip(rows[:, 0].tolist(), rows[:, 1].tolist())
 
 
-def read_edge_list(path: PathLike, relabel: bool = False) -> Graph:
+def read_edge_list(path: PathLike) -> Graph:
     """Read an edge-list file into a normalised undirected simple graph.
 
-    Directed duplicates and self loops are dropped (SNAP normalisation).
+    Directed duplicates and self loops are dropped (SNAP normalisation);
+    a vertex seen only in self loops stays, isolated.  The graph iterates
+    its vertices, neighbours and edges in the order adding the file's
+    edges one by one would give.
     """
-    builder = GraphBuilder(relabel=relabel)
-    builder.add_edges(iter_edge_list(path))
-    return builder.build()
+    return Graph.from_edge_array(*read_edge_array(path))
 
 
 def read_edge_array(path: PathLike) -> Tuple[np.ndarray, np.ndarray]:
     """The graph :func:`read_edge_list` builds, as arrays, without a Graph.
 
     Returns ``(edges, vertices)``: ``edges`` holds every edge once as a
-    canonical ``(u, v), u < v`` int64 row, sorted; ``vertices`` lists
-    every vertex in the order ``read_edge_list(path).vertices()`` does,
-    first appearance first, vertices seen only in self loops included.
-    An id outside int64 raises ``OverflowError`` naming ``path:lineno``.
+    canonical ``(u, v), u < v`` int64 row, in the order of each edge's
+    first occurrence in the file (in either orientation); ``vertices``
+    lists every vertex in the order ``read_edge_list(path).vertices()``
+    does, first appearance first, vertices seen only in self loops
+    included.  An id outside int64 raises ``OverflowError`` naming
+    ``path:lineno``.
     """
     blocks = list(ChunkedEdgeStream(path).edge_arrays())
     rows = np.concatenate(blocks) if blocks else np.empty((0, 2), dtype=np.int64)
     ids, first = np.unique(rows, return_index=True)
     vertices = ids[np.argsort(first)]
     rows = rows[rows[:, 0] != rows[:, 1]]
-    # Deduplicate in index space, where (lo, hi) packs into one int64.
+    # Deduplicate in index space, where (lo, hi) packs into one int64,
+    # keeping each edge at its first occurrence.
     n = len(ids)
     lo = np.searchsorted(ids, np.minimum(rows[:, 0], rows[:, 1]))
     hi = np.searchsorted(ids, np.maximum(rows[:, 0], rows[:, 1]))
-    keys = distinct(lo * n + hi)
-    return np.column_stack((ids[keys // n], ids[keys % n])), vertices
+    keep = np.sort(np.unique(lo * n + hi, return_index=True)[1])
+    return np.column_stack((ids[lo[keep]], ids[hi[keep]])), vertices
 
 
 def write_edge_list(

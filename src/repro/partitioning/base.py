@@ -18,6 +18,8 @@ import abc
 import math
 from typing import Dict, Iterable, Optional
 
+import numpy as np
+
 from repro.graph.graph import Edge, Graph
 from repro.partitioning.assignment import EdgePartition
 from repro.utils.rng import Seed
@@ -44,6 +46,18 @@ class EdgePartitioner(abc.ABC):
     @abc.abstractmethod
     def partition(self, graph: Graph, num_partitions: int) -> EdgePartition:
         """Partition ``graph``'s edges into ``num_partitions`` parts."""
+
+    def partition_edges(
+        self, edges: np.ndarray, vertices: np.ndarray, num_partitions: int
+    ) -> EdgePartition:
+        """:meth:`partition` of the graph whose edges are the rows of ``edges``.
+
+        ``edges`` and ``vertices`` are what
+        :func:`repro.graph.io.read_edge_array` returns.  This builds the
+        :class:`Graph` (:meth:`Graph.from_edge_array`); a partitioner that
+        can work on the arrays themselves overrides it.
+        """
+        return self.partition(Graph.from_edge_array(edges, vertices), num_partitions)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"{type(self).__name__}(name={self.name!r})"

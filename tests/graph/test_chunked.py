@@ -1,5 +1,5 @@
-"""Chunked reader: parity with file iteration, checkpoints, resumability,
-and the array reader's parity with the tuple reader."""
+"""Chunked reader: line parity with file iteration, and the array reader's
+parity with the line-by-line oracle (tests/graph/edge_list_oracle.py)."""
 
 import gzip
 
@@ -7,12 +7,9 @@ import numpy as np
 import pytest
 
 from repro.graph import chunked
-from repro.graph.chunked import (
-    Checkpoint,
-    ChunkedEdgeStream,
-    ChunkedLineStream,
-)
+from repro.graph.chunked import ChunkedEdgeStream, ChunkedLineStream
 from repro.graph.io import iter_edge_list
+from tests.graph.edge_list_oracle import oracle_edges
 
 
 EDGE_TEXT = "# comment\n0 1\n1 2\n\n% other comment\n2 3\n3 0\t9\n4 0\n"
@@ -25,6 +22,13 @@ def write(tmp_path, name, text):
     else:
         path.write_text(text, encoding="utf-8")
     return path
+
+
+def _array_rows(stream, batch_edges):
+    arrays = list(stream.edge_arrays(batch_edges))
+    assert all(a.dtype == np.int64 and a.ndim == 2 and a.shape[1] == 2 for a in arrays)
+    assert all(0 < len(a) <= batch_edges for a in arrays)
+    return [tuple(row) for a in arrays for row in a.tolist()]
 
 
 @pytest.mark.parametrize("name", ["g.txt", "g.txt.gz"])
@@ -49,80 +53,35 @@ def test_final_line_without_newline(tmp_path):
 def test_edges_match_iter_edge_list(tmp_path, name, chunk_bytes):
     path = write(tmp_path, name, EDGE_TEXT)
     stream = ChunkedEdgeStream(path, chunk_bytes=chunk_bytes)
-    assert list(stream.edges()) == list(iter_edge_list(path))
-    assert list(stream.edges()) == [(0, 1), (1, 2), (2, 3), (3, 0), (4, 0)]
+    expected = [(0, 1), (1, 2), (2, 3), (3, 0), (4, 0)]
+    assert list(oracle_edges(path)) == expected
+    assert _array_rows(stream, 2) == expected
+    assert list(iter_edge_list(path)) == expected
 
 
 def test_stream_is_reiterable_for_two_passes(tmp_path):
     path = write(tmp_path, "g.txt", EDGE_TEXT)
     stream = ChunkedEdgeStream(path)
-    first = list(stream.edges())
-    second = list(stream.edges())
+    first = _array_rows(stream, 1 << 16)
+    second = _array_rows(stream, 1 << 16)
     assert first == second and first
-
-
-@pytest.mark.parametrize("name", ["g.txt", "g.txt.gz"])
-def test_edge_chunks_checkpoints_resume(tmp_path, name):
-    path = write(tmp_path, name, EDGE_TEXT)
-    stream = ChunkedEdgeStream(path, chunk_bytes=5)
-    batches = list(stream.edge_chunks(chunk_edges=2))
-    assert [b for b, _ in batches] == [
-        [(0, 1), (1, 2)],
-        [(2, 3), (3, 0)],
-        [(4, 0)],
-    ]
-    # Resuming from each checkpoint yields exactly the edges after it.
-    flat = [e for b, _ in batches for e in b]
-    seen = 0
-    for batch, ckpt in batches:
-        seen += len(batch)
-        assert list(stream.edges(start=ckpt)) == flat[seen:]
-
-
-def test_edge_chunk_checkpoints_are_exact(tmp_path):
-    """Each checkpoint sits right after the line that closed its batch;
-    the last one also covers trailing comment lines."""
-    text = "0 1\n# c\n1 2\n2 3\n% tail\n\n"
-    path = write(tmp_path, "g.txt", text)
-    stream = ChunkedEdgeStream(path, chunk_bytes=3)
-    assert list(stream.edge_chunks(chunk_edges=2)) == [
-        ([(0, 1), (1, 2)], Checkpoint(12, 4)),
-        ([(2, 3)], Checkpoint(len(text), 7)),
-    ]
-    resumed = list(stream.edge_chunks(chunk_edges=5, start=Checkpoint(4, 2)))
-    assert resumed == [([(1, 2), (2, 3)], Checkpoint(len(text), 7))]
-    assert list(stream.edge_chunks(start=Checkpoint(len(text), 7))) == []
-
-
-def test_checkpoint_preserves_line_numbers_in_errors(tmp_path):
-    path = write(tmp_path, "g.txt", "0 1\n1 2\nbroken\n")
-    stream = ChunkedEdgeStream(path)
-    batch, ckpt = next(stream.edge_chunks(chunk_edges=2))
-    assert batch == [(0, 1), (1, 2)] and ckpt == Checkpoint(8, 3)
-    with pytest.raises(ValueError, match=":3: expected 'u v'"):
-        list(stream.edges(start=ckpt))
 
 
 def test_error_messages_match_iter_edge_list_contract(tmp_path):
     bad_tokens = write(tmp_path, "one.txt", "0 1\nlonely\n")
     with pytest.raises(ValueError, match=r"one\.txt:2: expected 'u v'"):
-        list(ChunkedEdgeStream(bad_tokens).edges())
+        list(ChunkedEdgeStream(bad_tokens).edge_arrays())
+    with pytest.raises(ValueError, match=r"one\.txt:2: expected 'u v'"):
+        list(iter_edge_list(bad_tokens))
     bad_int = write(tmp_path, "int.txt", "0 x\n")
     with pytest.raises(ValueError, match=r"int\.txt:1: non-integer endpoint"):
-        list(ChunkedEdgeStream(bad_int).edges())
-
-
-def test_count_edges(tmp_path):
-    path = write(tmp_path, "g.txt", EDGE_TEXT)
-    assert ChunkedEdgeStream(path).count_edges() == 5
+        list(ChunkedEdgeStream(bad_int).edge_arrays())
 
 
 def test_invalid_parameters(tmp_path):
     path = write(tmp_path, "g.txt", EDGE_TEXT)
     with pytest.raises(ValueError, match="chunk_bytes"):
         ChunkedLineStream(path, chunk_bytes=0)
-    with pytest.raises(ValueError, match="chunk_edges"):
-        list(ChunkedEdgeStream(path).edge_chunks(chunk_edges=0))
 
 
 # -- array reader ------------------------------------------------------------
@@ -144,20 +103,13 @@ ARRAY_TEXT = (
 )
 
 
-def _array_rows(stream, batch_edges):
-    arrays = list(stream.edge_arrays(batch_edges))
-    assert all(a.dtype == np.int64 and a.ndim == 2 and a.shape[1] == 2 for a in arrays)
-    assert all(0 < len(a) <= batch_edges for a in arrays)
-    return [tuple(row) for a in arrays for row in a.tolist()]
-
-
 @pytest.mark.parametrize("name", ["g.txt", "g.txt.gz"])
 @pytest.mark.parametrize("chunk_bytes", [1, 3, 7, 1 << 20])
 @pytest.mark.parametrize("batch_edges", [1, 2, 1 << 16])
 def test_edge_arrays_match_edges(tmp_path, name, chunk_bytes, batch_edges):
     path = write(tmp_path, name, ARRAY_TEXT)
     stream = ChunkedEdgeStream(path, chunk_bytes=chunk_bytes)
-    expected = list(stream.edges())
+    expected = list(oracle_edges(path))
     assert expected[-3:] == [(-(2**63), 2**63 - 1), (10, 11), (12, 13)]
     assert _array_rows(stream, batch_edges) == expected
 
@@ -170,7 +122,7 @@ def test_edge_arrays_fast_blocks_span_chunks(tmp_path, monkeypatch, chunk_bytes)
     text = "".join(f"{i}{' ' if i % 3 else chr(9)}{-i * 7919}\n" for i in range(500))
     path = write(tmp_path, "g.txt", text)
     stream = ChunkedEdgeStream(path, chunk_bytes=chunk_bytes)
-    expected = list(stream.edges())
+    expected = list(oracle_edges(path))
 
     def line_parser(*args):
         raise AssertionError("a canonical block fell back to the line parser")
@@ -184,11 +136,11 @@ def test_edge_arrays_fast_blocks_span_chunks(tmp_path, monkeypatch, chunk_bytes)
 def test_edge_arrays_errors_match_edges(tmp_path, chunk_bytes, bad):
     path = write(tmp_path, "g.txt", "0 1\n# c\n1 2\n" + bad + "\n3 4\n")
     stream = ChunkedEdgeStream(path, chunk_bytes=chunk_bytes)
-    with pytest.raises(ValueError) as from_edges:
-        list(stream.edges())
+    with pytest.raises(ValueError) as from_oracle:
+        list(oracle_edges(path))
     with pytest.raises(ValueError) as from_arrays:
         list(stream.edge_arrays(2))
-    assert str(from_arrays.value) == str(from_edges.value)
+    assert str(from_arrays.value) == str(from_oracle.value)
     assert f"{path}:4:" in str(from_arrays.value)
 
 
@@ -196,9 +148,11 @@ def test_edge_arrays_errors_match_edges(tmp_path, chunk_bytes, bad):
 def test_edge_arrays_reject_ids_beyond_int64(tmp_path, big):
     path = write(tmp_path, "g.txt", f"0 1\n1 {big}\n")
     stream = ChunkedEdgeStream(path)
-    assert list(stream.edges()) == [(0, 1), (1, big)]  # the tuple view keeps them
+    assert list(oracle_edges(path)) == [(0, 1), (1, big)]  # the line parse keeps them
     with pytest.raises(OverflowError, match=rf"g\.txt:2: endpoint outside int64"):
         list(stream.edge_arrays())
+    with pytest.raises(OverflowError, match=rf"g\.txt:2: endpoint outside int64"):
+        list(iter_edge_list(path))
 
 
 def test_edge_arrays_invalid_batch(tmp_path):

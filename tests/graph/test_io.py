@@ -2,10 +2,19 @@
 
 import gzip
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph.generators import holme_kim
-from repro.graph.io import iter_edge_list, read_edge_list, write_edge_list
+from repro.graph.io import (
+    iter_edge_list,
+    read_edge_array,
+    read_edge_list,
+    write_edge_list,
+)
+from tests.graph.edge_list_oracle import iteration_order, oracle_edges, oracle_graph
 
 
 class TestIterEdgeList:
@@ -31,6 +40,12 @@ class TestIterEdgeList:
         path.write_text("0 1 weight=3\n")
         assert list(iter_edge_list(path)) == [(0, 1)]
 
+    def test_id_outside_int64_raises_with_lineno(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("0 1\n1 18446744073709551616\n")
+        with pytest.raises(OverflowError, match=r"g\.txt:2: endpoint outside int64"):
+            list(iter_edge_list(path))
+
 
 class TestReadEdgeList:
     def test_normalises_directed_duplicates(self, tmp_path):
@@ -39,11 +54,85 @@ class TestReadEdgeList:
         g = read_edge_list(path)
         assert g.num_edges == 2
 
-    def test_relabel(self, tmp_path):
+
+# -- the reader against the line-by-line oracle ------------------------------
+
+#: Sparse ids, negative ones included, plus both int64 extremes and ids
+#: too long for the reader's one-call fast path.
+_IDS = st.one_of(
+    st.integers(-25, 25).map(lambda i: 7919 * i - 13),
+    st.sampled_from([2**63 - 1, -(2**63), 10**18 + 7, -(10**18) - 7]),
+)
+
+
+@st.composite
+def _edge_files(draw):
+    """Edge-list text with every quirk the reader skips or normalises."""
+    edges = draw(st.lists(st.tuples(_IDS, _IDS), max_size=150))
+    lines = []
+    for u, v in edges:
+        sep = draw(st.sampled_from([" ", "\t", "  ", " \t"]))
+        tail = draw(st.sampled_from(["", "", "", " 1.5", "\textra col"]))
+        lead = draw(st.sampled_from(["", "", " "]))
+        lines.append(f"{lead}{u}{sep}{v}{tail}")
+        extra = draw(st.sampled_from(
+            ["none"] * 5 + ["repeat", "reverse", "loop", "comment", "blank"]
+        ))
+        if extra == "repeat":
+            lines.append(f"{u} {v}")
+        elif extra == "reverse":
+            lines.append(f"{v}\t{u}")
+        elif extra == "loop":
+            lines.append(f"{u} {u}")
+        elif extra == "comment":
+            lines.append(draw(st.sampled_from(["# mid-file", "% other", "#"])))
+        elif extra == "blank":
+            lines.append(draw(st.sampled_from(["", "   ", "\t"])))
+    if edges and draw(st.booleans()):  # replay earlier edges, either way round
+        for i in draw(st.lists(st.integers(0, len(edges) - 1), max_size=30)):
+            u, v = edges[i]
+            lines.append(f"{v} {u}" if draw(st.booleans()) else f"{u} {v}")
+    endings = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines),
+                            max_size=len(lines)))
+    text = "# header\n" + "".join(line + end for line, end in zip(lines, endings))
+    if lines and draw(st.booleans()):
+        text = text.rstrip("\r\n")  # last line without a newline
+    return text
+
+
+class TestMatchesOracle:
+    """``read_edge_list`` builds from arrays exactly what GraphBuilder did."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(text=_edge_files())
+    def test_iteration_order(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("oracle") / "g.txt"
+        path.write_bytes(text.encode("ascii"))
+        want = oracle_graph(path)
+        got = read_edge_list(path)
+        assert iteration_order(got) == iteration_order(want)
+        assert got.num_edges == want.num_edges
+        edges, vertices = read_edge_array(path)
+        assert vertices.tolist() == want.vertex_list()
+        assert sorted(map(tuple, edges.tolist())) == sorted(want.edges())
+        assert list(iter_edge_list(path)) == list(oracle_edges(path))
+
+    def test_large_shuffled_file(self, tmp_path):
+        """Hub neighbour sets resize many times; their order must survive."""
+        graph = holme_kim(2000, 4, 0.5, seed=3)
+        rng = np.random.default_rng(9)
+        rows = np.array(graph.edge_list())
+        rows = rows[rng.permutation(len(rows))]
+        flip = rng.random(len(rows)) < 0.5
+        rows[flip] = rows[flip][:, ::-1]
+        dups = rows[rng.integers(0, len(rows), 3000)][:, ::-1]
+        rows = np.concatenate((rows, dups, [[5, 5], [77777, 77777]]))
+        rows = rows[rng.permutation(len(rows))]
         path = tmp_path / "g.txt"
-        path.write_text("100 200\n")
-        g = read_edge_list(path, relabel=True)
-        assert sorted(g.vertices()) == [0, 1]
+        path.write_text("".join(f"{u} {v}\n" for u, v in rows.tolist()))
+        assert iteration_order(read_edge_list(path)) == iteration_order(
+            oracle_graph(path)
+        )
 
 
 class TestMetisFormat:

@@ -53,10 +53,9 @@ if mode == "stream":
         "sketch": result.sketch_kind,
     }
 else:
-    from repro.graph.chunked import ChunkedEdgeStream
-    from repro.graph.graph import Graph
+    from repro.graph.io import read_edge_list
 
-    graph = Graph.from_edges(ChunkedEdgeStream(edges_path).edges())
+    graph = read_edge_list(edges_path)
     record = {"edges": graph.num_edges}
 with open("/proc/self/status") as fh:  # VmHWM: exec-reset, unlike ru_maxrss
     for line in fh:

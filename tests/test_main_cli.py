@@ -42,6 +42,17 @@ class TestMain:
         path, _ = edge_file
         assert main([str(path), "-p", "4", "--algorithm", "TLP_R:0.3"]) == 0
 
+    def test_window_below_capacity_is_an_error_line(self, edge_file, capsys):
+        path, graph = edge_file
+        capacity = -(-graph.num_edges // 3)
+        assert main([str(path), "-p", "3", "--algorithm", "TLP-W:50"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error: cannot partition {path}: window_size=50 is smaller than "
+            f"the partition capacity C={capacity}"
+        )
+        assert "Traceback" not in err
+
     def test_unknown_algorithm_fails(self, edge_file, capsys):
         path, _ = edge_file
         assert main([str(path), "-p", "4", "--algorithm", "Nope"]) == 2
@@ -135,6 +146,26 @@ class TestIdsOutsideInt64:
             f"error: cannot read {huge_id_file}: {huge_id_file}:3: "
         )
         assert "18446744073709551616" in captured.err
+        assert captured.out == "" and not bundle.exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--detail"], ["--algorithm", "DBH", "--save-dir"], ["--algorithm", "DBH"]],
+        ids=["detail", "dbh-save-dir", "dbh"],
+    )
+    def test_every_algorithm_and_output_names_the_line(
+        self, huge_id_file, tmp_path, capsys, flags
+    ):
+        bundle = tmp_path / "bundle"
+        argv = [str(huge_id_file), "-p", "2", *flags]
+        if flags[-1] == "--save-dir":
+            argv.append(str(bundle))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"error: cannot read {huge_id_file}: {huge_id_file}:3: "
+            "endpoint outside int64"
+        )
         assert captured.out == "" and not bundle.exists()
 
     def test_partition_stream_names_the_line(self, huge_id_file, tmp_path, capsys):
