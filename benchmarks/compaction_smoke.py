@@ -8,9 +8,8 @@ Run against a server started on ``BUNDLE`` with ``--wal --refine-on-compact``::
 
 ``mutate`` waits for the server, then applies ``INSERTS`` inserts of
 fresh edges between existing vertices and ``DELETES`` deletes of base
-edges through :class:`~repro.service.client.SyncServiceClient` on the
-binary wire (binary from its first frame; ``repro compact`` then speaks
-JSON to the same server), and records what it did in ``--state`` (a JSON file).  ``check`` re-opens the
+edges through :class:`~repro.service.client.SyncServiceClient`, and
+records what it did in ``--state`` (a JSON file).  ``check`` re-opens the
 compacted bundle with every checksum verified, both as text
 (``load_partition``) and as the served store (``PartitionStore.open``),
 and requires the recorded edge count and edge set, an empty WAL, and a
@@ -45,7 +44,7 @@ def _connect(port: int):
 
     deadline = time.monotonic() + WAIT_S
     while True:
-        client = SyncServiceClient("127.0.0.1", port, max_retries=0, wire="binary")
+        client = SyncServiceClient("127.0.0.1", port, max_retries=0)
         try:
             client.connect()
             client.call("ping")

@@ -2,13 +2,13 @@
 
 Usage::
 
-    python benchmarks/lone_read_cpu.py --wire binary
-    python benchmarks/lone_read_cpu.py --wire json --pairs 4 --against ../parent
+    python benchmarks/lone_read_cpu.py
+    python benchmarks/lone_read_cpu.py --pairs 4 --against ../parent
 
 Builds a TLP bundle of the G5 stand-in (``--scale``, ``-p``) once, then
 for each run starts ``python -m repro serve`` on it (with the server's
 ``src`` taken from the checkout under test), opens one ``TCP_NODELAY``
-socket and sends ``neighbors`` requests for uniformly drawn vertices at
+socket and sends binary ``neighbors`` requests for uniformly drawn vertices at
 ``--rate`` per second, one at a time: each is written when it is due and
 its answer read before the next, so every request reaches the server
 alone.  After ``--warmup`` untimed requests it reads the server's CPU
@@ -31,7 +31,6 @@ import random
 import re
 import socket
 import statistics
-import struct
 import subprocess
 import sys
 import tempfile
@@ -45,7 +44,6 @@ sys.path.insert(0, str(ROOT / "src"))
 from repro.service import protocol  # noqa: E402
 
 CLK_TCK = os.sysconf("SC_CLK_TCK")
-_LEN = struct.Struct(">I")
 
 
 def server_cpu_s(pid: int) -> float:
@@ -66,28 +64,19 @@ def build_bundle(directory: Path, scale: float, p: int, seed: int) -> List[int]:
     return sorted(graph.vertices())
 
 
-def _recv_exactly(sock: socket.socket, n: int) -> bytes:
-    chunks = []
-    while n:
-        chunk = sock.recv(n)
-        if not chunk:
-            raise ConnectionError("server closed the connection")
-        chunks.append(chunk)
-        n -= len(chunk)
-    return b"".join(chunks)
-
-
 def _paced(sock: socket.socket, frames: Sequence[bytes], rate: float) -> None:
     """Send each frame when due and read its answer before the next."""
     period = 1.0 / rate
+    splitter = protocol.FrameSplitter()
     due = time.monotonic()
     for frame in frames:
         delay = due - time.monotonic()
         if delay > 0:
             time.sleep(delay)
         sock.sendall(frame)
-        (length,) = _LEN.unpack(_recv_exactly(sock, _LEN.size))
-        response = protocol.decode_body(_recv_exactly(sock, length))
+        response = protocol.recv_frame_sync(sock, splitter)
+        if response is None:
+            raise ConnectionError("server closed the connection")
         if not response.get("ok"):
             raise RuntimeError(f"request failed: {response}")
         due += period
@@ -129,7 +118,6 @@ def run_once(checkout: Path, bundle: Path, frames: Sequence[bytes], warmup: int,
 
 def main(argv: Sequence[str] = ()) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--wire", choices=sorted(protocol.WIRES), default="binary")
     parser.add_argument("--rate", type=float, default=500.0, help="requests per second")
     parser.add_argument("--warmup", type=int, default=200)
     parser.add_argument("--requests", type=int, default=3000)
@@ -149,7 +137,7 @@ def main(argv: Sequence[str] = ()) -> int:
         rng = random.Random(args.seed)
         frames = [
             protocol.encode_frame(
-                protocol.request(i, "neighbors", {"v": rng.choice(vertices)}), args.wire
+                protocol.request(i, "neighbors", {"v": rng.choice(vertices)})
             )
             for i in range(args.warmup + args.requests)
         ]
@@ -162,9 +150,8 @@ def main(argv: Sequence[str] = ()) -> int:
             for name in order:
                 us = run_once(sides[name], bundle, frames, args.warmup, args.rate)
                 runs[name].append(us)
-                print(f"run {i}\t{name}\t{args.wire}\t{us:.1f} us/read", flush=True)
+                print(f"run {i}\t{name}\t{us:.1f} us/read", flush=True)
     report = {
-        "wire": args.wire,
         "rate": args.rate,
         "requests": args.requests,
         "runs": runs,

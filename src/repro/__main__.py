@@ -719,14 +719,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         partitioner = make_partitioner(args.algorithm, seed=args.seed)
     except KeyError as exc:
-        partitioner, unknown = None, exc
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         edges, vertices = read_edge_array(args.input)
     except (OSError, ValueError, OverflowError) as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
-        return 2
-    if partitioner is None:
-        print(f"error: {unknown}", file=sys.stderr)
         return 2
 
     print(

@@ -10,7 +10,7 @@ master/mirror placement, and the communication bill is ``(RF - 1)·|V|``.
   memory-mapping its CSR routing tables (vertex → master + mirrors,
   edge → owner, per-partition adjacency);
 * :class:`~repro.service.server.PartitionServer` — an asyncio TCP server
-  speaking length-prefixed JSON or binary frames, answering each event
+  speaking length-prefixed binary frames, answering each event
   loop iteration's requests in one batch, with bounded admission
   (explicit ``overload``), TCP backpressure, and graceful drain on
   shutdown;

@@ -13,9 +13,10 @@ old deterministic delays when a test needs exact timing).  Semantic
 errors (``bad_request``, ``not_found``) raise :class:`ServiceError`
 immediately.
 
-Both clients can speak either wire codec.  A ``wire="binary"`` client
-sends binary from its first frame (the server detects the codec of each
-frame and answers in it).  The default is JSON, the executable spec.
+Both clients speak the one binary wire codec from their first frame;
+there is nothing to negotiate.  Their ``wire`` keyword is kept so that
+callers which name the codec keep working: its one accepted value is
+``"binary"``, which is also the default.
 
 :class:`SyncServiceClient` is a minimal blocking counterpart over a plain
 socket (one request in flight), for shells and examples where an event
@@ -93,7 +94,12 @@ def _expire_call(future: "asyncio.Future") -> None:
 
 
 class ServiceClient:
-    """Pipelined asyncio client with retry/backoff."""
+    """Pipelined asyncio client with retry/backoff.
+
+    ``wire`` is a compatibility parameter, not a knob: binary is the only
+    codec, so its one accepted value is ``"binary"`` (the default) and any
+    other raises ``ValueError``.
+    """
 
     def __init__(
         self,
@@ -108,14 +114,11 @@ class ServiceClient:
         jitter_seed: Optional[int] = None,
         on_epoch_change: Optional[Callable[[Optional[int], int], None]] = None,
         client_tag: Optional[str] = None,
-        wire: str = protocol.WIRE_JSON,
+        wire: str = protocol.WIRE_BINARY,
     ) -> None:
-        if wire not in protocol.WIRES:
-            raise ValueError(f"wire must be one of {sorted(protocol.WIRES)}")
+        protocol.require_binary(wire)
         self.host = host
         self.port = port
-        #: Codec every request frame is sent in.
-        self.wire = wire
         self.max_retries = max_retries
         self.backoff_base = backoff_base
         self.backoff_factor = backoff_factor
@@ -230,9 +233,7 @@ class ServiceClient:
             # pipelined calls can't interleave frames — no lock needed;
             # drain() is only awaited for transport back-pressure.
             self._writer.write(
-                protocol.encode_frame(
-                    protocol.request(request_id, op, args), self.wire
-                )
+                protocol.encode_frame(protocol.request(request_id, op, args))
             )
             await self._writer.drain()
             # The timeout guards only the wait for the response, and is a
@@ -357,7 +358,11 @@ class ServiceClient:
 
 
 class SyncServiceClient:
-    """Blocking one-request-at-a-time client over a plain socket."""
+    """Blocking one-request-at-a-time client over a plain socket.
+
+    ``wire`` is a compatibility parameter, as on :class:`ServiceClient`:
+    only ``"binary"`` (the default) is accepted.
+    """
 
     def __init__(
         self,
@@ -371,13 +376,11 @@ class SyncServiceClient:
         jitter: bool = True,
         jitter_seed: Optional[int] = None,
         client_tag: Optional[str] = None,
-        wire: str = protocol.WIRE_JSON,
+        wire: str = protocol.WIRE_BINARY,
     ) -> None:
-        if wire not in protocol.WIRES:
-            raise ValueError(f"wire must be one of {sorted(protocol.WIRES)}")
+        protocol.require_binary(wire)
         self.host = host
         self.port = port
-        self.wire = wire
         self.max_retries = max_retries
         self.backoff_base = backoff_base
         self.backoff_factor = backoff_factor
@@ -389,6 +392,7 @@ class SyncServiceClient:
         self.client_tag = client_tag or f"c-{uuid.uuid4().hex[:12]}"
         self._next_cseq = 0
         self._sock: Optional[socket.socket] = None
+        self._splitter = protocol.FrameSplitter()
         self._next_id = 0
 
     def connect(self) -> "SyncServiceClient":
@@ -396,6 +400,7 @@ class SyncServiceClient:
             self._sock = socket.create_connection(
                 (self.host, self.port), timeout=self.timeout
             )
+            self._splitter = protocol.FrameSplitter()
         return self
 
     def close(self) -> None:
@@ -436,10 +441,8 @@ class SyncServiceClient:
         assert self._sock is not None
         self._next_id += 1
         request_id = self._next_id
-        protocol.send_frame_sync(
-            self._sock, protocol.request(request_id, op, args), self.wire
-        )
-        response = protocol.recv_frame_sync(self._sock)
+        protocol.send_frame_sync(self._sock, protocol.request(request_id, op, args))
+        response = protocol.recv_frame_sync(self._sock, self._splitter)
         if response is None:
             raise ConnectionError("server closed the connection")
         epoch = response.get("epoch")

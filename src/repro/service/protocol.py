@@ -1,4 +1,4 @@
-"""Wire protocol: length-prefixed frames over a byte stream, JSON or binary.
+"""Wire protocol: length-prefixed binary frames over a byte stream.
 
 Every message — request or response — is one frame::
 
@@ -7,29 +7,19 @@ Every message — request or response — is one frame::
     | payload length |                      |
     +----------------+----------------------+
 
-The body is one of two self-identifying codecs, distinguished by the
-first byte:
-
-* **JSON** (the fallback and the executable spec): a UTF-8 JSON object.
-  JSON text never starts with byte ``0xB7`` (an invalid UTF-8 lead
-  byte), so the two codecs are unambiguous per frame.
-* **Binary** (:data:`WIRE_BINARY`): magic byte ``0xB7``, a version byte
-  (``0x01``), then exactly one value in a msgpack-style typed encoding
-  restricted to the protocol's closed vocabulary — see
-  :func:`encode_value` for the tag grammar.  Integer-only arrays (vertex
-  ids, partition lists — the bulk of every hot response) are packed
-  little-endian runs encoded and decoded at C speed via the ``array``
-  module.  Binary answers are bit-identical to JSON answers
-  (``tests/service/test_wire_parity.py`` pins this).
-
-A connection may carry both codecs: the server decodes each frame by its
-first byte and answers in the codec of the request that produced the
-response.  A client that wants binary sends binary from its first frame;
-there is nothing to negotiate.
+The body is in the one binary codec (:data:`WIRE_BINARY`): magic byte
+``0xB7``, a version byte (``0x01``), then exactly one value in a
+msgpack-style typed encoding restricted to the protocol's closed
+vocabulary — see :func:`encode_value` for the tag grammar.  Integer-only
+arrays (vertex ids, partition lists — the bulk of every hot response) are
+packed little-endian runs encoded and decoded at C speed via the
+``array`` module.  A body without the magic byte is a protocol error; the
+server answers it with ``bad_request`` and closes the connection.
+:class:`FrameSplitter` is the one place a length header is parsed.
 
 Requests are ``{"id": <int>, "op": <str>, "args": {...}}``; responses are
-``{"id": <int>, "ok": true, "result": {...}}`` or
-``{"id": <int>, "ok": false, "error": {"code": <str>, "message": <str>}}``,
+``{"id": <int>, "ok": True, "result": {...}}`` or
+``{"id": <int>, "ok": False, "error": {"code": <str>, "message": <str>}}``,
 both optionally carrying ``"epoch": <int>`` — the serving generation of
 the store that produced the answer (see ``StoreManager``); it increments
 by one on every successful hot reload.
@@ -50,7 +40,7 @@ import socket
 import struct
 import sys
 from array import array
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 #: Frames above this size are rejected — a corrupt or hostile length prefix
 #: must not make the server allocate gigabytes.
@@ -58,20 +48,18 @@ MAX_FRAME_BYTES = 16 * 1024 * 1024
 
 _LEN = struct.Struct(">I")
 
-#: Wire codec names, as chosen by clients and recorded in benches.
-WIRE_JSON = "json"
+#: Name of the one wire codec, as clients and benches pass it.
 WIRE_BINARY = "binary"
-WIRES = frozenset({WIRE_JSON, WIRE_BINARY})
 
-#: First byte of every binary frame body.  0xB7 is an invalid UTF-8 lead
-#: byte, so no JSON frame can start with it.
+#: First byte of every frame body.
 BINARY_MAGIC = 0xB7
 BINARY_VERSION = 0x01
 _MAGIC_PREFIX = bytes((BINARY_MAGIC,))
 
 # -- error codes -----------------------------------------------------------
 
-#: Request malformed (not JSON / missing fields / unknown op / bad args).
+#: Request malformed (not a binary frame / missing fields / unknown op /
+#: bad args).
 BAD_REQUEST = "bad_request"
 #: Vertex, edge, or partition not present in the store.
 NOT_FOUND = "not_found"
@@ -111,7 +99,7 @@ RETRYABLE_CODES = frozenset({OVERLOAD, INGEST_FROZEN})
 
 
 class ProtocolError(ValueError):
-    """A frame violated the protocol (bad length, bad JSON, not an object)."""
+    """A frame violated the protocol (bad length, bad body, not an object)."""
 
 
 # -- binary value codec ----------------------------------------------------
@@ -209,9 +197,9 @@ def _int_run_width(lo: int, hi: int) -> Optional[int]:
     return None
 
 
-def _json_key(key: Any) -> str:
-    """Coerce a non-string map key exactly the way ``json.dumps`` does,
-    so both codecs agree on the decoded payload."""
+def _map_key(key: Any) -> str:
+    """Coerce a non-string map key to the string ``json.dumps`` would
+    write for it, so a decoded payload equals ``json.loads(json.dumps(x))``."""
     if isinstance(key, str):
         return key
     if key is True:
@@ -332,7 +320,7 @@ def _enc_map(value: Dict[Any, Any], out: bytearray, depth: int) -> None:
     for key, item in value.items():
         encoded = cache_get(key) if type(key) is str else None
         if encoded is None:
-            encoded = _encode_str(key if type(key) is str else _json_key(key))
+            encoded = _encode_str(key if type(key) is str else _map_key(key))
         out += encoded
         _enc(item, out, depth)
 
@@ -531,84 +519,6 @@ def decode_value(data: bytes) -> Any:
 
 # -- frame encoding --------------------------------------------------------
 
-#: Chunking granularity for the JSON encoder: lists longer than this are
-#: serialised slice by slice, strings longer than ``_JSON_CHUNK_CHARS``
-#: piece by piece, so an over-limit body is rejected after at most one
-#: extra chunk instead of materialising the whole thing first.
-_JSON_CHUNK_ITEMS = 4096
-_JSON_CHUNK_CHARS = 1 << 20
-
-
-#: One precompiled encoder — ``json.dumps`` with non-default arguments
-#: builds a fresh ``JSONEncoder`` per call, which costs more than the
-#: actual serialisation for hot-path-sized payloads.
-_JSON_ENCODE = json.JSONEncoder(separators=(",", ":")).encode
-
-
-def _json_scalar(value: Any) -> bytes:
-    return _JSON_ENCODE(value).encode("utf-8")
-
-
-def _json_walk(value: Any, emit: Callable[[bytes], None]) -> None:
-    if isinstance(value, dict):
-        for item in value.values():
-            if (
-                isinstance(item, dict)
-                or (isinstance(item, (list, tuple)) and len(item) > _JSON_CHUNK_ITEMS)
-                or (isinstance(item, str) and len(item) > _JSON_CHUNK_CHARS)
-            ):
-                break
-        else:
-            # Shallow dict of small values — one C-speed dumps call.
-            emit(_json_scalar(value))
-            return
-        emit(b"{")
-        first = True
-        for key, item in value.items():
-            prefix = b"" if first else b","
-            first = False
-            emit(prefix + _json_scalar(_json_key(key)) + b":")
-            _json_walk(item, emit)
-        emit(b"}")
-    elif isinstance(value, (list, tuple)) and len(value) > _JSON_CHUNK_ITEMS:
-        emit(b"[")
-        for i in range(0, len(value), _JSON_CHUNK_ITEMS):
-            piece = _json_scalar(list(value[i : i + _JSON_CHUNK_ITEMS]))
-            emit((b"" if i == 0 else b",") + piece[1:-1])
-        emit(b"]")
-    elif isinstance(value, str) and len(value) > _JSON_CHUNK_CHARS:
-        emit(b'"')
-        for i in range(0, len(value), _JSON_CHUNK_CHARS):
-            emit(_json_scalar(value[i : i + _JSON_CHUNK_CHARS])[1:-1])
-        emit(b'"')
-    else:
-        emit(_json_scalar(value))
-
-
-def encode_json_body(payload: Dict[str, Any]) -> bytes:
-    """Serialise a payload as UTF-8 JSON with an incremental size check.
-
-    Emits in chunks and rejects as soon as the running total passes
-    :data:`MAX_FRAME_BYTES` — a response 10× over the limit allocates
-    roughly one chunk past the limit, not 10× the limit, before raising.
-    """
-    pieces: List[bytes] = []
-    total = 0
-
-    def emit(piece: bytes) -> None:
-        nonlocal total
-        total += len(piece)
-        if total > MAX_FRAME_BYTES:
-            raise ProtocolError(f"frame exceeds {MAX_FRAME_BYTES} bytes")
-        pieces.append(piece)
-
-    try:
-        _json_walk(payload, emit)
-    except TypeError as exc:
-        raise ProtocolError(str(exc)) from exc
-    return b"".join(pieces)
-
-
 def encode_binary_body(payload: Dict[str, Any]) -> bytes:
     """Serialise a payload in the binary codec (magic + version + value)."""
     if not isinstance(payload, dict):
@@ -620,44 +530,45 @@ def encode_binary_body(payload: Dict[str, Any]) -> bytes:
     return bytes(out)
 
 
-def encode_frame(payload: Dict[str, Any], wire: str = WIRE_JSON) -> bytes:
-    """Serialise one message to its on-wire form in the given codec."""
-    if wire == WIRE_BINARY:
-        body = encode_binary_body(payload)
-    else:
-        body = encode_json_body(payload)
+def require_binary(wire: str) -> None:
+    """Refuse any codec but :data:`WIRE_BINARY`.
+
+    ``wire`` survives on :func:`encode_frame` and the clients only so that
+    callers which name the codec keep working; it is not a choice.
+    """
+    if wire != WIRE_BINARY:
+        raise ValueError(f"wire must be {WIRE_BINARY!r}, got {wire!r}")
+
+
+def encode_frame(payload: Dict[str, Any], wire: str = WIRE_BINARY) -> bytes:
+    """Serialise one message to its on-wire form (length header + body).
+
+    ``wire`` is a compatibility parameter, not a knob: its one accepted
+    value is :data:`WIRE_BINARY`, and any other raises ``ValueError``.
+    """
+    require_binary(wire)
+    body = encode_binary_body(payload)
     if len(body) > MAX_FRAME_BYTES:
         raise ProtocolError(f"frame of {len(body)} bytes exceeds {MAX_FRAME_BYTES}")
     return _LEN.pack(len(body)) + body
 
 
-def detect_wire(body: bytes) -> str:
-    """Which codec a frame body uses, by its first byte."""
-    return WIRE_BINARY if body[:1] == _MAGIC_PREFIX else WIRE_JSON
-
-
 def decode_body(body: bytes) -> Dict[str, Any]:
-    """Parse a frame body (either codec); raises :class:`ProtocolError` on
-    garbage."""
-    if body[:1] == _MAGIC_PREFIX:
-        if len(body) < 2:
-            raise ProtocolError("binary frame truncated before version byte")
-        if body[1] != BINARY_VERSION:
-            raise ProtocolError(f"unsupported binary protocol version {body[1]}")
-        payload, pos = _dec(body, 2, 0)
-        if pos != len(body):
-            raise ProtocolError(f"{len(body) - pos} trailing bytes after binary frame")
-        if not isinstance(payload, dict):
-            raise ProtocolError(
-                f"frame must be an object, got {type(payload).__name__}"
-            )
-        return payload
-    try:
-        payload = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProtocolError(f"undecodable frame: {exc}") from exc
+    """Parse a frame body; raises :class:`ProtocolError` on garbage,
+    including any body that does not start with :data:`BINARY_MAGIC`."""
+    if body[:1] != _MAGIC_PREFIX:
+        raise ProtocolError(
+            f"not a binary frame: body must start with 0x{BINARY_MAGIC:02X}"
+        )
+    if len(body) < 2:
+        raise ProtocolError("binary frame truncated before version byte")
+    if body[1] != BINARY_VERSION:
+        raise ProtocolError(f"unsupported binary protocol version {body[1]}")
+    payload, pos = _dec(body, 2, 0)
+    if pos != len(body):
+        raise ProtocolError(f"{len(body) - pos} trailing bytes after binary frame")
     if not isinstance(payload, dict):
-        raise ProtocolError(f"frame must be a JSON object, got {type(payload).__name__}")
+        raise ProtocolError(f"frame must be an object, got {type(payload).__name__}")
     return payload
 
 
@@ -698,8 +609,8 @@ def error_response(
 class FrameSplitter:
     """Synchronous frame splitter: feed stream bytes, get complete frames.
 
-    :meth:`feed` yields ``(wire, body)`` for every frame the bytes fed so
-    far complete, in stream order, and keeps the tail of an unfinished
+    :meth:`feed` yields the body of every frame the bytes fed so far
+    complete, in stream order, and keeps the tail of an unfinished
     frame in a ``bytearray``, so a large frame arriving in many chunks is
     copied in linear rather than quadratic time.  Bytes fed while the
     buffer is empty are sliced directly, with no buffer copy.
@@ -707,8 +618,10 @@ class FrameSplitter:
     The generator :meth:`feed` returns must be exhausted before the next
     call; a :class:`ProtocolError` for an oversized length header is
     raised after the frames that precede it.  :meth:`eof` raises if the
-    stream ended inside a frame.  The server's ``data_received`` and the
-    client's :class:`BufferedFrameReader` both split frames this way.
+    stream ended inside a frame.  It is the only parser of the length
+    header: the server's ``data_received``, the asyncio client's
+    :class:`BufferedFrameReader` and :func:`recv_frame_sync` all split
+    frames through it.
     """
 
     __slots__ = ("_buf",)
@@ -716,7 +629,7 @@ class FrameSplitter:
     def __init__(self) -> None:
         self._buf = bytearray()
 
-    def feed(self, data: bytes) -> Iterator[Tuple[str, bytes]]:
+    def feed(self, data: bytes) -> Iterator[bytes]:
         buf = self._buf
         stream: Union[bytes, bytearray] = data
         if buf:
@@ -736,7 +649,7 @@ class FrameSplitter:
             # bytes(x) is x itself for an exact bytes slice: one copy.
             body = bytes(stream[pos + header_size : stop])
             pos = stop
-            yield detect_wire(body), body
+            yield body
         if stream is buf:
             del buf[:pos]
         elif pos < end:
@@ -751,39 +664,32 @@ class FrameSplitter:
             raise ProtocolError("connection closed mid-frame")
 
 
-# -- asyncio stream helpers ------------------------------------------------
+# -- stream readers --------------------------------------------------------
 
-#: Bytes pulled from the transport per refill of a BufferedFrameReader.
+#: Bytes pulled from the transport or socket per refill.
 _READ_CHUNK = 1 << 16
 
 
 class BufferedFrameReader:
-    """Incremental frame decoder that amortises awaits over TCP chunks.
+    """Incremental asyncio frame reader that amortises awaits over chunks.
 
-    :func:`read_frame` costs two ``readexactly`` awaits per frame even
-    when the bytes are already buffered.  This reader instead pulls whole
-    chunks with ``reader.read()`` and splits them with a
+    Pulls whole chunks with ``reader.read()`` and splits them with a
     :class:`FrameSplitter`, so a chunk carrying N pipelined frames costs
-    one await, not 2N — the pipelined client's receive loop.
-
-    Same contract as :func:`read_frame`: returns ``None`` on clean EOF at
-    a frame boundary, raises :class:`ProtocolError` on a truncated or
-    oversized frame.  After each successful read, :attr:`last_wire` holds
-    the codec of that frame.
+    one await — the pipelined client's receive loop.  :meth:`read_frame`
+    returns ``None`` on clean EOF at a frame boundary and raises
+    :class:`ProtocolError` on a truncated or oversized frame.
     """
 
-    __slots__ = ("_reader", "_splitter", "_frames", "last_wire")
+    __slots__ = ("_reader", "_splitter", "_frames")
 
     def __init__(self, reader: asyncio.StreamReader) -> None:
         self._reader = reader
         self._splitter = FrameSplitter()
-        self._frames: Iterator[Tuple[str, bytes]] = iter(())
-        self.last_wire = WIRE_JSON
+        self._frames: Iterator[bytes] = iter(())
 
     async def read_frame(self) -> Optional[Dict[str, Any]]:
         while True:
-            for wire, body in self._frames:
-                self.last_wire = wire
+            for body in self._frames:
                 return decode_body(body)
             chunk = await self._reader.read(_READ_CHUNK)
             if not chunk:
@@ -792,60 +698,28 @@ class BufferedFrameReader:
             self._frames = self._splitter.feed(chunk)
 
 
-async def read_frame(reader: asyncio.StreamReader) -> Optional[Dict[str, Any]]:
-    """Read one frame; returns ``None`` on clean EOF at a frame boundary."""
-    try:
-        header = await reader.readexactly(_LEN.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise ProtocolError("connection closed mid-header") from exc
-    (length,) = _LEN.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise ProtocolError(f"frame of {length} bytes exceeds {MAX_FRAME_BYTES}")
-    try:
-        body = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise ProtocolError("connection closed mid-frame") from exc
-    return decode_body(body)
-
-
-async def write_frame(
-    writer: asyncio.StreamWriter, payload: Dict[str, Any], wire: str = WIRE_JSON
-) -> None:
-    """Write one frame and drain the transport."""
-    writer.write(encode_frame(payload, wire))
-    await writer.drain()
-
-
-# -- blocking socket helpers (sync client) ---------------------------------
-
-def _recv_exactly(sock: socket.socket, n: int) -> bytes:
-    chunks = []
-    remaining = n
-    while remaining:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            raise ProtocolError("connection closed mid-frame")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
-def send_frame_sync(
-    sock: socket.socket, payload: Dict[str, Any], wire: str = WIRE_JSON
-) -> None:
+def send_frame_sync(sock: socket.socket, payload: Dict[str, Any]) -> None:
     """Blocking frame write."""
-    sock.sendall(encode_frame(payload, wire))
+    sock.sendall(encode_frame(payload))
 
 
-def recv_frame_sync(sock: socket.socket) -> Optional[Dict[str, Any]]:
-    """Blocking frame read; ``None`` on clean EOF at a frame boundary."""
-    first = sock.recv(_LEN.size)
-    if not first:
-        return None
-    header = first + (_recv_exactly(sock, _LEN.size - len(first)) if len(first) < _LEN.size else b"")
-    (length,) = _LEN.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise ProtocolError(f"frame of {length} bytes exceeds {MAX_FRAME_BYTES}")
-    return decode_body(_recv_exactly(sock, length))
+def recv_frame_sync(
+    sock: socket.socket, splitter: FrameSplitter
+) -> Optional[Dict[str, Any]]:
+    """Blocking read of one answer through the connection's splitter.
+
+    Returns ``None`` on clean EOF at a frame boundary and raises
+    :class:`ProtocolError` on EOF inside a frame.  The blocking client
+    has one request in flight, so a read that completes more than one
+    frame is a protocol error too.
+    """
+    while True:
+        chunk = sock.recv(_READ_CHUNK)
+        if not chunk:
+            splitter.eof()
+            return None
+        bodies = list(splitter.feed(chunk))
+        if len(bodies) > 1:
+            raise ProtocolError(f"{len(bodies)} frames answered one request")
+        if bodies:
+            return decode_body(bodies[0])

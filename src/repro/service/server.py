@@ -56,7 +56,9 @@ Architecture (one event loop, no threads, no per-request tasks)::
 
 Responses on one connection are written in request order (clients may
 pipeline; the ``id`` field also supports out-of-order matching if that
-guarantee is ever relaxed), each in the codec of its request frame.
+guarantee is ever relaxed).  A frame that does not decode — a bad length,
+a body without the binary magic — loses the framing: it gets one
+``bad_request`` answer, then the connection closes.
 """
 
 from __future__ import annotations
@@ -113,23 +115,20 @@ class _Request:
 
     ``frame`` is the encoded response once the request is answered (empty
     until then); a connection writes its slots in request order as they
-    fill.  ``wire``
-    is the codec the request arrived in, and the one it is answered in.
+    fill.
     """
 
-    __slots__ = ("conn", "request", "wire", "lease", "arrived", "frame")
+    __slots__ = ("conn", "request", "lease", "arrived", "frame")
 
     def __init__(
         self,
         conn: "_Connection",
         request: Dict[str, Any],
-        wire: str,
         lease: Optional[Tuple[ServingStore, int]],
         arrived: float,
     ) -> None:
         self.conn = conn
         self.request = request
-        self.wire = wire
         self.lease = lease
         self.arrived = arrived
         self.frame = b""
@@ -256,10 +255,9 @@ class PartitionServer:
 
     # -- admission ---------------------------------------------------------
 
-    def _admit(self, conn: "_Connection", wire: str, body: bytes) -> None:
+    def _admit(self, conn: "_Connection", body: bytes) -> None:
         """Decode one frame and queue it, or answer it at once."""
         request = protocol.decode_body(body)
-        conn.last_wire = wire
         self.metrics.inc("requests_received")
         loop = self._loop
         assert loop is not None
@@ -269,7 +267,7 @@ class PartitionServer:
             # bypass the pending list — their epoch swap waits for the
             # old-epoch leases that list holds.  (Without an ingestor
             # compact falls through to the handler's bad_request.)
-            slot = _Request(conn, request, wire, None, loop.time())
+            slot = _Request(conn, request, None, loop.time())
             conn.slots.append(slot)
             run = self._reload_request if op == "reload" else self._compact_request
             task = loop.create_task(self._admin(slot, run))
@@ -280,13 +278,13 @@ class PartitionServer:
             self.metrics.inc("requests_overload")
             self._answer_now(
                 conn, request.get("id"), protocol.OVERLOAD,
-                f"request queue full ({self.max_queue})", wire,
+                f"request queue full ({self.max_queue})",
             )
             return
         # Pin the request to the live epoch *now*: if a hot swap lands
         # before it is answered, it still reads the store it was admitted
         # under.
-        slot = _Request(conn, request, wire, self.manager.acquire(), loop.time())
+        slot = _Request(conn, request, self.manager.acquire(), loop.time())
         conn.slots.append(slot)
         self._pending.append(slot)
         if self._flush_handle is None:
@@ -298,14 +296,13 @@ class PartitionServer:
         request_id: Any,
         code: str,
         message: str,
-        wire: str,
     ) -> None:
         """Answer at admission with an error (kept in request order)."""
         response = protocol.error_response(
             request_id, code, message, epoch=self.manager.epoch
         )
-        slot = _Request(conn, {}, wire, None, 0.0)
-        slot.frame = self._encode(response, wire)
+        slot = _Request(conn, {}, None, 0.0)
+        slot.frame = self._encode(response)
         conn.slots.append(slot)
         self._mark_dirty(conn)
 
@@ -362,7 +359,7 @@ class PartitionServer:
             op = slot.request.get("op")
             if isinstance(op, str):
                 observe(op, now - slot.arrived)
-            slot.frame = self._encode(response, slot.wire)
+            slot.frame = self._encode(response)
             dirty[slot.conn] = None
 
     def _fail_batch(self, batch: List[_Request], exc: Exception) -> None:
@@ -375,12 +372,12 @@ class PartitionServer:
                     slot.request.get("id"), protocol.INTERNAL, message,
                     epoch=self.manager.epoch,
                 )
-                slot.frame = self._encode(response, slot.wire)
+                slot.frame = self._encode(response)
                 self._dirty[slot.conn] = None
 
-    def _encode(self, response: Dict[str, Any], wire: str) -> bytes:
+    def _encode(self, response: Dict[str, Any]) -> bytes:
         try:
-            return protocol.encode_frame(response, wire)
+            return protocol.encode_frame(response)
         except protocol.ProtocolError as exc:
             # An unencodable/over-limit response must not stall every
             # pipelined response behind it — answer with an internal
@@ -393,7 +390,6 @@ class PartitionServer:
                     f"response exceeded frame limit: {exc}",
                     epoch=self.manager.epoch,
                 ),
-                wire,
             )
 
     # -- hot reload / compaction -------------------------------------------
@@ -428,7 +424,7 @@ class PartitionServer:
                 epoch=self.manager.epoch,
             )
         self.metrics.observe(slot.request["op"], self._loop.time() - slot.arrived)
-        slot.frame = self._encode(response, slot.wire)
+        slot.frame = self._encode(response)
         self._mark_dirty(slot.conn)
 
     async def _compact_request(
@@ -515,13 +511,10 @@ class _Connection(asyncio.Protocol):
         self.splitter = protocol.FrameSplitter()
         #: Response slots in request order; the filled prefix is written.
         self.slots: Deque[_Request] = deque()
-        #: Codec of the last frame that decoded: a framing error is
-        #: answered in it.
-        self.last_wire = protocol.WIRE_JSON
         #: No more requests will be read; close once every slot is written.
         self.done_reading = False
         #: Frames split from the bytes read so far, not all admitted yet.
-        self.frames: Iterator[Tuple[str, bytes]] = iter(())
+        self.frames: Iterator[bytes] = iter(())
         #: Reading is paused because the slots reached ``max_slots``; the
         #: rest of ``frames`` is admitted once answers are written.
         self.held = False
@@ -547,8 +540,8 @@ class _Connection(asyncio.Protocol):
         slots = self.slots
         limit = server.max_slots
         try:
-            for wire, body in self.frames:
-                server._admit(self, wire, body)
+            for body in self.frames:
+                server._admit(self, body)
                 if len(slots) >= limit:
                     # Too many answers owed: stop reading until write_ready
                     # has written enough of them.
@@ -605,7 +598,7 @@ class _Connection(asyncio.Protocol):
         # Framing is lost: answer bad_request, then drop the connection.
         server = self.server
         server.metrics.inc("protocol_errors")
-        server._answer_now(self, None, protocol.BAD_REQUEST, str(exc), self.last_wire)
+        server._answer_now(self, None, protocol.BAD_REQUEST, str(exc))
         self.pause()
         self.close_when_written()
 

@@ -30,12 +30,16 @@ STEP = 32
 #: Give up if the server never pushes back within this many requests.
 MAX_REQUESTS = 20_000
 HUB_DEGREE = 20_000
+#: Leaf ids above 2**32 pack at 8 bytes each on the wire.
+LEAF_BASE = 2**33
 
 
 def _star_store():
-    # A star: every answer for the hub is a ~120 KB JSON frame, so the
+    # A star: every answer for the hub is a ~160 KB frame, so the
     # server's transport buffer passes its high-water mark at once.
-    star = Graph.from_edges((0, leaf) for leaf in range(1, HUB_DEGREE + 1))
+    star = Graph.from_edges(
+        (0, LEAF_BASE + leaf) for leaf in range(1, HUB_DEGREE + 1)
+    )
     return PartitionStore.from_partition(make_partitioner("DBH", seed=0).partition(star, 4))
 
 

@@ -1,10 +1,11 @@
 """Frame parity: a live server's raw response bytes equal the in-process answer.
 
 A mixed request log (every op, misses, bad arguments, an unknown op,
-duplicate lookups in one pipelined burst, JSON and binary frames
-interleaved on one connection) is sent to a running ``PartitionServer``
-in a single write.  Every raw response frame must equal
-``encode_frame(execute_batch(log)[i], wire_i)`` computed in-process on an
+duplicate lookups in one pipelined burst) is sent to a running
+``PartitionServer`` once in a single write and once one byte per write,
+so the server's ``FrameSplitter`` also sees every frame cut at every
+offset.  Every raw response frame must equal
+``encode_frame(execute_batch(log)[i])`` computed in-process on an
 identical store, byte for byte.  The ``stats`` answer embeds the
 answering handler's live metrics, so it is compared with those removed.
 """
@@ -25,7 +26,7 @@ def partition(small_social):
     return TLPPartitioner(seed=0).partition(small_social, 4)
 
 
-def _request_log(small_social, shift):
+def _request_log(small_social):
     vertices = sorted(small_social.vertices())
     u, v = next(iter(small_social.edges()))
     hub = max(vertices, key=small_social.degree)
@@ -60,13 +61,7 @@ def _request_log(small_social, shift):
     log = [protocol.request(i, op, args) for i, (op, args) in enumerate(calls)]
     log.append({"id": len(log), "op": "neighbors", "args": [1]})  # args not an object
     log.append({"id": len(log), "args": {}})  # no op
-    # Alternate the codecs on the one connection; the two shifts send
-    # every request once in each codec.
-    wires = [
-        protocol.WIRE_BINARY if (i + shift) % 2 else protocol.WIRE_JSON
-        for i in range(len(log))
-    ]
-    return log, wires
+    return log
 
 
 async def _read_raw_frames(reader, count):
@@ -75,7 +70,7 @@ async def _read_raw_frames(reader, count):
     while len(frames) < count:
         chunk = await asyncio.wait_for(reader.read(1 << 16), 5.0)
         assert chunk, f"connection closed after {len(frames)} of {count} frames"
-        for _, body in splitter.feed(chunk):
+        for body in splitter.feed(chunk):
             frames.append(len(body).to_bytes(4, "big") + body)
     return frames
 
@@ -86,9 +81,9 @@ def _without_metrics(response):
     return response
 
 
-@pytest.mark.parametrize("shift", [0, 1])
-def test_raw_frames_equal_in_process_answers(partition, small_social, shift):
-    log, wires = _request_log(small_social, shift)
+@pytest.mark.parametrize("chunk", [0, 1])  # bytes per write; 0: one write
+def test_raw_frames_equal_in_process_answers(partition, small_social, chunk):
+    log = _request_log(small_social)
     expected = ServiceHandler(PartitionStore.from_partition(partition)).execute_batch(log)
 
     async def go():
@@ -96,12 +91,14 @@ def test_raw_frames_equal_in_process_answers(partition, small_social, shift):
         async with server:
             reader, writer = await asyncio.open_connection(*server.address)
             try:
-                writer.write(
-                    b"".join(protocol.encode_frame(r, w) for r, w in zip(log, wires))
-                )
-                await writer.drain()
+                stream = b"".join(protocol.encode_frame(r) for r in log)
+                step = chunk or len(stream)
+                for i in range(0, len(stream), step):
+                    writer.write(stream[i : i + step])
+                    await writer.drain()
+                    await asyncio.sleep(0)  # let the server read this piece
                 got = await _read_raw_frames(reader, len(log))
-                # Framing lost: bad_request in the last good codec, then close.
+                # Framing lost: one bad_request, then close.
                 writer.write(b"\x00\x00\x00\x05hello")
                 await writer.drain()
                 tail = await asyncio.wait_for(reader.read(), 5.0)
@@ -112,17 +109,14 @@ def test_raw_frames_equal_in_process_answers(partition, small_social, shift):
 
     got, tail = asyncio.run(go())
     assert len(got) == len(log)
-    for request, wire, response, frame in zip(log, wires, expected, got):
-        assert protocol.detect_wire(frame[4:]) == wire, request
+    for request, response, frame in zip(log, expected, got):
         if request.get("op") == "stats":
             assert _without_metrics(protocol.decode_body(frame[4:])) == (
                 _without_metrics(response)
             )
         else:
-            assert frame == protocol.encode_frame(response, wire), request
-    splitter = protocol.FrameSplitter()
-    [(wire, body)] = list(splitter.feed(tail))  # one frame, then EOF
-    assert wire == wires[-1]
+            assert frame == protocol.encode_frame(response), request
+    [body] = list(protocol.FrameSplitter().feed(tail))  # one frame, then EOF
     bad = protocol.decode_body(body)
     assert bad["ok"] is False and bad["error"]["code"] == protocol.BAD_REQUEST
     assert bad["id"] is None and bad["epoch"] == 1

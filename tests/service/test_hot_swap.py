@@ -354,9 +354,11 @@ class TestEpochEcho:
                     protocol.request(4, "stats"),
                 ]
                 for message in requests:
-                    await protocol.write_frame(writer, message)
+                    writer.write(protocol.encode_frame(message))
+                await writer.drain()
+                frames = protocol.BufferedFrameReader(reader)
                 for _ in requests:
-                    response = await protocol.read_frame(reader)
+                    response = await frames.read_frame()
                     assert response["epoch"] == 1
                 writer.close()
                 await writer.wait_closed()

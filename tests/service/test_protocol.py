@@ -26,6 +26,15 @@ class TestFraming:
         with pytest.raises(protocol.ProtocolError):
             protocol.decode_body(b"[1, 2, 3]")
 
+    def test_json_body_rejected(self):
+        with pytest.raises(protocol.ProtocolError, match="not a binary frame"):
+            protocol.decode_body(json.dumps({"id": 1, "op": "ping"}).encode())
+
+    @pytest.mark.parametrize("wire", ["json", "", None])
+    def test_encode_frame_refuses_other_codecs(self, wire):
+        with pytest.raises(ValueError):
+            protocol.encode_frame(protocol.request(1, "ping"), wire)
+
     def test_garbage_rejected(self):
         with pytest.raises(protocol.ProtocolError):
             protocol.decode_body(b"\xff\xfe not json")
@@ -54,18 +63,18 @@ class TestMessages:
 
 
 class TestAsyncStreamHelpers:
-    def _reader_with(self, data: bytes) -> asyncio.StreamReader:
+    def _reader_with(self, data: bytes) -> protocol.BufferedFrameReader:
         reader = asyncio.StreamReader()
         reader.feed_data(data)
         reader.feed_eof()
-        return reader
+        return protocol.BufferedFrameReader(reader)
 
     def test_read_frame_round_trip(self):
         async def go():
             message = {"id": 1, "op": "ping", "args": {}}
-            reader = self._reader_with(protocol.encode_frame(message))
-            assert await protocol.read_frame(reader) == message
-            assert await protocol.read_frame(reader) is None  # clean EOF
+            frames = self._reader_with(protocol.encode_frame(message))
+            assert await frames.read_frame() == message
+            assert await frames.read_frame() is None  # clean EOF
 
         asyncio.run(go())
 
@@ -82,7 +91,8 @@ class TestAsyncStreamHelpers:
                 reader.feed_eof()
 
             task = asyncio.create_task(feed_rest())
-            assert await protocol.read_frame(reader) == message
+            frames = protocol.BufferedFrameReader(reader)
+            assert await frames.read_frame() == message
             await task
 
         asyncio.run(go())
@@ -90,17 +100,17 @@ class TestAsyncStreamHelpers:
     def test_truncated_frame_raises(self):
         async def go():
             frame = protocol.encode_frame({"id": 1, "op": "ping", "args": {}})
-            reader = self._reader_with(frame[:-2])  # cut mid-body
+            frames = self._reader_with(frame[:-2])  # cut mid-body
             with pytest.raises(protocol.ProtocolError):
-                await protocol.read_frame(reader)
+                await frames.read_frame()
 
         asyncio.run(go())
 
     def test_hostile_length_prefix_rejected(self):
         async def go():
-            reader = self._reader_with(struct.pack(">I", 2**31) + b"xx")
+            frames = self._reader_with(struct.pack(">I", 2**31) + b"xx")
             with pytest.raises(protocol.ProtocolError):
-                await protocol.read_frame(reader)
+                await frames.read_frame()
 
         asyncio.run(go())
 
@@ -109,16 +119,14 @@ class TestFrameSplitter:
     """The one synchronous splitter behind the server and the client."""
 
     FRAMES = [
-        protocol.encode_frame(protocol.request(1, "ping"), protocol.WIRE_JSON),
-        protocol.encode_frame(
-            protocol.request(2, "neighbors", {"v": 7}), protocol.WIRE_BINARY
-        ),
-        protocol.encode_frame({"id": 3, "blob": "x" * 300}, protocol.WIRE_JSON),
+        protocol.encode_frame(protocol.request(1, "ping")),
+        protocol.encode_frame(protocol.request(2, "neighbors", {"v": 7})),
+        protocol.encode_frame({"id": 3, "blob": "x" * 300}),
     ]
 
     @staticmethod
     def _expected(frames):
-        return [(protocol.detect_wire(f[4:]), f[4:]) for f in frames]
+        return [f[4:] for f in frames]
 
     def test_one_frame_split_at_every_offset(self):
         frame = self.FRAMES[1]
@@ -133,7 +141,7 @@ class TestFrameSplitter:
         splitter = protocol.FrameSplitter()
         got = list(splitter.feed(stream))
         assert got == self._expected(self.FRAMES * 3)
-        assert all(type(body) is bytes for _, body in got)
+        assert all(type(body) is bytes for body in got)
         splitter.eof()
 
     def test_frames_spanning_chunk_boundaries(self):
@@ -145,15 +153,13 @@ class TestFrameSplitter:
         assert got == self._expected(self.FRAMES * 4)
 
     def test_large_frame_in_small_chunks(self):
-        frame = protocol.encode_frame(
-            {"neighbors": list(range(200_000))}, protocol.WIRE_BINARY
-        )
+        frame = protocol.encode_frame({"neighbors": list(range(200_000))})
         splitter = protocol.FrameSplitter()
         got = []
         for i in range(0, len(frame), 1 << 16):
             got += splitter.feed(frame[i : i + (1 << 16)])
         assert got == self._expected([frame])
-        assert protocol.decode_body(got[0][1]) == {"neighbors": list(range(200_000))}
+        assert protocol.decode_body(got[0]) == {"neighbors": list(range(200_000))}
 
     def test_oversized_length_header(self):
         hostile = struct.pack(">I", protocol.MAX_FRAME_BYTES + 1) + b"x"
@@ -203,7 +209,7 @@ class TestSyncSocketHelpers:
         try:
             message = {"id": 9, "op": "edge", "args": {"u": 1, "v": 2}}
             protocol.send_frame_sync(a, message)
-            assert protocol.recv_frame_sync(b) == message
+            assert protocol.recv_frame_sync(b, protocol.FrameSplitter()) == message
         finally:
             a.close()
             b.close()
@@ -212,7 +218,7 @@ class TestSyncSocketHelpers:
         a, b = socket.socketpair()
         a.close()
         try:
-            assert protocol.recv_frame_sync(b) is None
+            assert protocol.recv_frame_sync(b, protocol.FrameSplitter()) is None
         finally:
             b.close()
 
@@ -223,9 +229,91 @@ class TestSyncSocketHelpers:
             a.sendall(frame[:-3])
             a.close()
             with pytest.raises(protocol.ProtocolError):
-                protocol.recv_frame_sync(b)
+                protocol.recv_frame_sync(b, protocol.FrameSplitter())
         finally:
             b.close()
+
+
+class TestSyncClientOverSocketpair:
+    """``SyncServiceClient`` reads its answers through a ``FrameSplitter``:
+    driven over a socketpair by a peer that checks the request is binary
+    and answers however the test says."""
+
+    @staticmethod
+    def _exchange(answer):
+        """One ``ping`` call against a peer that runs ``answer(sock, id)``."""
+        import threading
+
+        from repro.service.client import SyncServiceClient
+
+        ours, theirs = socket.socketpair()
+        for sock in (ours, theirs):
+            sock.settimeout(10)  # a broken peer fails the test, not hangs it
+        seen = {}
+
+        def peer():
+            splitter = protocol.FrameSplitter()
+            body = None
+            while body is None:
+                chunk = theirs.recv(1 << 16)
+                assert chunk, "client sent no request"
+                body = next(iter(splitter.feed(chunk)), None)
+            seen["magic"] = body[0]
+            answer(theirs, protocol.decode_body(body)["id"])
+
+        thread = threading.Thread(target=peer, daemon=True)
+        thread.start()
+        client = SyncServiceClient("unused", 0, max_retries=0)
+        client._sock = ours
+        try:
+            return client.call("ping")
+        finally:
+            client.close()
+            thread.join(timeout=10)
+            theirs.close()
+            assert seen.get("magic") == protocol.BINARY_MAGIC
+
+    def test_answer_split_across_many_recvs(self):
+        def answer(sock, request_id):
+            frame = protocol.encode_frame(
+                protocol.ok_response(request_id, {"pong": True, "xs": list(range(500))})
+            )
+            for i in range(len(frame)):  # one byte per send
+                sock.sendall(frame[i : i + 1])
+
+        assert self._exchange(answer) == {"pong": True, "xs": list(range(500))}
+
+    def test_clean_eof_raises_connection_error(self):
+        def answer(sock, request_id):
+            sock.shutdown(socket.SHUT_WR)
+
+        with pytest.raises(ConnectionError):
+            self._exchange(answer)
+
+    def test_eof_mid_frame_raises_protocol_error(self):
+        def answer(sock, request_id):
+            frame = protocol.encode_frame(protocol.ok_response(request_id, {"pong": True}))
+            sock.sendall(frame[:-2])
+            sock.shutdown(socket.SHUT_WR)
+
+        with pytest.raises(protocol.ProtocolError, match="mid-frame"):
+            self._exchange(answer)
+
+
+class TestClientsRefuseOtherCodecs:
+    def test_async_client(self):
+        from repro.service.client import ServiceClient
+
+        with pytest.raises(ValueError):
+            ServiceClient("127.0.0.1", 1, wire="json")
+        ServiceClient("127.0.0.1", 1, wire=protocol.WIRE_BINARY)  # still accepted
+
+    def test_sync_client(self):
+        from repro.service.client import SyncServiceClient
+
+        with pytest.raises(ValueError):
+            SyncServiceClient("127.0.0.1", 1, wire="json")
+        SyncServiceClient("127.0.0.1", 1, wire=protocol.WIRE_BINARY)  # still accepted
 
 
 # -- fuzzing a live server -------------------------------------------------
@@ -252,6 +340,7 @@ def live_server(small_social):
 async def _send_raw(address, payload: bytes, close_after: bool = True):
     """Write raw bytes, read whatever comes back until EOF or timeout."""
     reader, writer = await asyncio.open_connection(*address)
+    frames = protocol.BufferedFrameReader(reader)
     responses = []
     try:
         writer.write(payload)
@@ -260,7 +349,7 @@ async def _send_raw(address, payload: bytes, close_after: bool = True):
             writer.write_eof()
         while True:
             try:
-                frame = await asyncio.wait_for(protocol.read_frame(reader), 3.0)
+                frame = await asyncio.wait_for(frames.read_frame(), 3.0)
             except (protocol.ProtocolError, asyncio.TimeoutError, ConnectionError):
                 break
             if frame is None:
@@ -279,8 +368,11 @@ async def _server_still_healthy(server) -> bool:
     """A fresh connection gets a real answer after the abuse."""
     reader, writer = await asyncio.open_connection(*server.address)
     try:
-        await protocol.write_frame(writer, protocol.request(99, "ping"))
-        response = await asyncio.wait_for(protocol.read_frame(reader), 3.0)
+        writer.write(protocol.encode_frame(protocol.request(99, "ping")))
+        await writer.drain()
+        response = await asyncio.wait_for(
+            protocol.BufferedFrameReader(reader).read_frame(), 3.0
+        )
         return bool(response and response.get("ok"))
     finally:
         writer.close()
@@ -358,20 +450,17 @@ class TestServerFuzz:
         async def go():
             async with live_server as server:
                 reader, writer = await asyncio.open_connection(*server.address)
+                frames = protocol.BufferedFrameReader(reader)
                 try:
-                    await protocol.write_frame(
-                        writer, protocol.request(1, "explode")
-                    )
-                    response = await asyncio.wait_for(
-                        protocol.read_frame(reader), 3.0
-                    )
+                    writer.write(protocol.encode_frame(protocol.request(1, "explode")))
+                    await writer.drain()
+                    response = await asyncio.wait_for(frames.read_frame(), 3.0)
                     assert response["error"]["code"] == protocol.BAD_REQUEST
                     # A malformed *request* (valid frame) is survivable:
                     # the same connection still serves.
-                    await protocol.write_frame(writer, protocol.request(2, "ping"))
-                    response = await asyncio.wait_for(
-                        protocol.read_frame(reader), 3.0
-                    )
+                    writer.write(protocol.encode_frame(protocol.request(2, "ping")))
+                    await writer.drain()
+                    response = await asyncio.wait_for(frames.read_frame(), 3.0)
                     assert response["ok"] is True
                 finally:
                     writer.close()
@@ -410,8 +499,9 @@ def _binary_frame(payload) -> bytes:
     return protocol.encode_frame(payload, protocol.WIRE_BINARY)
 
 
-#: Values every codec must carry identically (the closed protocol
-#: vocabulary: ints, strings, bools, None, floats, arrays, objects).
+#: Values the codec must carry exactly as a JSON round trip would (the
+#: closed protocol vocabulary: ints, strings, bools, None, floats, arrays,
+#: objects).
 _CODEC_CORPUS = [
     {},
     {"id": 1, "op": "ping", "args": {}},
@@ -430,15 +520,13 @@ _CODEC_CORPUS = [
 
 class TestBinaryCodec:
     def test_round_trip_corpus_and_json_parity(self):
-        """Both codecs decode every corpus payload to the same object."""
+        """Every corpus payload decodes to what a stdlib JSON round trip
+        gives."""
         for payload in _CODEC_CORPUS:
-            json_body = protocol.encode_json_body(payload)
-            binary_body = protocol.encode_binary_body(payload)
-            assert binary_body[0] == protocol.BINARY_MAGIC
-            assert protocol.detect_wire(binary_body) == protocol.WIRE_BINARY
-            assert protocol.detect_wire(json_body) == protocol.WIRE_JSON
-            via_json = protocol.decode_body(json_body)
-            via_binary = protocol.decode_body(binary_body)
+            frame = protocol.encode_frame(payload)
+            assert frame[4] == protocol.BINARY_MAGIC
+            via_json = json.loads(json.dumps(payload))
+            via_binary = protocol.decode_body(frame[4:])
             assert via_binary == via_json == payload
 
     def test_bools_survive_without_collapsing_to_ints(self):
@@ -452,8 +540,8 @@ class TestBinaryCodec:
 
     def test_non_string_keys_match_json_coercion(self):
         payload = {"m": {1: "a", True: "b", None: "c", 2.5: "d"}}
-        via_json = protocol.decode_body(protocol.encode_json_body(payload))
-        via_binary = protocol.decode_body(protocol.encode_binary_body(payload))
+        via_json = json.loads(json.dumps(payload))
+        via_binary = protocol.decode_body(protocol.encode_frame(payload)[4:])
         assert via_binary == via_json
 
     def test_bad_version_rejected(self):
@@ -505,41 +593,34 @@ class TestFrameSizeLimit:
     not only after materialising a 16 MiB body.
     """
 
-    def test_oversized_rejected_by_both_codecs(self):
+    def test_oversized_rejected(self):
         huge = {"blob": "x" * (protocol.MAX_FRAME_BYTES + 1)}
         with pytest.raises(protocol.ProtocolError):
-            protocol.encode_frame(huge, protocol.WIRE_JSON)
-        with pytest.raises(protocol.ProtocolError):
-            protocol.encode_frame(huge, protocol.WIRE_BINARY)
+            protocol.encode_frame(huge)
 
-    def test_just_under_limit_encodes_in_both_codecs(self):
+    def test_just_under_limit_encodes(self):
         # Leave room for framing, keys, and codec overhead.
         payload = {"blob": "x" * (protocol.MAX_FRAME_BYTES - 4096)}
-        for wire in (protocol.WIRE_JSON, protocol.WIRE_BINARY):
-            frame = protocol.encode_frame(payload, wire)
-            assert len(frame) - 4 <= protocol.MAX_FRAME_BYTES
-            assert protocol.decode_body(frame[4:]) == payload
+        frame = protocol.encode_frame(payload)
+        assert len(frame) - 4 <= protocol.MAX_FRAME_BYTES
+        assert protocol.decode_body(frame[4:]) == payload
 
     def test_oversized_int_array_rejected_incrementally(self):
         # 3M ints above 2**32 pack at 8 bytes each (~24 MiB): must
         # raise, and from the size guard, not a MemoryError.
         huge = {"xs": list(range(2**40, 2**40 + 3_000_000))}
         with pytest.raises(protocol.ProtocolError):
-            protocol.encode_frame(huge, protocol.WIRE_BINARY)
-        with pytest.raises(protocol.ProtocolError):
-            protocol.encode_frame(huge, protocol.WIRE_JSON)
+            protocol.encode_frame(huge)
 
 
 class TestCrossCodecFuzz:
     """The hostile-bytes fuzz corpus, replayed in binary framing against
-    a live server: bad frames get clean error answers (in a codec the
-    server can still choose) and never take the server down.
+    a live server: bad frames get clean error answers and never take the
+    server down.
     """
 
     def _hostile_bodies(self):
-        ping = protocol.encode_frame(
-            protocol.request(1, "ping"), protocol.WIRE_BINARY
-        )
+        ping = protocol.encode_frame(protocol.request(1, "ping"))
         return [
             ping[:-3],                                     # truncated body
             struct.pack(">I", protocol.MAX_FRAME_BYTES + 1)
@@ -590,57 +671,38 @@ class TestCrossCodecFuzz:
 
 
 class TestMixedCodecSessions:
-    def test_binary_and_json_clients_share_a_server(self, live_server):
-        """Two clients, two codecs, one server — identical answers."""
-        from repro.service.client import ServiceClient
+    def test_json_frame_gets_one_bad_request_then_close(self, live_server):
+        """A JSON body is not a frame the server can read: one binary
+        ``bad_request`` answer, then the connection closes; a fresh
+        connection is still served."""
 
         async def go():
             async with live_server as server:
-                host, port = server.address
-                jc = ServiceClient(host, port, wire=protocol.WIRE_JSON)
-                bc = ServiceClient(host, port, wire=protocol.WIRE_BINARY)
-                async with jc, bc:
-                    for v in range(0, 40, 3):
-                        a = await jc.call("neighbors", v=v)
-                        b = await bc.call("neighbors", v=v)
-                        assert a == b
-                    sa = await jc.call("stats")
-                    sb = await bc.call("stats")
-                    assert sa["num_edges"] == sb["num_edges"]
-
-        asyncio.run(go())
-
-    def test_one_connection_may_interleave_codecs(self, live_server):
-        """Per-frame codec detection: the response codec matches the
-        request codec on the same connection."""
-
-        async def go():
-            async with live_server as server:
+                body = json.dumps(protocol.request(1, "ping")).encode()
                 reader, writer = await asyncio.open_connection(*server.address)
-                frames = protocol.BufferedFrameReader(reader)
                 try:
-                    for i, wire in enumerate(
-                        ["json", "binary", "json", "binary"], start=1
-                    ):
-                        writer.write(
-                            protocol.encode_frame(protocol.request(i, "ping"), wire)
-                        )
-                        await writer.drain()
-                        response = await asyncio.wait_for(frames.read_frame(), 3.0)
-                        assert response["ok"] is True
-                        assert frames.last_wire == wire
+                    writer.write(struct.pack(">I", len(body)) + body)
+                    await writer.drain()
+                    tail = await asyncio.wait_for(reader.read(), 3.0)
                 finally:
                     writer.close()
                     try:
                         await writer.wait_closed()
                     except (ConnectionError, OSError):
                         pass
+                [answer] = list(protocol.FrameSplitter().feed(tail))  # then EOF
+                assert answer[0] == protocol.BINARY_MAGIC
+                response = protocol.decode_body(answer)
+                assert response["ok"] is False
+                assert response["error"]["code"] == protocol.BAD_REQUEST
+                assert server.metrics.counters["protocol_errors"] == 1
+                assert await _server_still_healthy(server)
 
         asyncio.run(go())
 
     def test_sync_client_speaks_binary(self, small_social):
-        """Blocking client: a ``wire="binary"`` client's first frame is its
-        first request, in binary — no probe precedes it."""
+        """Blocking client: its first frame is its first request, in
+        binary — no probe precedes it."""
         import threading
 
         from repro.core.tlp import TLPPartitioner
@@ -673,14 +735,11 @@ class TestMixedCodecSessions:
         thread.start()
         assert started.wait(10)
         try:
-            with SyncServiceClient(
-                *shared["addr"], wire=protocol.WIRE_BINARY
-            ) as client:
+            with SyncServiceClient(*shared["addr"]) as client:
                 result = client.call("neighbors", v=v)
                 assert set(result["neighbors"]) == small_social.neighbors(v)
-                (conn,) = server._conns
-                assert conn.last_wire == protocol.WIRE_BINARY
                 assert server.metrics.counters["requests_received"] == 1
+                assert not server.metrics.counters.get("protocol_errors")
         finally:
             loop.call_soon_threadsafe(shared["stop"].set)
             thread.join(timeout=10)

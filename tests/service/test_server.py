@@ -5,6 +5,7 @@ No pytest-asyncio in the toolchain — each test drives its own loop via
 """
 
 import asyncio
+import struct
 
 import pytest
 
@@ -299,12 +300,13 @@ class TestProtocolRobustness:
             async with PartitionServer(store) as server:
                 host, port = server.address
                 reader, writer = await asyncio.open_connection(host, port)
-                writer.write(protocol.encode_frame({"id": 1})[:4] + b"not json")
+                frames = protocol.BufferedFrameReader(reader)
+                writer.write(struct.pack(">I", 8) + b"not json")
                 await writer.drain()
-                response = await protocol.read_frame(reader)
+                response = await frames.read_frame()
                 assert response["ok"] is False
                 assert response["error"]["code"] == protocol.BAD_REQUEST
-                assert await protocol.read_frame(reader) is None  # dropped
+                assert await frames.read_frame() is None  # dropped
                 writer.close()
 
         asyncio.run(go())

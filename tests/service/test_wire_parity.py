@@ -1,14 +1,16 @@
-"""Binary/JSON wire parity: the acceptance suite for the frame codec.
+"""Wire parity: every store serves the same answers over the binary wire.
 
-The contract: a binary-wire client receives **the same answer** as a
-JSON-wire client for every operation — success results and errors,
-code *and* message — across every store (the CSR store, the dict-of-sets
-oracle, the ingest overlay).
+The contract: the CSR store, the dict-of-sets oracle
+(``tests/service/oracle.py``) and the ingest overlay over either give
+**the same answer** for every operation — success results and errors,
+code *and* message — and the oracle's served answers equal its
+in-process ones.
 
-"Same answer" is checked at the byte level: both decoded responses are
-re-encoded through the canonical JSON body encoder and compared as
-bytes, so a codec that silently coerced a type (bool -> int, bigint ->
-float) would fail even when ``==`` passes.
+"Same answer" is checked at the byte level: decoded responses are
+re-encoded through the canonical binary value encoder
+(``protocol.encode_value``) and compared as bytes, so a silent type
+coercion (bool -> int, bigint -> float) would fail even when ``==``
+passes.
 
 No pytest-asyncio in the toolchain — each test drives its own loop via
 ``asyncio.run``.
@@ -21,7 +23,8 @@ import pytest
 from repro.core.tlp import TLPPartitioner
 from repro.partitioning.serialization import save_partition
 from repro.service import protocol
-from repro.service.client import ServiceClient
+from repro.service.client import ServiceClient, ServiceError
+from repro.service.handler import ServiceHandler
 from repro.service.ingest import Ingestor
 from repro.service.server import PartitionServer
 from repro.service.store import PartitionStore, StoreManager
@@ -63,66 +66,77 @@ def _probe_requests(graph):
     return probes
 
 
-async def _collect(address, wire, probes):
-    """Answer every probe on one connection; return normalised response
-    records — success results verbatim, errors as (code, message)."""
-    from repro.service.client import ServiceError
+def _record(ok, result=None, epoch=None, code=None, message=None):
+    """One answer, normalised: results verbatim, errors as (code, message)."""
+    if ok:
+        return {"ok": True, "result": result, "epoch": epoch}
+    return {"ok": False, "code": code, "message": message}
 
-    client = ServiceClient(*address, max_retries=0, wire=wire)
+
+async def _collect(address, probes):
+    """Answer every probe on one binary connection."""
+    client = ServiceClient(*address, max_retries=0)
     bodies = []
     async with client:
         for op, args in probes:
             try:
                 result, epoch = await client.call_with_epoch(op, **args)
-                bodies.append({"ok": True, "result": result, "epoch": epoch})
+                bodies.append(_record(True, result, epoch))
             except ServiceError as exc:
-                bodies.append(
-                    {"ok": False, "code": exc.code, "message": str(exc)}
-                )
+                bodies.append(_record(False, code=exc.code, message=str(exc)))
     return bodies
 
 
-def _assert_byte_identical(json_bodies, binary_bodies, probes):
-    assert len(json_bodies) == len(binary_bodies) == len(probes)
-    for probe, a, b in zip(probes, json_bodies, binary_bodies):
-        ja = protocol.encode_json_body(a)
-        jb = protocol.encode_json_body(b)
-        assert ja == jb, f"codec divergence on {probe}: {a!r} != {b!r}"
+def _in_process(store, probes):
+    """The same probes answered by a handler in this process."""
+    handler = ServiceHandler(store)
+    bodies = []
+    for i, (op, args) in enumerate(probes):
+        response = handler.execute(protocol.request(i, op, args))
+        if response["ok"]:
+            bodies.append(_record(True, response["result"], response.get("epoch")))
+        else:
+            error = response["error"]
+            message = str(ServiceError(error["code"], error["message"]))
+            bodies.append(_record(False, code=error["code"], message=message))
+    return bodies
 
 
-def _run_parity(server_cm, graph):
-    probes = _probe_requests(graph)
+def _assert_byte_identical(left, right, probes):
+    assert len(left) == len(right) == len(probes)
+    for probe, a, b in zip(probes, left, right):
+        ea = protocol.encode_value(a)
+        eb = protocol.encode_value(b)
+        assert ea == eb, f"divergence on {probe}: {a!r} != {b!r}"
 
+
+def _serve(server_cm, probes):
     async def go():
         async with server_cm as server:
-            json_bodies = await _collect(server.address, "json", probes)
-            binary_bodies = await _collect(server.address, "binary", probes)
-        return json_bodies, binary_bodies
+            return await _collect(server.address, probes)
 
-    json_bodies, binary_bodies = asyncio.run(go())
-    _assert_byte_identical(json_bodies, binary_bodies, probes)
-    return json_bodies
+    return asyncio.run(go())
 
 
 class TestSingleProcessParity:
     def test_dict_backend(self, graph, bundle):
-        _run_parity(PartitionServer(DictStore.open(bundle)), graph)
+        """The oracle answers the same over the wire as in process."""
+        probes = _probe_requests(graph)
+        served = _serve(PartitionServer(DictStore.open(bundle)), probes)
+        oracle = _in_process(DictStore.open(bundle), probes)
+        _assert_byte_identical(served, oracle, probes)
 
     def test_csr_backend(self, graph, bundle):
         """The CSR store serves byte-identical answers to the dict oracle."""
-        served = _run_parity(PartitionServer(PartitionStore.open(bundle)), graph)
-        oracle = _run_parity(PartitionServer(DictStore.open(bundle)), graph)
-        _assert_byte_identical(served, oracle, _probe_requests(graph))
+        probes = _probe_requests(graph)
+        served = _serve(PartitionServer(PartitionStore.open(bundle)), probes)
+        oracle = _serve(PartitionServer(DictStore.open(bundle)), probes)
+        _assert_byte_identical(served, oracle, probes)
 
     def test_ingest_overlay(self, graph, bundle, tmp_path):
-        """Mutate first so reads are answered by the delta overlay."""
-        manager = StoreManager(PartitionStore.open(bundle))
-        ingestor = Ingestor.enable(
-            manager, tmp_path / "overlay-bundle", wal_path=tmp_path / "wal"
-        )
+        """Mutate first so reads are answered by the delta overlay, over
+        the CSR store and over the dict oracle alike."""
         fresh = 10_000
-        for i in range(8):
-            ingestor.insert_edge(fresh + i, fresh + i + 1)
         probes = _probe_requests(graph)
         probes += [
             ("neighbors", {"v": fresh}),
@@ -130,19 +144,23 @@ class TestSingleProcessParity:
             ("edge", {"u": fresh, "v": fresh + 1}),
             ("ingest_stats", {}),
         ]
-
-        async def go():
-            async with PartitionServer(manager, ingestor=ingestor) as server:
-                json_bodies = await _collect(server.address, "json", probes)
-                binary_bodies = await _collect(server.address, "binary", probes)
-            return json_bodies, binary_bodies
-
-        json_bodies, binary_bodies = asyncio.run(go())
-        # ingest_stats reports wal fsync timings — drop the volatile
-        # fields but keep the structural ones.
-        for bodies in (json_bodies, binary_bodies):
+        answers = []
+        for name, store in (
+            ("csr", PartitionStore.open(bundle)),
+            ("dict", DictStore.open(bundle)),
+        ):
+            manager = StoreManager(store)
+            ingestor = Ingestor.enable(
+                manager, tmp_path / f"{name}-overlay", wal_path=tmp_path / f"{name}-wal"
+            )
+            for i in range(8):
+                ingestor.insert_edge(fresh + i, fresh + i + 1)
+            bodies = _serve(PartitionServer(manager, ingestor=ingestor), probes)
+            # ingest_stats reports wal fsync timings — drop the volatile
+            # fields but keep the structural ones.
             result = bodies[-1].get("result") or {}
             for key in list(result):
                 if "seconds" in key or "bytes" in key:
                     result.pop(key)
-        _assert_byte_identical(json_bodies, binary_bodies, probes)
+            answers.append(bodies)
+        _assert_byte_identical(*answers, probes)

@@ -58,6 +58,15 @@ class TestMain:
         assert main([str(path), "-p", "4", "--algorithm", "Nope"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_unknown_algorithm_is_named_before_the_input_is_read(
+        self, tmp_path, capsys
+    ):
+        missing = tmp_path / "nothing.txt"
+        assert main([str(missing), "-p", "2", "--algorithm", "Nope"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown partitioner" in err
+        assert "cannot read" not in err
+
     def test_missing_file_fails(self, tmp_path, capsys):
         assert main([str(tmp_path / "nothing.txt"), "-p", "2"]) == 2
         assert "cannot read" in capsys.readouterr().err
