@@ -1,9 +1,9 @@
 """Replication-refinement bench — the library's post-processing extension.
 
 The paper's conclusion anticipates further quality improvements; this bench
-measures what greedy RF refinement buys on top of each Fig. 8 algorithm,
-and verifies TLP is already near the refinement fixpoint (evidence its
-local growth leaves little greedy slack on the table).
+measures what local-search RF refinement (boundary moves and pair swaps)
+buys on top of each Fig. 8 algorithm, and verifies TLP is already near the
+refinement fixpoint (evidence its local growth leaves little on the table).
 """
 
 import pytest
@@ -11,10 +11,10 @@ import pytest
 from benchmarks.conftest import write_artifact
 from repro.bench.report import render_table
 from repro.partitioning.metrics import replication_factor
-from repro.partitioning.refinement import refine_replication
+from repro.partitioning.refine import LocalSearchRefiner
 from repro.partitioning.registry import PAPER_ALGORITHMS, make_partitioner
 
-SLACK = 1.05
+REFINER = LocalSearchRefiner(slack=1.05)
 
 
 @pytest.fixture(scope="module")
@@ -23,16 +23,20 @@ def refinement_rows(g4):
     table = []
     for name in PAPER_ALGORITHMS:
         before = make_partitioner(name, seed=0).partition(g4, 10)
-        refined, stats = refine_replication(before, slack=SLACK)
+        refined, stats = REFINER.refine(before)
         refined.validate_against(g4)
         rf_before = replication_factor(before, g4)
         rf_after = replication_factor(refined, g4)
-        rows[name] = (rf_before, rf_after, stats.moves)
-        table.append([name, rf_before, rf_after, rf_before - rf_after, stats.moves])
+        rows[name] = (rf_before, rf_after, stats.applied)
+        table.append(
+            [name, rf_before, rf_after, rf_before - rf_after, stats.moves, stats.swaps]
+        )
     table.sort(key=lambda row: row[2])
     write_artifact(
         "refinement.txt",
-        render_table(["algorithm", "RF before", "RF after", "gain", "moves"], table),
+        render_table(
+            ["algorithm", "RF before", "RF after", "gain", "moves", "swaps"], table
+        ),
     )
     return rows
 
@@ -71,6 +75,6 @@ def test_tlp_near_fixpoint(benchmark, refinement_rows):
 def test_refinement_kernel(benchmark, g4):
     before = make_partitioner("Random", seed=0).partition(g4, 10)
     refined, stats = benchmark.pedantic(
-        lambda: refine_replication(before, slack=SLACK), rounds=3, iterations=1
+        lambda: REFINER.refine(before), rounds=3, iterations=1
     )
     assert stats.replicas_saved > 0

@@ -655,13 +655,6 @@ def _build_refine_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--no-verify", action="store_true", help="skip manifest checksum checks"
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="thread-pool size for rewriting the bundle (default: serial)",
-    )
     return parser
 
 
@@ -675,7 +668,6 @@ def refine_main(argv: List[str]) -> int:
             args.directory,
             output=args.output,
             verify=not args.no_verify,
-            workers=args.workers,
             capacity=args.capacity,
             slack=args.slack,
             epsilon=args.epsilon,

@@ -30,9 +30,9 @@ suite to cover both paths), ``REPRO_NATIVE_CACHE`` to move the build
 cache.
 
 **Threading.** The kernel is loaded with :class:`ctypes.CDLL`, so every
-``tlp_grow_episode`` call releases the GIL for its whole duration —
-growth jobs fanned out by :func:`repro.core.parallel.partition_many`
-overlap their episodes on separate cores.  The kernel itself keeps no
+``tlp_grow_episode`` call releases the GIL for its whole duration, so
+growth jobs on separate threads overlap their episodes on separate
+cores.  The kernel itself keeps no
 global state: everything it reads or writes lives in the
 :class:`GrowState` (or :class:`StreamState`) struct it is handed, so
 concurrent calls are safe as long as each thread passes its own state

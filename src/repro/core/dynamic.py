@@ -5,25 +5,27 @@ The paper's introduction motivates local partitioning with graphs that
 piece: once a graph has been partitioned (by TLP or anything else), newly
 arriving edges are placed **online** without re-partitioning.
 
-Placement rule per new edge ``(u, v)``: among partitions with capacity
-headroom, choose the one minimising the number of *new replicas* created
-(0 if it already hosts both endpoints, 1 if one, 2 if neither), breaking
-ties toward the least-loaded partition — the same cost model as
-:mod:`repro.partitioning.refinement`, applied prospectively.  Capacity grows
-with the graph: ``C = ceil(slack * m_current / p)``.
+Placement rule per new edge ``(u, v)``: PowerGraph's greedy rule
+(:func:`~repro.partitioning.scoring.greedy_choice`) over the partitions
+with capacity headroom — a partition hosting both endpoints, else one
+hosting either, else any — least-loaded first, ties to the lowest id.
+When every partition is at capacity, all of them are candidates.
+Capacity grows with the graph: ``C = ceil(slack * m_current / p)``.
 
 When quality drifts (the online rule is greedy), call :meth:`refresh` to run
-the replication-refinement pass in place.
+the local-search refiner (:class:`~repro.partitioning.refine.
+LocalSearchRefiner`) in place.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List
 
 from repro.graph.graph import Edge, Graph, normalize_edge
 from repro.partitioning.assignment import EdgePartition
-from repro.partitioning.refinement import refine_replication
+from repro.partitioning.refine import LocalSearchRefiner
+from repro.partitioning.scoring import greedy_choice
 from repro.utils.validation import check_positive
 
 
@@ -36,6 +38,11 @@ class DynamicPartitioner:
         self._p = partition.num_partitions
         check_positive("num_partitions", self._p)
         self.slack = slack
+        self._load(partition)
+        self.insertions = 0
+
+    def _load(self, partition: EdgePartition) -> None:
+        """Rebuild the edge map, sizes and incidence rows from ``partition``."""
         self._edge_part: Dict[Edge, int] = dict(partition.edge_to_partition())
         self._sizes: List[int] = list(partition.partition_sizes())
         self._incident: Dict[int, Dict[int, int]] = {}
@@ -43,7 +50,6 @@ class DynamicPartitioner:
             for w in edge:
                 row = self._incident.setdefault(w, {})
                 row[k] = row.get(k, 0) + 1
-        self.insertions = 0
 
     @classmethod
     def from_graph(
@@ -104,26 +110,14 @@ class DynamicPartitioner:
         edge = normalize_edge(u, v)
         if edge in self._edge_part:
             raise ValueError(f"edge {edge} is already partitioned")
-        cap = max(self.capacity(), 1)
-        row_u = self._incident.get(u, {})
-        row_v = self._incident.get(v, {})
-        candidates: Set[int] = set(row_u) | set(row_v)
-        best_k = -1
-        best_key: Tuple[int, int] = (3, 0)
-        for k in candidates:
-            if self._sizes[k] >= cap:
-                continue
-            cost = (k not in row_u) + (k not in row_v)
-            key = (cost, self._sizes[k])
-            if key < best_key:
-                best_key = key
-                best_k = k
-        if best_k < 0 or best_key[0] >= 2:
-            # No replica can be saved (or hosts are full): least-loaded wins,
-            # preferring any candidate partition under the cap.
-            under_cap = [k for k in range(self._p) if self._sizes[k] < cap]
-            pool = under_cap or list(range(self._p))
-            best_k = min(pool, key=lambda k: self._sizes[k])
+        cap = self.capacity()
+        under_cap = [k for k in range(self._p) if self._sizes[k] < cap]
+        best_k = greedy_choice(
+            self._incident.get(u, {}).keys(),
+            self._incident.get(v, {}).keys(),
+            self._sizes,
+            under_cap or range(self._p),
+        )
         self._edge_part[edge] = best_k
         self._sizes[best_k] += 1
         for w in (u, v):
@@ -137,15 +131,8 @@ class DynamicPartitioner:
         return [self.add_edge(u, v) for u, v in edges]
 
     def refresh(self, max_passes: int = 4) -> int:
-        """Run replication refinement in place; returns replicas saved."""
-        refined, stats = refine_replication(
-            self.snapshot(), max_passes=max_passes, slack=self.slack
-        )
-        self._edge_part = dict(refined.edge_to_partition())
-        self._sizes = list(refined.partition_sizes())
-        self._incident = {}
-        for edge, k in self._edge_part.items():
-            for w in edge:
-                row = self._incident.setdefault(w, {})
-                row[k] = row.get(k, 0) + 1
+        """Run local-search refinement in place; returns replicas saved."""
+        refiner = LocalSearchRefiner(slack=self.slack, max_passes=max_passes)
+        refined, stats = refiner.refine(self.snapshot())
+        self._load(refined)
         return stats.replicas_saved

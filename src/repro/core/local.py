@@ -9,12 +9,11 @@ TLP_R and the one-stage ablations; everything else (seeding, allocation,
 capacity, reseeding, telemetry) is shared here.
 
 Growth rounds are sequential by definition — each round consumes the
-residual the previous round left — so parallelism lives one level up:
-:func:`repro.core.parallel.partition_many` runs *independent*
-``partition()`` jobs (seed sweeps, benchmark repetitions, per-dataset
-builds) on a thread pool, one job per worker, each bit-identical to its
-own sequential run.  Use one :class:`LocalEdgePartitioner` instance per
-job; ``last_telemetry`` is recorded on the instance.
+residual the previous round left — so parallelism lives one level up, in
+*independent* ``partition()`` jobs (seed sweeps, benchmark repetitions,
+per-dataset builds), each bit-identical to its own sequential run.  Use
+one :class:`LocalEdgePartitioner` instance per job; ``last_telemetry``
+is recorded on the instance.
 """
 
 from __future__ import annotations

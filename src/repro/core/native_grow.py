@@ -14,8 +14,8 @@ ratio, fixed) are supported; :meth:`NativeRunner.try_create` returns
 A runner is **single-threaded by construction** — it owns one
 ``GrowState`` and one set of scratch buffers — but *different* runners
 are independent, and the ``ctypes`` episode call drops the GIL, so
-independent ``partition()`` jobs grow concurrently on real cores via
-:func:`repro.core.parallel.partition_many` (one job per worker thread).
+independent ``partition()`` jobs grow concurrently on real cores, one
+job per thread.
 """
 
 from __future__ import annotations

@@ -1,10 +1,8 @@
 """Deterministic thread-pool helpers for per-partition work.
 
-Three layers of the repo fan work out over the partitions of a bundle —
-growth (independent ``partition()`` jobs), ``save_partition`` (one edge
-file + CSR block per partition), and the compaction fold (one filtered
-edge list per partition).  All of them share the same shape: N pure,
-index-addressed jobs whose results merge by ascending index.  This
+``save_partition`` and ``build_partition_csr`` fan work out over the
+partitions of a bundle (one edge file + CSR block per partition): N
+pure, index-addressed jobs whose results merge by ascending index.  This
 module is that shape, once.
 
 Determinism contract: :func:`parallel_map` returns *exactly*
@@ -14,21 +12,19 @@ order, so the merged output is bit-identical to the sequential path no
 matter how the scheduler interleaves the workers.  The parity tests pin
 this with sha256 digests over saved bundles.
 
-Threads, not processes: the heavy kernels already drop the GIL —
-``ctypes`` foreign calls (the compiled TLP grow episode) release it for
-the duration of the call, and numpy releases it inside large array ops
-(the ``lexsort``/``searchsorted`` passes of CSR block construction) — so
+Threads, not processes: numpy releases the GIL inside large array ops
+(the ``lexsort``/``searchsorted`` passes of CSR block construction), so
 a thread per partition overlaps real work on multi-core hosts without
-pickling graphs across process boundaries.  Pure-Python jobs (the dict
-fold) still interleave under the GIL; they stay correct, just not
-faster, which is exactly what a 1-core CI box sees too.
+pickling arrays across process boundaries.  Pure-Python parts of a job
+still interleave under the GIL; they stay correct, just not faster,
+which is exactly what a 1-core CI box sees too.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Iterable, List, Optional, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -70,32 +66,3 @@ def parallel_map(
     with ThreadPoolExecutor(max_workers=n, thread_name_prefix="repro-part") as pool:
         return list(pool.map(fn, items))
 
-
-def partition_many(
-    jobs: Sequence[Tuple[object, object, int]],
-    workers: Optional[int] = None,
-) -> List[object]:
-    """Run independent ``(partitioner, graph, num_partitions)`` growth jobs.
-
-    Each job calls ``partitioner.partition(graph, num_partitions)`` on
-    its own thread; the returned list is ordered by job index.  Because
-    the jobs share no mutable state, every result is bit-identical to
-    running that job alone — the merge is trivially deterministic.
-
-    The compiled TLP kernel makes this worthwhile: ``ctypes`` releases
-    the GIL around every ``tlp_grow_episode`` call and each
-    :class:`~repro.core.native_grow.NativeRunner` owns its scratch
-    buffers, so two growth jobs overlap their episodes on separate
-    cores.  **Pass a distinct partitioner instance per job** — a
-    partitioner records ``last_telemetry`` on itself, so sharing one
-    across concurrent jobs races on that field.
-    """
-    seen = {id(job[0]) for job in jobs}
-    if len(seen) != len(jobs):
-        raise ValueError(
-            "partition_many requires a distinct partitioner instance per "
-            "job (telemetry is recorded on the partitioner)"
-        )
-    return parallel_map(
-        lambda job: job[0].partition(job[1], job[2]), jobs, workers
-    )

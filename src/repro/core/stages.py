@@ -28,8 +28,7 @@ class StagePolicy(abc.ABC):
 
     Policies are read-only after construction (``stage()`` must not
     mutate the policy), which makes one instance safe to share between
-    the growth jobs :func:`repro.core.parallel.partition_many` runs
-    concurrently — the native kernel encodes the policy into its own
+    growth jobs running concurrently — the native kernel encodes the policy into its own
     per-runner state anyway.  A custom subclass that accumulates state
     across calls must get its own instance per job.
     """

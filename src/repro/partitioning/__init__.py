@@ -28,7 +28,6 @@ from repro.partitioning.metrics import (
 from repro.partitioning.ne import NEPartitioner
 from repro.partitioning.random_edge import RandomPartitioner
 from repro.partitioning.rebalance import rebalance
-from repro.partitioning.refinement import RefinementStats, refine_replication
 from repro.partitioning.serialization import load_partition, save_partition
 from repro.partitioning.registry import (
     EXTENDED_ALGORITHMS,
@@ -73,8 +72,6 @@ __all__ = [
     "NEPartitioner",
     "RandomPartitioner",
     "rebalance",
-    "RefinementStats",
-    "refine_replication",
     "load_partition",
     "save_partition",
     "EXTENDED_ALGORITHMS",

@@ -27,12 +27,10 @@ Partition with Effective Local Search" (see PAPERS.md):
   the identical result.  The property suite pins this.
 * **Stopping.**  A pass is one heap drain plus one swap phase.  The
   refiner stops at a fixpoint (no improving move or swap), when a pass
-  improves RF by less than ``epsilon``, at ``max_passes``, or when a
-  ``max_moves`` budget runs out — whichever comes first, recorded in
-  :attr:`RefineStats.converged`.
+  improves RF by less than ``epsilon``, or at ``max_passes`` —
+  whichever comes first, recorded in :attr:`RefineStats.converged`.
 
-The capacity bound mirrors :func:`repro.partitioning.refinement.
-refine_replication`: by default ``ceil(slack * m / p)``, floored at the
+The capacity bound is by default ``ceil(slack * m / p)``, floored at the
 input's largest partition so refinement never *worsens* an unbalanced
 input.  Balance can only improve or stay.
 
@@ -101,7 +99,7 @@ class RefineStats:
     capacity: int
     seconds: float
     #: ``"fixpoint"`` (no improving move/swap), ``"epsilon"`` (pass gain
-    #: under the threshold), ``"max_passes"``, or ``"move_budget"``.
+    #: under the threshold), or ``"max_passes"``.
     converged: str
 
     @property
@@ -171,16 +169,12 @@ class LocalSearchRefiner:
     ``epsilon``
         Stop when a full pass improves RF by less than this (``0.0`` =
         run to the exact fixpoint).
-    ``max_passes`` / ``max_moves``
-        Hard bounds on work; ``max_moves=0`` means unbounded (negative
-        values are rejected).
+    ``max_passes``
+        Hard bound on the number of passes.
     ``swaps``
-        Enable the capacity-neutral pair-swap phase.
-    ``swap_limit``
-        Max swap *attempts* per pass (``0`` = try every blocked
-        candidate; negative values are rejected).  Each attempt scores
-        the target partition's whole edge set in one vectorised pass, so
-        a pass costs ``O(attempts * m)`` array work; the cap bounds it.
+        Enable the capacity-neutral pair-swap phase.  Each swap attempt
+        scores the target partition's whole edge set in one vectorised
+        pass, so a swap phase costs ``O(attempts * m)`` array work.
     """
 
     def __init__(
@@ -189,9 +183,7 @@ class LocalSearchRefiner:
         slack: float = 1.0,
         epsilon: float = 0.0,
         max_passes: int = 8,
-        max_moves: int = 0,
         swaps: bool = True,
-        swap_limit: int = 0,
     ) -> None:
         if slack < 1.0:
             raise ValueError(f"slack must be >= 1.0, got {slack}")
@@ -201,17 +193,11 @@ class LocalSearchRefiner:
             raise ValueError(f"max_passes must be >= 1, got {max_passes}")
         if capacity < 0:
             raise ValueError(f"capacity must be >= 0, got {capacity}")
-        if max_moves < 0:
-            raise ValueError(f"max_moves must be >= 0, got {max_moves}")
-        if swap_limit < 0:
-            raise ValueError(f"swap_limit must be >= 0, got {swap_limit}")
         self.capacity = capacity
         self.slack = slack
         self.epsilon = epsilon
         self.max_passes = max_passes
-        self.max_moves = max_moves
         self.swaps = swaps
-        self.swap_limit = swap_limit
 
     # -- public API --------------------------------------------------------
 
@@ -231,17 +217,9 @@ class LocalSearchRefiner:
         for _ in range(self.max_passes):
             passes += 1
             saved_before = state.replicas
-            budget = self._remaining_budget(state)
-            if budget == 0:
-                converged = "move_budget"
-                break
-            state.drain_moves(budget)
+            state.drain_moves()
             if self.swaps:
-                budget = self._remaining_budget(state)
-                if budget == 0:
-                    converged = "move_budget"
-                    break
-                state.drain_swaps(budget, self.swap_limit)
+                state.drain_swaps()
             pass_saved = saved_before - state.replicas
             if pass_saved == 0:
                 converged = "fixpoint"
@@ -250,8 +228,6 @@ class LocalSearchRefiner:
                 if pass_saved / state.covered < self.epsilon:
                     converged = "epsilon"
                     break
-        if self._remaining_budget(state) == 0 and self.max_moves:
-            converged = "move_budget"
         refined = state.to_partition()
         stats = RefineStats(
             passes=passes,
@@ -265,12 +241,6 @@ class LocalSearchRefiner:
             converged=converged,
         )
         return refined, stats
-
-    def _remaining_budget(self, state: "_State") -> int:
-        """Moves+swaps still allowed (-1 = unbounded)."""
-        if not self.max_moves:
-            return -1
-        return max(0, self.max_moves - state.moves - state.swaps)
 
 
 def refine_partition(
@@ -434,8 +404,8 @@ class _State:
 
     # -- the move drain ----------------------------------------------------
 
-    def drain_moves(self, budget: int) -> None:
-        """Apply positive-gain moves until none remain (or budget ends).
+    def drain_moves(self) -> None:
+        """Apply positive-gain moves until none remain.
 
         Lazy heap of ``(-gain, edge, target)``: every pop is re-scored
         against the live state; a stale entry re-enqueues its fresh score
@@ -452,8 +422,6 @@ class _State:
             heap.extend(self._heap_entries(np.arange(start, min(m, start + step))))
         heapq.heapify(heap)
         while heap:
-            if budget == 0:
-                return
             neg_gain, edge, target = heapq.heappop(heap)
             gain, best_target = self.best_move(edge, respect_capacity=True)
             if best_target < 0:
@@ -464,8 +432,6 @@ class _State:
                 continue
             self.apply_move(edge, best_target)
             self.moves += 1
-            if budget > 0:
-                budget -= 1
             self.blocked.pop(edge, None)
             u, v = self.eu[edge], self.ev[edge]
             others = np.concatenate(
@@ -502,7 +468,7 @@ class _State:
 
     # -- the swap phase ----------------------------------------------------
 
-    def drain_swaps(self, budget: int, swap_limit: int) -> None:
+    def drain_swaps(self) -> None:
         """Pair capacity-blocked moves with counter-moves (sizes neutral).
 
         For a blocked candidate ``e: A -> B`` the phase tentatively
@@ -518,16 +484,10 @@ class _State:
             self.blocked.items(), key=lambda item: (-item[1], item[0])
         )
         self.blocked.clear()
-        attempts = 0
         for edge, _recorded in candidates:
-            if budget == 0:
-                return
-            if swap_limit and attempts >= swap_limit:
-                return
             gain, target = self.best_move(edge, respect_capacity=False)
             if target < 0 or self.sizes[target] < self.capacity:
                 continue  # no longer blocked; the next move drain takes it
-            attempts += 1
             source = int(self.epart[edge])
             before = self.replicas
             self.apply_move(edge, target)
@@ -538,8 +498,6 @@ class _State:
             self.apply_move(counter, source)
             if self.replicas < before:
                 self.swaps += 1
-                if budget > 0:
-                    budget -= 1
             else:  # combined delta not an improvement: roll both back
                 self.apply_move(counter, target)
                 self.apply_move(edge, source)
@@ -585,14 +543,11 @@ def refine_bundle(
     output: Optional[PathLike] = None,
     *,
     verify: bool = True,
-    workers: Optional[int] = None,
     capacity: int = 0,
     slack: float = 1.0,
     epsilon: float = 0.0,
     max_passes: int = 8,
-    max_moves: int = 0,
     swaps: bool = True,
-    swap_limit: int = 0,
 ) -> Tuple[Path, RefineStats]:
     """Refine the bundle at ``directory``; returns ``(manifest, stats)``.
 
@@ -625,9 +580,7 @@ def refine_bundle(
         slack=slack,
         epsilon=epsilon,
         max_passes=max_passes,
-        max_moves=max_moves,
         swaps=swaps,
-        swap_limit=swap_limit,
     )
     refined, stats = refiner.refine(partition)
     from repro.partitioning.serialization import partition_metadata
@@ -641,9 +594,7 @@ def refine_bundle(
     if "replication_factor" in metadata:
         metadata["replication_factor"] = round(stats.rf_after, 6)
     destination = directory if output is None else Path(output)
-    manifest = _save_refined_atomically(
-        refined, destination, metadata=metadata, workers=workers
-    )
+    manifest = _save_refined_atomically(refined, destination, metadata=metadata)
     return manifest, stats
 
 
@@ -652,7 +603,6 @@ def _save_refined_atomically(
     destination: Path,
     *,
     metadata: Dict[str, object],
-    workers: Optional[int],
 ) -> Path:
     """``save_partition`` with all-or-nothing publication.
 
@@ -692,7 +642,7 @@ def _save_refined_atomically(
         tempfile.mkdtemp(prefix=destination.name + ".refine-", dir=destination.parent)
     )
     try:
-        save_partition(partition, stage, metadata=metadata, workers=workers)
+        save_partition(partition, stage, metadata=metadata)
         if not destination.exists():
             os.rename(stage, destination)
             return publish(destination.parent)

@@ -30,7 +30,7 @@ and bit-neutral when unused:
 
 from __future__ import annotations
 
-from typing import Container, List, Optional, Sequence, Set
+from typing import AbstractSet, Container, List, Optional, Sequence
 
 
 def hdrf_ties(
@@ -79,8 +79,8 @@ def hdrf_ties(
 
 
 def greedy_choice(
-    replicas_u: Set[int],
-    replicas_v: Set[int],
+    replicas_u: AbstractSet[int],
+    replicas_v: AbstractSet[int],
     sizes: Sequence[int],
     candidates: Sequence[int],
 ) -> int:
@@ -94,7 +94,7 @@ def greedy_choice(
     hosts_v = replicas_v & allowed
     both = hosts_u & hosts_v
     if both:
-        pool: Set[int] = both
+        pool: AbstractSet[int] = both
     elif hosts_u and hosts_v:
         pool = hosts_u | hosts_v
     elif hosts_u or hosts_v:

@@ -384,7 +384,7 @@ def has_sidecar(directory: PathLike) -> bool:
 
 
 def load_sidecar(
-    directory: PathLike, verify: bool = True, mmap: bool = True
+    directory: PathLike, verify: bool = True
 ) -> "csr_bundle.PartitionCSR":
     """Load the CSR sidecar of the bundle at ``directory``.
 
@@ -414,7 +414,7 @@ def load_sidecar(
         checksum = csr_bundle.sidecar_checksum(path)
         if checksum != entry.get("checksum"):
             raise ValueError(f"{path.name}: checksum mismatch (corrupt sidecar?)")
-    csr = csr_bundle.read_sidecar(path, mmap=mmap)
+    csr = csr_bundle.read_sidecar(path)
     if csr.num_partitions != manifest.get("num_partitions"):
         raise ValueError(
             f"{path.name}: sidecar has {csr.num_partitions} partitions, "

@@ -1,12 +1,6 @@
 """Distributed graph-computation simulator (PowerGraph-style GAS engine)."""
 
 from repro.runtime.engine import EngineResult, GASEngine
-from repro.runtime.loader import (
-    BundlePartitionView,
-    CSRMachineAdjacency,
-    CSRReplicationTable,
-    load_engine,
-)
 from repro.runtime.programs import (
     ConnectedComponents,
     GASProgram,
@@ -27,12 +21,8 @@ from repro.runtime.stats import (
 )
 
 __all__ = [
-    "BundlePartitionView",
-    "CSRMachineAdjacency",
-    "CSRReplicationTable",
     "EngineResult",
     "GASEngine",
-    "load_engine",
     "ConnectedComponents",
     "GASProgram",
     "KCoreDecomposition",

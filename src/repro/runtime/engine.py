@@ -67,18 +67,15 @@ class GASEngine:
         program: GASProgram,
         *,
         verify: bool = True,
-        mmap: bool = True,
     ) -> "GASEngine":
         """Open a ``save_partition`` bundle as a ready-to-run engine.
 
-        Memory-maps the bundle's CSR sidecar when present (see
-        :mod:`repro.runtime.loader`) instead of re-parsing text edge
-        lists and rebuilding the replication dicts; results are
-        bit-identical to the dict path.
+        Loads the bundle with :func:`~repro.partitioning.serialization.
+        load_partition` (manifest-verified unless ``verify=False``).
         """
-        from repro.runtime.loader import load_engine
+        from repro.partitioning.serialization import load_partition
 
-        return load_engine(directory, graph, program, verify=verify, mmap=mmap)
+        return cls(graph, load_partition(directory, verify=verify), program)
 
     # -- execution -----------------------------------------------------------
 

@@ -36,6 +36,26 @@ class TestAddEdge:
         dyn = DynamicPartitioner(part, slack=2.0)
         assert dyn.add_edge(100, 200) == 1
 
+    def test_tie_goes_to_lowest_id(self):
+        """Partitions 1 and 8 both host both endpoints at equal load."""
+        parts = [[(100 + k, 200 + k), (300 + k, 400 + k)] for k in range(10)]
+        parts[1] = [(0, 10), (1, 11)]
+        parts[8] = [(0, 12), (1, 13)]
+        dyn = DynamicPartitioner(EdgePartition(parts))
+        assert dyn.add_edge(0, 1) == 1
+
+    def test_all_partitions_full_falls_back_to_least_loaded(self):
+        """slack 1.0 and m = p * C: every partition sits at its cap."""
+        p, cap = 4, 3
+        parts = [
+            [(1000 * k + i, 1000 * k + i + 1) for i in range(cap)] for k in range(p)
+        ]
+        dyn = DynamicPartitioner(EdgePartition(parts), slack=1.0)
+        assert dyn.capacity() == cap
+        assert all(size == cap for size in dyn.snapshot().partition_sizes())
+        assert dyn.add_edge(-1, -2) == 0  # all tie on load: lowest id
+        assert dyn.add_edge(-3, -4) == 1  # partition 0 is now the fullest
+
     def test_duplicate_rejected(self):
         part = EdgePartition([[(0, 1)], []])
         dyn = DynamicPartitioner(part)

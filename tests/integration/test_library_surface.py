@@ -101,13 +101,13 @@ class TestUsageCookbookFlows:
         from repro.partitioning import (
             RandomPartitioner,
             rebalance,
-            refine_replication,
             replication_factor,
         )
+        from repro.partitioning.refine import LocalSearchRefiner
 
         rough = RandomPartitioner(seed=0, balanced=False).partition(communities, 6)
         balanced = rebalance(rough)
-        refined, stats = refine_replication(balanced, slack=1.1)
+        refined, stats = LocalSearchRefiner(slack=1.1).refine(balanced)
         assert replication_factor(refined, communities) <= replication_factor(
             rough, communities
         )

@@ -142,8 +142,8 @@ class DictState:
 
     # -- the move drain ----------------------------------------------------
 
-    def drain_moves(self, budget: int) -> None:
-        """Apply positive-gain moves until none remain (or budget ends).
+    def drain_moves(self) -> None:
+        """Apply positive-gain moves until none remain.
 
         Lazy heap: every pop is re-scored against the live state; a
         stale entry re-enqueues its fresh score instead of acting on an
@@ -160,8 +160,6 @@ class DictState:
             self._note_blocked(edge)
         heapq.heapify(heap)
         while heap:
-            if budget == 0:
-                return
             neg_gain, edge, target = heapq.heappop(heap)
             gain, best_target = self.best_move(edge, respect_capacity=True)
             if best_target < 0:
@@ -172,8 +170,6 @@ class DictState:
                 continue
             self.apply_move(edge, best_target)
             self.moves += 1
-            if budget > 0:
-                budget -= 1
             self.blocked.pop(edge, None)
             for w in edge:
                 for other in self.vertex_edges[w]:
@@ -196,7 +192,7 @@ class DictState:
 
     # -- the swap phase ----------------------------------------------------
 
-    def drain_swaps(self, budget: int, swap_limit: int) -> None:
+    def drain_swaps(self) -> None:
         """Pair capacity-blocked moves with counter-moves (sizes neutral).
 
         For a blocked candidate ``e: A -> B`` the phase tentatively
@@ -212,16 +208,10 @@ class DictState:
             self.blocked.items(), key=lambda item: (-item[1], item[0])
         )
         self.blocked.clear()
-        attempts = 0
         for edge, _recorded in candidates:
-            if budget == 0:
-                return
-            if swap_limit and attempts >= swap_limit:
-                return
             gain, target = self.best_move(edge, respect_capacity=False)
             if target < 0 or self.sizes[target] < self.capacity:
                 continue  # no longer blocked; the next move drain takes it
-            attempts += 1
             source = self.edge_part[edge]
             before = self.replicas
             self.apply_move(edge, target)
@@ -233,8 +223,6 @@ class DictState:
             self.apply_move(counter_edge, source)
             if self.replicas < before:
                 self.swaps += 1
-                if budget > 0:
-                    budget -= 1
             else:  # combined delta not an improvement: roll both back
                 self.apply_move(counter_edge, target)
                 self.apply_move(edge, source)

@@ -1,8 +1,10 @@
 """Determinism of the thread-pool build paths.
 
-Parallel ``save_partition`` / ``build_partition_csr`` /
-``partition_many`` must be *byte-identical* to the sequential path — the
-thread pool is a pure latency optimisation, never a semantic one.  The
+Parallel ``save_partition`` / ``build_partition_csr`` must be
+*byte-identical* to the sequential path — the thread pool is a pure
+latency optimisation, never a semantic one.  Growth jobs run on threads
+must equal their solo runs too: the compiled kernel drops the GIL, so
+concurrent ``partition()`` calls really overlap.  The
 bundle checks hash every file (edge lists, sidecar, manifest) so even a
 reordered manifest entry or a torn sidecar array would fail.
 """
@@ -13,7 +15,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core.parallel import parallel_map, partition_many, resolve_workers
+from repro.core.parallel import parallel_map, resolve_workers
 from repro.core.stages import ModularityStagePolicy
 from repro.core.tlp import TLPPartitioner
 from repro.partitioning.csr_bundle import build_partition_csr
@@ -107,10 +109,15 @@ class TestParallelSave:
             assert np.array_equal(sx, px)
 
 
+def _grow(job):
+    partitioner, graph = job
+    return partitioner.partition(graph, P)
+
+
 class TestParallelGrowth:
     def test_threaded_jobs_match_sequential(self, graph):
-        jobs = [(TLPPartitioner(seed=s), graph, P) for s in (0, 1)]
-        threaded = partition_many(jobs, workers=2)
+        jobs = [(TLPPartitioner(seed=s), graph) for s in (0, 1)]
+        threaded = parallel_map(_grow, jobs, workers=2)
         # Recompute each job alone and compare edge lists exactly.
         for seed, result in zip((0, 1), threaded):
             alone = TLPPartitioner(seed=seed).partition(graph, P)
@@ -121,15 +128,10 @@ class TestParallelGrowth:
     def test_mixed_backends_agree_under_threads(self, graph):
         """The shipped path and the dict-of-sets oracle, side by side."""
         jobs = [
-            (TLPPartitioner(seed=3), graph, P),
-            (OracleLocalPartitioner(ModularityStagePolicy(), seed=3), graph, P),
+            (TLPPartitioner(seed=3), graph),
+            (OracleLocalPartitioner(ModularityStagePolicy(), seed=3), graph),
         ]
-        csr, ref = partition_many(jobs, workers=2)
+        csr, ref = parallel_map(_grow, jobs, workers=2)
         assert [csr.edges_of(k) for k in range(P)] == [
             ref.edges_of(k) for k in range(P)
         ]
-
-    def test_shared_partitioner_rejected(self, graph):
-        shared = TLPPartitioner(seed=0)
-        with pytest.raises(ValueError, match="distinct partitioner"):
-            partition_many([(shared, graph, P), (shared, graph, P)], workers=2)

@@ -183,23 +183,12 @@ class TestStopping:
         _, stats = refine_partition(before, slack=1.1, max_passes=1)
         assert stats.passes == 1
 
-    def test_move_budget(self, communities):
-        before = RandomPartitioner(seed=0).partition(communities, 6)
-        _, unbounded = refine_partition(before, slack=1.1)
-        assert unbounded.applied > 5  # the budget below really binds
-        limited, stats = refine_partition(before, slack=1.1, max_moves=5)
-        assert stats.applied <= 5
-        assert stats.converged == "move_budget"
-        assert total_replicas(limited) <= total_replicas(before)
-
     def test_invalid_options(self):
         for kwargs in (
             {"slack": 0.9},
             {"epsilon": -0.1},
             {"max_passes": 0},
             {"capacity": -1},
-            {"max_moves": -3},  # used to stop at once as "move_budget"
-            {"swap_limit": -1},  # used to turn swaps off silently
         ):
             with pytest.raises(ValueError):
                 LocalSearchRefiner(**kwargs)

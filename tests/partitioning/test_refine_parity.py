@@ -66,11 +66,9 @@ OPTION_GRID = [
     {"capacity": 1250},  # explicit: above every G4 stand-in part (~1.15k)
     {"slack": 1.1},
     {"epsilon": 0.002},
-    {"max_moves": 5},
-    {"swap_limit": 3},
     {"swaps": False},
     {"max_passes": 1},
-    {"slack": 1.1, "max_moves": 40, "swap_limit": 2},
+    {"slack": 1.1, "max_passes": 2},
 ]
 
 
@@ -125,8 +123,6 @@ ODD_OPTIONS = st.fixed_dictionaries(
         "slack": st.sampled_from([1.0, 1.2]),
         "swaps": st.booleans(),
         "max_passes": st.integers(1, 5),
-        "max_moves": st.sampled_from([0, 1, 4]),
-        "swap_limit": st.sampled_from([0, 1, 3]),
         "epsilon": st.sampled_from([0.0, 0.05]),
     }
 )
@@ -137,8 +133,7 @@ ODD_OPTIONS = st.fixed_dictionaries(
     partition=EdgePartition(
         [[(-(2**80), 2**70), (2**70, 2**71)], [(-(2**80), 2**71), (5, 2**70)]]
     ),
-    options={"slack": 1.0, "swaps": True, "max_passes": 3, "max_moves": 0,
-             "swap_limit": 0, "epsilon": 0.0},
+    options={"slack": 1.0, "swaps": True, "max_passes": 3, "epsilon": 0.0},
 )
 @settings(max_examples=150, deadline=None)
 def test_random_partitions_match_oracle(partition, options):

@@ -273,3 +273,16 @@ class TestServeSubcommand:
         assert main(argv) == 2
         assert "cannot enable ingest" in capsys.readouterr().err
         assert not (bundle / "ingest.wal").exists()
+
+
+class TestRefineSubcommand:
+    def test_workers_flag_is_gone(self, edge_file, tmp_path, capsys):
+        path, _ = edge_file
+        bundle = tmp_path / "parts"
+        assert main([str(path), "-p", "4", "--save-dir", str(bundle)]) == 0
+        before = {p.name: p.read_bytes() for p in bundle.iterdir()}
+        with pytest.raises(SystemExit) as exc:
+            main(["refine", str(bundle), "--workers", "2"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in bundle.iterdir()} == before
