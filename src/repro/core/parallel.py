@@ -1,9 +1,9 @@
 """Deterministic thread-pool helpers for per-partition work.
 
-``save_partition`` and ``build_partition_csr`` fan work out over the
-partitions of a bundle (one edge file + CSR block per partition): N
-pure, index-addressed jobs whose results merge by ascending index.  This
-module is that shape, once.
+``build_partition_csr`` and the in-memory saves of ``write_bundle``
+fan work out over the partitions of a bundle (one CSR block, or one
+edge file, per partition): N pure, index-addressed jobs whose results
+merge by ascending index.  This module is that shape, once.
 
 Determinism contract: :func:`parallel_map` returns *exactly*
 ``[fn(item) for item in items]`` whenever each ``fn(item)`` is pure in

@@ -20,11 +20,15 @@ O(1) Python objects:
 
 The sidecar is one file (``adjacency.csr``): an 8-byte magic+version, a
 JSON directory of array names/dtypes/shapes/offsets, then the raw
-little-endian array bytes, 64-byte aligned.  Arrays are written with
-``tofile`` and read back either as ``np.memmap`` views (zero-copy; the
-page cache does the work) or as eager ``np.fromfile`` loads.  The whole
-file is checksummed into the bundle manifest so ``verify=True`` opens can
-detect torn or tampered sidecars without parsing any text.
+little-endian array bytes, 64-byte aligned: the four global tables, then
+the *partition region* of every partition's block in ascending ``k``.
+:func:`write_sidecar` and :func:`write_arrays` are the encoder; the one
+caller, :func:`repro.partitioning.serialization.write_bundle`, appends
+the region from memory or copies it from where it was parked.  Arrays
+are read back either as ``np.memmap`` views (zero-copy; the page cache
+does the work) or as eager ``np.fromfile`` loads.  The whole file is
+checksummed into the bundle manifest so ``verify=True`` opens can detect
+torn or tampered sidecars without parsing any text.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import BinaryIO, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -152,7 +156,8 @@ def replica_tables(
     groups every vertex's replicas in ascending ``k`` (the
     ReplicationTable convention); the master is the replica with the
     most local edges, ties to the lowest ``k``.  Shared by the in-memory
-    build and the streaming bundle writer, so both write equal tables.
+    build and :func:`~repro.partitioning.serialization.write_bundle`'s
+    streamed saves, so both write equal tables.
     """
     vertex = np.concatenate([np.asarray(a, dtype=_DTYPE) for a in ids] or [_EMPTY])
     part = np.concatenate(
@@ -199,103 +204,61 @@ def csr_to_partition(csr: PartitionCSR) -> EdgePartition:
 # -- binary sidecar ----------------------------------------------------------
 
 
-def _named_arrays(csr: PartitionCSR) -> List[Tuple[str, np.ndarray]]:
-    arrays = [
-        ("vertex_ids", csr.vertex_ids),
-        ("master", csr.master),
-        ("rep_indptr", csr.rep_indptr),
-        ("rep_parts", csr.rep_parts),
-    ]
-    for k, (ids, indptr, indices) in enumerate(csr.parts):
-        arrays.append((f"p{k}_ids", ids))
-        arrays.append((f"p{k}_indptr", indptr))
-        arrays.append((f"p{k}_indices", indices))
-    return arrays
+_TABLES = ("vertex_ids", "master", "rep_indptr", "rep_parts")
+_BLOCK = ("ids", "indptr", "indices")
 
 
-@dataclass(frozen=True)
-class SidecarLayout:
-    """The byte layout of a sidecar, computed from array lengths alone.
+def write_arrays(fh: BinaryIO, arrays: Iterable[np.ndarray]) -> None:
+    """Write ``arrays`` back to back as int64, each padded to 64 bytes.
 
-    Shared between the in-memory :func:`write_sidecar` and the
-    shard-by-shard writer in :mod:`repro.partitioning.oocore.bundle`, so
-    both produce byte-identical files for the same arrays without the
-    streaming path having to materialise them together.
+    This is the sidecar's data layout, so a partition's ``(ids, indptr,
+    indices)`` block written this way is already its piece of the
+    partition region: array offsets inside the region depend only on the
+    blocks before it, never on the global tables in front of it.
     """
-
-    entries: Dict[str, Dict[str, object]]
-    header: bytes
-    data_start: int
-    data_size: int
-
-    def array_offset(self, name: str) -> int:
-        """Absolute file offset of array ``name``."""
-        return self.data_start + int(self.entries[name]["offset"])
-
-    @property
-    def total_size(self) -> int:
-        """Final (aligned) file size in bytes."""
-        return self.data_start + self.data_size
-
-    def write_preamble(self, fh) -> None:
-        """Write magic, version, header length, and the JSON directory."""
-        fh.write(_MAGIC)
-        fh.write(SIDECAR_VERSION.to_bytes(4, "little"))
-        fh.write(len(self.header).to_bytes(8, "little"))
-        fh.write(self.header)
+    for array in arrays:
+        data = np.ascontiguousarray(array, dtype=_DTYPE)
+        fh.write(memoryview(data).cast("B"))
+        fh.write(bytes(-data.nbytes % _ALIGN))
 
 
-def sidecar_layout(
-    num_partitions: int, num_edges: int, lengths: List[Tuple[str, int]]
-) -> SidecarLayout:
-    """Compute the sidecar layout for arrays of the given name/length.
+def write_sidecar(
+    fh: BinaryIO,
+    num_partitions: int,
+    num_edges: int,
+    tables: Sequence[np.ndarray],
+    lengths: Sequence[int],
+) -> None:
+    """Write a sidecar up to its partition region.
 
-    Offsets are relative to the (aligned) start of the data section, so
-    the header length never feeds back into the offsets it records.
+    That is the magic, the version and the JSON directory, padded to the
+    aligned data start, then the four global ``tables`` (``vertex_ids``,
+    ``master``, ``rep_indptr``, ``rep_parts``).  ``lengths`` are the
+    ``3 * num_partitions`` partition array lengths, ``p0_ids`` first;
+    the caller appends the region itself (:func:`write_arrays`).
+    Offsets are relative to the data start, so the header length never
+    feeds back into the offsets it records.
     """
+    names = list(_TABLES) + [f"p{k}_{a}" for k in range(num_partitions) for a in _BLOCK]
+    sizes = [len(table) for table in tables] + list(lengths)
     entries: Dict[str, Dict[str, object]] = {}
     offset = 0
-    itemsize = np.dtype(_DTYPE).itemsize
-    for name, length in lengths:
-        entries[name] = {
-            "dtype": str(np.dtype(_DTYPE)),
-            "length": int(length),
-            "offset": offset,
-        }
-        offset += int(length) * itemsize
-        offset = -(-offset // _ALIGN) * _ALIGN
-    directory: Dict[str, object] = {
-        "version": SIDECAR_VERSION,
-        "num_partitions": num_partitions,
-        "num_edges": num_edges,
-        "arrays": entries,
-    }
-    header = json.dumps(directory, sort_keys=True).encode("utf-8")
-    data_start = len(_MAGIC) + 4 + 8 + len(header)
-    data_start = -(-data_start // _ALIGN) * _ALIGN
-    return SidecarLayout(
-        entries=entries, header=header, data_start=data_start, data_size=offset
-    )
-
-
-def write_sidecar(csr: PartitionCSR, path: PathLike) -> Path:
-    """Write ``csr`` as one aligned binary file; returns the path."""
-    path = Path(path)
-    arrays = _named_arrays(csr)
-    layout = sidecar_layout(
-        csr.num_partitions,
-        csr.num_edges,
-        [(name, array.size) for name, array in arrays],
-    )
-    with open(path, "wb") as fh:
-        layout.write_preamble(fh)
-        for name, array in arrays:
-            fh.seek(layout.array_offset(name))
-            array.astype(_DTYPE, copy=False).tofile(fh)
-        # Pad to the final aligned size so memmaps of the last array are
-        # always in-bounds even if it ended mid-file.
-        fh.truncate(max(layout.total_size, fh.tell()))
-    return path
+    for name, length in zip(names, sizes):
+        entries[name] = {"dtype": str(np.dtype(_DTYPE)), "length": length, "offset": offset}
+        offset += -(-length * np.dtype(_DTYPE).itemsize // _ALIGN) * _ALIGN
+    header = json.dumps(
+        {
+            "version": SIDECAR_VERSION,
+            "num_partitions": num_partitions,
+            "num_edges": num_edges,
+            "arrays": entries,
+        },
+        sort_keys=True,
+    ).encode("utf-8")
+    preamble = _MAGIC + SIDECAR_VERSION.to_bytes(4, "little")
+    preamble += len(header).to_bytes(8, "little") + header
+    fh.write(preamble + bytes(-len(preamble) % _ALIGN))
+    write_arrays(fh, tables)
 
 
 def read_sidecar(path: PathLike, mmap: bool = True) -> PartitionCSR:

@@ -4,9 +4,10 @@ Partition and bundle graphs far larger than RAM: pass 1 streams the
 edge file through bounded-memory clustering and degree sketching
 (2PS, arXiv:2001.07086), pass 2 re-streams it through the shared
 cluster-aware HDRF/greedy scorer into per-partition spill files, and
-the bundle stage external-sorts the spills into a byte-identical
-``save_partition`` bundle — edge files, manifest, and mmap-able CSR
-sidecar — shard by shard.
+the bundle stage external-sorts each spill into
+:func:`~repro.partitioning.serialization.write_bundle`, the writer
+behind ``save_partition`` too, one partition at a time: edge files,
+manifest and mmap-able CSR sidecar, byte-identical to an in-memory save.
 
 Front door: :func:`~repro.partitioning.oocore.pipeline.partition_stream`
 (CLI: ``python -m repro partition-stream``).  In-memory registry

@@ -23,6 +23,7 @@ partition), giving pass 2 its cluster -> partition affinity targets.
 
 from __future__ import annotations
 
+import heapq
 from typing import Dict, Iterable, Sequence, Tuple
 
 from repro.partitioning.oocore.sketch import DegreeSketch
@@ -139,11 +140,13 @@ def map_clusters(
     Largest-volume cluster first onto the currently least-loaded
     partition; deterministic (volume ties break to the lower cluster id,
     load ties to the lower partition id).  Returns cluster -> partition.
+    The least-loaded partition is the top of a heap of ``(load, k)``, so
+    ``c`` clusters cost O(c log p).
     """
-    loads = [0] * num_partitions
+    loads = [(0, k) for k in range(num_partitions)]  # sorted, so a heap
     mapping: Dict[int, int] = {}
     for cluster, vol in sorted(volume.items(), key=lambda kv: (-kv[1], kv[0])):
-        k = min(range(num_partitions), key=lambda i: (loads[i], i))
+        load, k = loads[0]
         mapping[cluster] = k
-        loads[k] += vol
+        heapq.heapreplace(loads, (load + vol, k))
     return mapping

@@ -18,6 +18,10 @@ pass 2 (placement)           40 + 8 * ceil(p / 64) B per row (index,
 bundle (sort + CSR)          O(edges / partitions) per shard + O(vertices)
 ===========================  =========================================
 
+The fold hands :func:`~repro.partitioning.serialization.write_bundle`,
+the one writer of every bundle, each partition's spill as the sorted
+chunks of :func:`~repro.partitioning.oocore.spill.sorted_chunks`.
+
 A vertex-index row is 8 B of id, 16 B of open-addressing slots and the
 per-vertex columns; rows double on demand, so there are between one and
 two per vertex.  That is the compiled kernel's layout
@@ -59,7 +63,6 @@ import numpy as np
 from repro._native import load_kernel
 from repro.graph.chunked import DEFAULT_CHUNK_BYTES, ChunkedEdgeStream
 from repro.partitioning.oocore import spill as spill_mod
-from repro.partitioning.oocore.bundle import write_streaming_bundle
 from repro.partitioning.oocore.cluster import (
     CLUSTERS_PER_PARTITION,
     StreamingClustering,
@@ -78,12 +81,12 @@ from repro.partitioning.oocore.place import (
 )
 from repro.partitioning.oocore.sketch import DegreeSketch
 from repro.partitioning.scoring import balance_offsets
-from repro.partitioning.serialization import partition_metadata
+from repro.partitioning.serialization import partition_metadata, write_bundle
 
 PathLike = Union[str, Path]
 
-#: Scratch directory for spills and temp arrays, inside the output bundle
-#: (same filesystem, so every rename stays atomic).
+#: Scratch directory for spills and their sort runs, inside the output
+#: bundle (same filesystem as the bundle it folds into).
 SCRATCH_NAME = ".oocore-scratch"
 
 #: Rough bytes of pass-1/2 per-vertex state (sketch + cluster + bitmask
@@ -410,14 +413,12 @@ def partition_stream(
 
         # -- fold spills into the bundle -----------------------------------
         t0 = time.perf_counter()
-        manifest_path = write_streaming_bundle(
-            spills,
-            writer.counts,
-            directory,
-            scratch=scratch,
-            metadata=metadata,
-            compress=compress,
-            run_edges=plan.run_edges,
+        sorted_spills = [
+            spill_mod.sorted_chunks(path, count, plan.run_edges)
+            for path, count in zip(spills, writer.counts)
+        ]
+        manifest_path = write_bundle(
+            directory, sorted_spills, metadata=metadata, compress=compress
         )
         bundle_seconds = time.perf_counter() - t0
     finally:

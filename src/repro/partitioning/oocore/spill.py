@@ -190,14 +190,17 @@ def sorted_chunks(
 
     Sorted order makes duplicates adjacent, so a repeated input edge
     (which would corrupt the bundle's edge->partition map) raises
-    ``ValueError`` here, one comparison of adjacent rows per chunk.
+    ``ValueError`` here, one comparison of adjacent rows per chunk; so
+    does a spill holding fewer than ``num_records`` records.
     """
     if run_edges < 1:
         raise ValueError(f"run_edges must be >= 1, got {run_edges}")
     if num_records == 0:
         return
     last = None
+    seen = 0
     for rows in _sorted_slices(path, num_records, run_edges):
+        seen += len(rows)
         if not len(rows):
             continue
         if last is not None and (rows[0] == last).all():
@@ -208,6 +211,8 @@ def sorted_chunks(
         last = rows[-1]
         for start in range(0, len(rows), _MERGE_CHUNK_EDGES):
             yield rows[start : start + _MERGE_CHUNK_EDGES]
+    if seen != num_records:
+        raise ValueError(f"{path.name}: expected {num_records} records, got {seen}")
 
 
 def _reject_duplicate(edge: np.ndarray, path: Path) -> None:

@@ -1,19 +1,23 @@
 """On-disk serialisation of edge partitions.
 
 A partitioning is the *input* to a distributed deployment, so it must
-round-trip through storage: :func:`save_partition` writes one edge-list file
-per partition plus a JSON manifest (counts, checksums, metadata);
+round-trip through storage: a bundle is one edge-list file per partition,
+a CSR sidecar and a JSON manifest (counts, checksums, metadata), and
 :func:`load_partition` reads the directory back and verifies the manifest.
+:func:`write_bundle` is the one writer of that format.  In-memory
+partitions reach it through :func:`save_partition` (the TLP command,
+``refine``, every compaction); ``partition-stream`` feeds it one
+partition at a time from its sorted spills.
 
 Two durability properties matter because the serving layer
 (:mod:`repro.service`) opens these directories:
 
-* **Atomicity** — every file (edge lists and manifest) is written to a
-  temp file, fsynced and ``os.replace``-d into place, and the manifest
-  is written *last*, followed by an fsync of the directory, so neither a
-  killed writer nor a power loss leaves a directory that parses as a
-  valid partition but holds torn edge files, and a bundle is durable
-  when :func:`save_partition` returns.
+* **Atomicity** — every file (edge lists, sidecar and manifest) is
+  written to a temp file, fsynced and ``os.replace``-d into place, and
+  the manifest is written *last*, followed by an fsync of the directory,
+  so neither a killed writer nor a power loss leaves a directory that
+  parses as a valid partition but holds torn edge files, and a bundle is
+  durable when :func:`write_bundle` returns.
 * **Compression** — ``compress=True`` writes ``part_*.edges.gz`` instead
   of plain text; loading is transparent (the manifest records the file
   name, and the ``.gz`` suffix selects the gzip text reader).  Checksums
@@ -33,18 +37,20 @@ refuses it.
 
 from __future__ import annotations
 
+import contextlib
 import gzip
 import hashlib
 import json
 import os
 import re
+import shutil
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core.parallel import parallel_map
+from repro.core.parallel import parallel_map, resolve_workers
 from repro.graph.io import open_text
 from repro.partitioning import csr_bundle
 from repro.partitioning.assignment import EdgePartition
@@ -53,6 +59,9 @@ MANIFEST_NAME = "partition.json"
 FORMAT_VERSION = 1
 
 PathLike = Union[str, Path]
+
+#: Bytes per read while the sidecar copies in a parked partition region.
+_COPY_BYTES = 1 << 20
 
 
 def _edge_file(directory: Path, k: int, compress: bool) -> Path:
@@ -72,7 +81,7 @@ def format_edges(edges: np.ndarray, digest: "hashlib._Hash") -> bytes:
     """Edge-file bytes of the int64 rows of ``edges``, fed into ``digest``.
 
     The one formatter behind every edge file and manifest checksum:
-    ``save_partition`` and the streaming fold write what it returns, and
+    :func:`write_bundle` writes what it returns, chunk by chunk, and
     :func:`load_partition` compares a file against it.  The checksum is
     the SHA-256 of the ``"u,v;"`` stream, which is the returned text
     with its two separators swapped, so calling this on consecutive
@@ -244,6 +253,116 @@ def write_manifest(directory: Path, manifest: Dict[str, object]) -> Path:
     return manifest_path
 
 
+def write_bundle(
+    directory: PathLike,
+    parts: Sequence[Iterable[np.ndarray]],
+    *,
+    csr: Optional[csr_bundle.PartitionCSR] = None,
+    metadata: Optional[Dict[str, object]] = None,
+    compress: bool = False,
+    workers: Optional[int] = 1,
+) -> Path:
+    """Write a bundle under ``directory``; returns the manifest path.
+
+    ``parts[k]`` yields partition ``k``'s edges as ``(m, 2)`` int64
+    chunks in ascending ``(u, v)`` order.  Every bundle is written by
+    this one durable sequence: each part file lands atomically (temp
+    file, fsync, rename), then the CSR sidecar, then the manifest, then
+    the directory fsync (:func:`write_manifest`).
+
+    ``csr`` is the bundle's sidecar content when the caller has it
+    already (:func:`save_partition`); its blocks stay in memory and
+    ``workers`` fans the part files over a thread pool.  Without it,
+    each partition's CSR block is built from its edges right after its
+    part file and parked in one anonymous temp file in ``directory``,
+    laid out as the sidecar's partition region.  The global tables in
+    front of that region need every partition, but the region's offsets
+    do not depend on them, so the sidecar takes the parked bytes in with
+    one copy.  Blocks park in partition order, one partition in memory
+    at a time, so ``workers`` must then be 1.
+    """
+    directory = Path(directory)
+    if csr is None and resolve_workers(workers) != 1:
+        raise ValueError("a bundle whose blocks are built here is written with workers=1")
+    directory.mkdir(parents=True, exist_ok=True)
+    ids: List[np.ndarray] = []
+    degrees: List[np.ndarray] = []
+    lengths: List[int] = []
+    parking = tempfile.TemporaryFile(dir=directory) if csr is None else contextlib.nullcontext()
+    with parking as park:
+
+        def write_part(k: int) -> Dict[str, object]:
+            digest = hashlib.sha256()
+            chunks: List[np.ndarray] = []
+            path = _edge_file(directory, k, compress)
+
+            def write_edges(tmp: Path) -> None:
+                with open_text(tmp, "w") as fh:
+                    for chunk in parts[k]:
+                        fh.write(format_edges(chunk, digest).decode("ascii"))
+                        chunks.append(chunk)
+
+            _write_atomic(path, write_edges)
+            # Drop a stale counterpart from a previous save with the other
+            # compression setting, so the directory stays unambiguous.
+            _edge_file(directory, k, not compress).unlink(missing_ok=True)
+            count = sum(map(len, chunks))
+            if park is not None:
+                edges = np.concatenate(chunks) if chunks else np.empty((0, 2), np.int64)
+                chunks.clear()  # one copy of the edges during the CSR build, not two
+                block = csr_bundle._partition_adjacency(edges)
+                csr_bundle.write_arrays(park, block)
+                ids.append(block[0])
+                degrees.append(np.diff(block[1]))
+                lengths.extend(len(array) for array in block)
+            return {
+                "index": k,
+                "file": path.name,
+                "edges": count,
+                "checksum": digest.hexdigest()[:16],
+            }
+
+        partitions = parallel_map(write_part, range(len(parts)), workers)
+        num_edges = sum(int(entry["edges"]) for entry in partitions)
+        if csr is None:
+            tables = csr_bundle.replica_tables(ids, degrees)
+        else:
+            tables = (csr.vertex_ids, csr.master, csr.rep_indptr, csr.rep_parts)
+            lengths = [len(array) for block in csr.parts for array in block]
+
+        def write_sidecar(tmp: Path) -> None:
+            with open(tmp, "wb") as fh:
+                csr_bundle.write_sidecar(fh, len(parts), num_edges, tables, lengths)
+                if park is None:
+                    csr_bundle.write_arrays(fh, [a for block in csr.parts for a in block])
+                else:
+                    park.seek(0)
+                    shutil.copyfileobj(park, fh, _COPY_BYTES)
+
+        sidecar_path = directory / csr_bundle.SIDECAR_NAME
+        _write_atomic(sidecar_path, write_sidecar)
+    manifest = {
+        "format_version": FORMAT_VERSION,
+        "num_partitions": len(parts),
+        "num_edges": num_edges,
+        "partitions": partitions,
+        "metadata": metadata or {},
+        "csr_sidecar": {
+            "file": csr_bundle.SIDECAR_NAME,
+            "version": csr_bundle.SIDECAR_VERSION,
+            "bytes": sidecar_path.stat().st_size,
+            "checksum": csr_bundle.sidecar_checksum(sidecar_path),
+        },
+    }
+    return write_manifest(directory, manifest)
+
+
+def _sorted_rows(partition: EdgePartition, k: int) -> Iterator[np.ndarray]:
+    """Partition ``k``'s edges as one ``(u, v)``-sorted array, on demand."""
+    edges = partition.edge_array(k)
+    yield edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+
+
 def save_partition(
     partition: EdgePartition,
     directory: PathLike,
@@ -265,60 +384,22 @@ def save_partition(
     ``OverflowError`` in the CSR build) leaves an existing bundle
     byte-untouched.
 
-    ``workers`` fans the per-partition work (sort, edge file, checksum,
-    CSR block) over a thread pool — one partition per worker, ``None``
-    for one per core, ``1`` for the sequential loop.  The bundle is
-    byte-identical either way: every partition's file and manifest entry
-    depend only on that partition's edges, and the manifest is assembled
-    in ascending ``k`` from the positionally-merged results.
+    ``workers`` fans the per-partition work (CSR block, then sort, edge
+    file and checksum) over a thread pool — one partition per worker,
+    ``None`` for one per core, ``1`` for the sequential loop.  The bundle
+    is byte-identical either way: every partition's file and manifest
+    entry depend only on that partition's edges, and the manifest is
+    assembled in ascending ``k`` from the positionally-merged results.
     """
-    directory = Path(directory)
     csr = csr_bundle.build_partition_csr(partition, workers=workers)
-    directory.mkdir(parents=True, exist_ok=True)
-
-    def save_one(k: int) -> Dict[str, object]:
-        edges = partition.edge_array(k)
-        edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
-        digest = hashlib.sha256()
-        text = format_edges(edges, digest).decode("ascii")
-        path = _edge_file(directory, k, compress)
-
-        def write_edges(tmp: Path) -> None:
-            with open_text(tmp, "w") as fh:
-                fh.write(text)
-
-        _write_atomic(path, write_edges)
-        # Drop a stale counterpart from a previous save with the other
-        # compression setting, so the directory stays unambiguous.
-        _edge_file(directory, k, not compress).unlink(missing_ok=True)
-        return {
-            "index": k,
-            "file": path.name,
-            "edges": len(edges),
-            "checksum": digest.hexdigest()[:16],
-        }
-
-    partitions = parallel_map(save_one, range(partition.num_partitions), workers)
-    sidecar_path = directory / csr_bundle.SIDECAR_NAME
-    _write_atomic(sidecar_path, lambda tmp: csr_bundle.write_sidecar(csr, tmp))
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "num_partitions": partition.num_partitions,
-        "num_edges": partition.num_edges,
-        "partitions": partitions,
-        "metadata": metadata or {},
-        "csr_sidecar": {
-            "file": csr_bundle.SIDECAR_NAME,
-            "version": csr_bundle.SIDECAR_VERSION,
-            "bytes": sidecar_path.stat().st_size,
-            "checksum": csr_bundle.sidecar_checksum(sidecar_path),
-        },
-    }
-    return write_manifest(directory, manifest)
+    parts = [_sorted_rows(partition, k) for k in range(partition.num_partitions)]
+    return write_bundle(
+        directory, parts, csr=csr, metadata=metadata, compress=compress, workers=workers
+    )
 
 
 def load_partition(directory: PathLike, verify: bool = True) -> EdgePartition:
-    """Read a partition directory written by :func:`save_partition`.
+    """Read a partition directory written by :func:`write_bundle`.
 
     Gzip and plain edge files are both accepted (per-file, from the
     manifest).  ``verify=True`` (default) checks edge counts and

@@ -194,20 +194,16 @@ def fold_bundle(
             {"index": k, "file": path.name, "edges": count, "checksum": digest.hexdigest()}
         )
     blocks = [csr_bundle._partition_adjacency(edges_to_array(edges)) for edges in parts]
-    vertex_ids, master, rep_indptr, rep_parts = replica_dicts(
+    tables = replica_dicts(
         [ids for ids, _, _ in blocks], [np.diff(indptr) for _, indptr, _ in blocks]
     )
-    csr = csr_bundle.PartitionCSR(
-        num_partitions=len(spills),
-        num_edges=sum(counts),
-        vertex_ids=vertex_ids,
-        master=master,
-        rep_indptr=rep_indptr,
-        rep_parts=rep_parts,
-        parts=blocks,
-    )
+    arrays = [array for block in blocks for array in block]
     sidecar = directory / csr_bundle.SIDECAR_NAME
-    csr_bundle.write_sidecar(csr, sidecar)
+    with open(sidecar, "wb") as fh:
+        csr_bundle.write_sidecar(
+            fh, len(spills), sum(counts), tables, [len(a) for a in arrays]
+        )
+        csr_bundle.write_arrays(fh, arrays)
     manifest = {
         "format_version": FORMAT_VERSION,
         "num_partitions": len(spills),

@@ -5,8 +5,9 @@
   reader accepts (spaces, CRLF, no final newline), must load to exactly
   the oracle's edges; a malformed file must raise ``ValueError`` naming
   the file and the line, under either ``verify`` setting.
-* **Fold** — the streaming bundle writer merges sorted runs as arrays.
-  Its bundle must be byte-identical to the tuple-merge fold of
+* **Fold** — ``partition_stream`` hands :func:`write_bundle` each
+  spill's sorted chunks, which merge sorted runs as arrays.  The bundle
+  must be byte-identical to the tuple-merge fold of
   :mod:`tests.partitioning.bundle_oracle` for one run, many interleaved
   runs, empty partitions and gzip, and a duplicate edge split across
   runs must still be rejected.
@@ -30,13 +31,13 @@ from hypothesis import strategies as st
 from repro.partitioning import csr_bundle
 from repro.partitioning.assignment import EdgePartition
 from repro.partitioning.oocore import spill as spill_mod
-from repro.partitioning.oocore.bundle import write_streaming_bundle
 from repro.partitioning.oocore.spill import SpillWriter
 from repro.partitioning.serialization import (
     _parse_canonical,
     format_edges,
     load_partition,
     save_partition,
+    write_bundle,
 )
 
 from tests.partitioning.bundle_oracle import (
@@ -272,6 +273,14 @@ def _random_parts(num_partitions, num_edges, seed, empty=()):
     return parts
 
 
+def _fold(spills, counts, directory, run_edges=spill_mod.DEFAULT_RUN_EDGES, **options):
+    """What ``partition_stream`` folds its spills with."""
+    sorted_spills = [
+        spill_mod.sorted_chunks(path, count, run_edges) for path, count in zip(spills, counts)
+    ]
+    return write_bundle(directory, sorted_spills, **options)
+
+
 class TestFoldParity:
     @pytest.mark.parametrize(
         "run_edges,chunk_edges",
@@ -290,21 +299,28 @@ class TestFoldParity:
             spills, counts, tmp_path / "oracle",
             metadata=metadata, compress=compress, run_edges=run_edges,
         )
-        write_streaming_bundle(
-            spills, counts, tmp_path / "array", scratch=tmp_path / "scratch",
+        _fold(
+            spills, counts, tmp_path / "array",
             metadata=metadata, compress=compress, run_edges=run_edges,
         )
+        # Equal snapshots also mean no temp file is left in the bundle
+        # (the parked CSR region is anonymous), and the sort runs are gone.
         assert _snapshot(tmp_path / "array") == _snapshot(tmp_path / "oracle")
-        assert not list((tmp_path / "scratch").iterdir())
         assert all(p.suffix == ".bin" for p in (tmp_path / "spill").iterdir())
         save_partition(load_partition(tmp_path / "array"), tmp_path / "resave",
                        metadata=metadata, compress=compress)
         assert _snapshot(tmp_path / "resave") == _snapshot(tmp_path / "array")
 
+    def test_parked_blocks_need_one_worker(self, tmp_path):
+        # Blocks built by the writer park in partition order in one file.
+        with pytest.raises(ValueError, match="workers=1"):
+            write_bundle(tmp_path / "out", [[np.array([[1, 2]])]] * 2, workers=2)
+        assert not (tmp_path / "out").exists()
+
     def test_all_partitions_empty(self, tmp_path):
         spills, counts = _spills(tmp_path / "spill", [[], []], seed=0)
         fold_bundle(spills, counts, tmp_path / "oracle")
-        write_streaming_bundle(spills, counts, tmp_path / "array", scratch=tmp_path / "s")
+        _fold(spills, counts, tmp_path / "array")
         assert _snapshot(tmp_path / "array") == _snapshot(tmp_path / "oracle")
 
     @pytest.mark.parametrize("chunk_edges", [1, 2, 1 << 14])
@@ -326,10 +342,7 @@ class TestFoldParity:
         writer.append_batch(np.zeros(len(records), dtype=np.intp), np.array(records))
         spills = writer.close()
         with pytest.raises(ValueError, match=r"duplicate edge \(1, 2\) in partition spill"):
-            write_streaming_bundle(
-                spills, writer.counts, tmp_path / "out", scratch=tmp_path / "s",
-                run_edges=run_edges,
-            )
+            _fold(spills, writer.counts, tmp_path / "out", run_edges=run_edges)
         assert not list((tmp_path / "out").glob("part_*"))
         assert sorted(p.name for p in spill_dir.iterdir()) == ["spill_0000.bin"]
 

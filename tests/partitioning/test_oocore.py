@@ -20,6 +20,8 @@ import gzip
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph.generators import erdos_renyi_gnm, holme_kim
 from repro.partitioning.hdrf import HDRFPartitioner
@@ -41,6 +43,7 @@ from repro.partitioning.serialization import (
 from repro.service.store import PartitionStore
 
 from tests.partitioning.bundle_oracle import external_sort_check, sorted_edges
+from tests.partitioning.cluster_oracle import map_clusters_scan
 from tests.partitioning.placer_oracle import OracleStreamingPlacer
 
 
@@ -138,6 +141,16 @@ class TestStreamingClustering:
         # 100|60 -> 50 joins 60 (110) -> 40 joins 100 (140) -> 10 joins 110.
         assert loads == [140, 120]
         assert set(mapping) == set(volume)
+
+    @pytest.mark.parametrize("num_partitions", [1, 2, 7, 64, 130])
+    @settings(max_examples=40, deadline=None)
+    @given(volume=st.dictionaries(st.integers(-50, 10**6), st.integers(0, 5), max_size=400))
+    def test_map_clusters_matches_scan_oracle(self, num_partitions, volume):
+        # Volumes in 0..5 tie often, and so do loads: ties must go to the
+        # lower cluster id and the lower partition id as in the scan.
+        assert map_clusters(volume, num_partitions) == map_clusters_scan(
+            volume, num_partitions
+        )
 
 
 class TestSpill:

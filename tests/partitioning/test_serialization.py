@@ -2,14 +2,18 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
+import repro.partitioning.serialization as ser
 from repro.core.tlp import TLPPartitioner
 from repro.partitioning.assignment import EdgePartition
+from repro.partitioning.oocore import partition_stream
 from repro.partitioning.serialization import (
     MANIFEST_NAME,
     load_partition,
+    load_sidecar,
     partition_metadata,
     save_partition,
 )
@@ -160,6 +164,46 @@ class TestGzipEdgeFiles:
         load_partition(tmp_path / "out")  # still a coherent bundle
 
 
+def _stream(partition, directory):
+    """``partition_stream`` over an edge file holding ``partition``'s edges."""
+    source = Path(directory).parent / "edges.txt"
+    lines = (f"{u} {v}\n" for k in range(partition.num_partitions)
+             for u, v in partition.edges_of(k))
+    source.write_text("".join(lines))
+    partition_stream(source, directory, num_partitions=partition.num_partitions)
+
+
+#: The two entry points of the one bundle writer.
+WRITERS = {"save_partition": save_partition, "partition_stream": _stream}
+
+
+def _die_on_write(n, monkeypatch):
+    """Make the ``n``-th durable write (``_write_atomic``) raise."""
+    real_write = ser._write_atomic
+    calls = {"n": 0}
+
+    def dying_write(path, write):
+        calls["n"] += 1
+        if calls["n"] == n:
+            raise KeyboardInterrupt("simulated kill")
+        real_write(path, write)
+
+    monkeypatch.setattr(ser, "_write_atomic", dying_write)
+
+
+def _count_writes(write, partition, directory, monkeypatch):
+    """How many durable writes one complete ``write`` makes."""
+    real_write = ser._write_atomic
+    paths = []
+    monkeypatch.setattr(
+        ser, "_write_atomic", lambda path, fn: (paths.append(path), real_write(path, fn))
+    )
+    write(partition, directory)
+    monkeypatch.undo()
+    assert paths[-1].name == MANIFEST_NAME
+    return len(paths)
+
+
 class TestAtomicity:
     def test_no_temp_files_left_behind(self, sample_partition, tmp_path):
         save_partition(sample_partition, tmp_path / "out", compress=True)
@@ -167,56 +211,43 @@ class TestAtomicity:
         leftovers = [p.name for p in (tmp_path / "out").iterdir() if ".tmp" in p.name]
         assert leftovers == []
 
+    @pytest.mark.parametrize("write", WRITERS.values(), ids=WRITERS.keys())
     def test_interrupted_edge_write_leaves_no_manifest(
-        self, sample_partition, tmp_path, monkeypatch
+        self, sample_partition, tmp_path, monkeypatch, write
     ):
-        # Kill the writer mid-way through the edge files: because the
-        # manifest is written last, the directory must not parse as a
+        # Kill the writer on each of its durable writes in turn: because
+        # the manifest is written last, the directory must not parse as a
         # valid partition afterwards.
-        import repro.partitioning.serialization as ser
+        writes = _count_writes(write, sample_partition, tmp_path / "count", monkeypatch)
+        assert writes == sample_partition.num_partitions + 2  # parts, sidecar, manifest
+        for n in range(1, writes + 1):
+            directory = tmp_path / f"out{n}"
+            _die_on_write(n, monkeypatch)
+            with pytest.raises(KeyboardInterrupt):
+                write(sample_partition, directory)
+            monkeypatch.undo()
+            with pytest.raises(FileNotFoundError):
+                load_partition(directory)
 
-        real_write = ser._write_atomic
-        calls = {"n": 0}
-
-        def dying_write(path, write):
-            calls["n"] += 1
-            if calls["n"] == 3:  # die on the third file
-                raise KeyboardInterrupt("simulated kill")
-            real_write(path, write)
-
-        monkeypatch.setattr(ser, "_write_atomic", dying_write)
-        with pytest.raises(KeyboardInterrupt):
-            save_partition(sample_partition, tmp_path / "out")
-        monkeypatch.setattr(ser, "_write_atomic", real_write)
-        with pytest.raises(FileNotFoundError):
-            load_partition(tmp_path / "out")
-
+    @pytest.mark.parametrize("write", WRITERS.values(), ids=WRITERS.keys())
     def test_interrupted_overwrite_keeps_old_bundle_loadable(
-        self, sample_partition, tmp_path, monkeypatch
+        self, sample_partition, tmp_path, monkeypatch, write
     ):
-        # A complete bundle being re-saved must stay valid if the second
-        # writer dies: every file lands via os.replace, never truncation.
-        import repro.partitioning.serialization as ser
-
-        save_partition(sample_partition, tmp_path / "out")
-        before = load_partition(tmp_path / "out")
-
-        real_write = ser._write_atomic
-        calls = {"n": 0}
-
-        def dying_write(path, write):
-            calls["n"] += 1
-            if calls["n"] == 2:
-                raise KeyboardInterrupt("simulated kill")
-            real_write(path, write)
-
-        monkeypatch.setattr(ser, "_write_atomic", dying_write)
-        with pytest.raises(KeyboardInterrupt):
-            save_partition(sample_partition, tmp_path / "out")
-        monkeypatch.setattr(ser, "_write_atomic", real_write)
-        after = load_partition(tmp_path / "out")  # verifies checksums
-        for k in range(before.num_partitions):
-            assert sorted(after.edges_of(k)) == sorted(before.edges_of(k))
+        # A complete bundle being re-written must stay valid if the second
+        # writer dies on any of its writes: every file lands via
+        # os.replace, never truncation, and the manifest last.
+        directory = tmp_path / "out"
+        write(sample_partition, directory)
+        before = load_partition(directory)
+        for n in range(1, sample_partition.num_partitions + 3):
+            _die_on_write(n, monkeypatch)
+            with pytest.raises(KeyboardInterrupt):
+                write(sample_partition, directory)
+            monkeypatch.undo()
+            after = load_partition(directory)  # verifies checksums
+            for k in range(before.num_partitions):
+                assert sorted(after.edges_of(k)) == sorted(before.edges_of(k))
+            load_sidecar(directory)  # verifies the sidecar checksum
 
 
 class TestGoldenBytes:

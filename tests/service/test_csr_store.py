@@ -21,7 +21,6 @@ from repro.partitioning.csr_bundle import (
     build_partition_csr,
     csr_to_partition,
     read_sidecar,
-    write_sidecar,
 )
 from repro.partitioning.registry import make_partitioner
 from repro.partitioning.serialization import (
@@ -214,8 +213,8 @@ class TestHotReloadParity:
 class TestSidecarFormat:
     def test_round_trip_mmap_and_eager(self, tlp_partition, tmp_path):
         csr = build_partition_csr(tlp_partition)
-        path = tmp_path / "adj.csr"
-        write_sidecar(csr, path)
+        save_partition(tlp_partition, tmp_path)
+        path = tmp_path / SIDECAR_NAME
         for mmap in (True, False):
             back = read_sidecar(path, mmap=mmap)
             assert back.num_partitions == csr.num_partitions
