@@ -58,7 +58,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.analysis.partition_stats import describe_partition
 from repro.graph.graph import Graph
 from repro.graph.io import read_edge_array
 from repro.partitioning.assignment import EdgePartition
@@ -734,6 +733,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"edge balance       : {report.edge_balance:.4f}")
     print(f"spanned vertices   : {report.spanned_vertices}")
     if args.detail:
+        from repro.analysis.partition_stats import describe_partition
+
         print()
         print(describe_partition(partition, Graph.from_edge_array(edges, vertices)))
 

@@ -1,50 +1,1 @@
-"""Partition analysis: per-partition diagnostics, community recovery,
-replication structure."""
-
-from repro.analysis.compare import (
-    ComparisonRow,
-    best_algorithm,
-    compare_algorithms,
-    render_comparison,
-    rf_table,
-)
-from repro.analysis.community import (
-    community_recovery_score,
-    entropy,
-    mutual_information,
-    normalized_mutual_information,
-    vertex_assignment_from_partition,
-)
-from repro.analysis.partition_stats import (
-    PartitionDetail,
-    describe_partition,
-    partition_details,
-)
-from repro.analysis.replication import (
-    ReplicationProfile,
-    degree_replication_correlation,
-    replica_histogram,
-    replicas_by_vertex,
-    replication_profile,
-)
-
-__all__ = [
-    "ComparisonRow",
-    "best_algorithm",
-    "compare_algorithms",
-    "render_comparison",
-    "rf_table",
-    "community_recovery_score",
-    "entropy",
-    "mutual_information",
-    "normalized_mutual_information",
-    "vertex_assignment_from_partition",
-    "PartitionDetail",
-    "describe_partition",
-    "partition_details",
-    "ReplicationProfile",
-    "degree_replication_correlation",
-    "replica_histogram",
-    "replicas_by_vertex",
-    "replication_profile",
-]
+"""Partition analysis: the per-partition diagnostics behind ``--detail``."""

@@ -1,6 +1,6 @@
 """Detailed per-partition diagnostics beyond the headline RF.
 
-Used by examples and the extended benches to explain *why* a partitioning is
+Printed by the CLI's ``--detail`` to explain *why* a partitioning is
 good: per-partition modularity (the paper's quality driver, Claim 1),
 boundary sizes, and the distribution of work a distributed engine would see.
 """

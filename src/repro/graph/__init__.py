@@ -1,7 +1,6 @@
 """Graph substrate: core types, construction, IO, generators, traversals."""
 
 from repro.graph.builder import BuildStats, GraphBuilder
-from repro.graph.csr import CSRGraph
 from repro.graph.graph import Edge, Graph, normalize_edge
 from repro.graph.io import iter_edge_list, read_edge_list, write_edge_list
 from repro.graph.residual import ResidualGraph
@@ -18,7 +17,6 @@ from repro.graph.traversal import (
 __all__ = [
     "BuildStats",
     "GraphBuilder",
-    "CSRGraph",
     "Edge",
     "Graph",
     "normalize_edge",

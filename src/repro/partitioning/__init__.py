@@ -27,7 +27,6 @@ from repro.partitioning.metrics import (
 )
 from repro.partitioning.ne import NEPartitioner
 from repro.partitioning.random_edge import RandomPartitioner
-from repro.partitioning.rebalance import rebalance
 from repro.partitioning.serialization import load_partition, save_partition
 from repro.partitioning.registry import (
     EXTENDED_ALGORITHMS,
@@ -71,7 +70,6 @@ __all__ = [
     "total_replicas",
     "NEPartitioner",
     "RandomPartitioner",
-    "rebalance",
     "load_partition",
     "save_partition",
     "EXTENDED_ALGORITHMS",

@@ -1,15 +1,11 @@
-"""Streaming substrate: edge orders, sliding-window reordering, streams."""
+"""Streaming substrate: edge orders and sliding-window reordering."""
 
 from repro.streaming.orders import EDGE_ORDERS, edge_stream
-from repro.streaming.stream import EdgeStream, peak_local_state, peak_streaming_state
 from repro.streaming.window import SlidingWindowReorder, windowed_stream
 
 __all__ = [
     "EDGE_ORDERS",
     "edge_stream",
-    "EdgeStream",
-    "peak_local_state",
-    "peak_streaming_state",
     "SlidingWindowReorder",
     "windowed_stream",
 ]

@@ -1,7 +1,6 @@
-"""Shared utilities: seeded randomness, argument validation, timing."""
+"""Shared utilities: seeded randomness and argument validation."""
 
 from repro.utils.rng import SeedSequence, make_rng, spawn_rng
-from repro.utils.timing import Stopwatch, timed
 from repro.utils.validation import (
     check_in_range,
     check_non_negative,
@@ -13,8 +12,6 @@ __all__ = [
     "SeedSequence",
     "make_rng",
     "spawn_rng",
-    "Stopwatch",
-    "timed",
     "check_in_range",
     "check_non_negative",
     "check_positive",

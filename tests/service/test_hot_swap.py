@@ -558,34 +558,34 @@ class TestRefinedCompactionUnderLoad:
         asyncio.run(go())
 
 
-class TestRebalancePipeline:
-    """repartition -> save_partition -> hot reload, end to end.
+class TestRefinePipeline:
+    """refine -> save_partition -> hot reload, end to end.
 
-    The offline pipeline (rebalance a skewed partition, save the bundle)
-    feeds the online one (StoreManager.reload), and the new epoch's
-    replication factor must agree with ``repro.partitioning.metrics``
-    computed on the rebalanced partition itself.
+    The offline pipeline (refine a TLP partition, save the bundle) feeds
+    the online one (StoreManager.reload), and the new epoch's replication
+    factor must agree with ``repro.partitioning.metrics`` computed on the
+    refined partition itself.
     """
 
-    def test_rebalanced_bundle_reload_reports_offline_rf(
-        self, graph, tmp_path
-    ):
+    def test_refined_bundle_reload_reports_offline_rf(self, graph, tmp_path):
         from repro.partitioning.metrics import replication_factor
-        from repro.partitioning.rebalance import rebalance
+        from repro.partitioning.refine import LocalSearchRefiner
 
         base = TLPPartitioner(seed=3).partition(graph, 4)
-        balanced = rebalance(base, capacity=0, max_rounds=4)
-        offline_rf = replication_factor(balanced, graph)
+        refined, _ = LocalSearchRefiner(slack=1.05).refine(base)
+        offline_rf = replication_factor(refined, graph)
+        # The refiner moved edges, so the reload has a different RF to report.
+        assert offline_rf < replication_factor(base, graph)
 
         base_dir = tmp_path / "base"
-        balanced_dir = tmp_path / "balanced"
+        refined_dir = tmp_path / "refined"
         save_partition(base, base_dir, metadata={"stage": "base"})
-        save_partition(balanced, balanced_dir, metadata={"stage": "balanced"})
+        save_partition(refined, refined_dir, metadata={"stage": "refined"})
 
         async def go():
             manager = StoreManager(PartitionStore.open(base_dir))
             assert manager.epoch == 1
-            info = await manager.reload(balanced_dir)
+            info = await manager.reload(refined_dir)
             assert info["epoch"] == 2
             # The swap ack and the live store agree with the offline metric.
             assert info["replication_factor"] == pytest.approx(
@@ -594,27 +594,27 @@ class TestRebalancePipeline:
             assert manager.store.replication_factor() == pytest.approx(
                 offline_rf, abs=1e-9
             )
-            assert manager.store.metadata.get("stage") == "balanced"
+            assert manager.store.metadata.get("stage") == "refined"
 
         asyncio.run(go())
 
-    def test_rebalanced_bundle_served_over_the_wire(self, graph, tmp_path):
+    def test_refined_bundle_served_over_the_wire(self, graph, tmp_path):
         from repro.partitioning.metrics import replication_factor
-        from repro.partitioning.rebalance import rebalance
+        from repro.partitioning.refine import LocalSearchRefiner
 
         base = TLPPartitioner(seed=3).partition(graph, 4)
-        balanced = rebalance(base, capacity=0, max_rounds=4)
-        offline_rf = replication_factor(balanced, graph)
+        refined, _ = LocalSearchRefiner(slack=1.05).refine(base)
+        offline_rf = replication_factor(refined, graph)
 
         base_dir = tmp_path / "base"
-        balanced_dir = tmp_path / "balanced"
+        refined_dir = tmp_path / "refined"
         save_partition(base, base_dir)
-        save_partition(balanced, balanced_dir)
+        save_partition(refined, refined_dir)
 
         async def go():
             async with PartitionServer(PartitionStore.open(base_dir)) as server:
                 async with ServiceClient(*server.address) as client:
-                    await client.reload(str(balanced_dir))
+                    await client.reload(str(refined_dir))
                     stats = await client.stats()
                     assert stats["epoch"] == 2
                     assert stats["replication_factor"] == pytest.approx(

@@ -3,7 +3,6 @@
 import doctest
 
 import repro.graph.builder
-import repro.utils.timing
 
 
 def _run(module):
@@ -15,6 +14,3 @@ def _run(module):
 def test_builder_doctests():
     assert _run(repro.graph.builder) > 0
 
-
-def test_timing_doctests():
-    assert _run(repro.utils.timing) > 0

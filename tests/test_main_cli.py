@@ -138,6 +138,31 @@ class TestSaveBundle:
         assert out == "clean"
 
 
+class TestImportSurface:
+    def test_cli_import_skips_bench_runtime_analysis_datasets(self):
+        """Every command pays for ``import repro.__main__``; the packages no
+        command needs at start-up stay unloaded (``--detail`` imports its
+        one analysis module when asked)."""
+        child = (
+            "import sys\n"
+            "import repro.__main__\n"
+            "print(' '.join(sorted(sys.modules)))\n"
+        )
+        env = dict(os.environ)
+        src_root = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src_root, env.get("PYTHONPATH")) if p
+        )
+        loaded = subprocess.run(
+            [sys.executable, "-c", child],
+            capture_output=True, text=True, env=env, check=True,
+        ).stdout.split()
+        assert "repro.__main__" in loaded
+        packages = {"repro.bench", "repro.runtime", "repro.analysis", "repro.datasets"}
+        unwanted = [m for m in loaded if ".".join(m.split(".")[:2]) in packages]
+        assert unwanted == []
+
+
 class TestIdsOutsideInt64:
     """An id outside int64 is a named input error, not a traceback."""
 
